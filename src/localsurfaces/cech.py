@@ -11,16 +11,20 @@ rewriting the component functions to U-coordinates.  For O(-n), whose
 transition is (z^n), the V-side contributions are exactly the functions
 z^-n * f with f holomorphic on V.
 
-The infinite cochain spaces are truncated to a finite monomial window;
-V-generator images are truncated to the window, so every computed dimension
-is an in-window statement.  On the undeformed surface the monomial normal
-form makes the answer exact once the window stabilizes; on deformed surfaces
-the stabilization flag is reported alongside.
+The infinite cochain spaces are truncated to a finite monomial window.
+Quotienting by (i) is done analytically: the nonnegative-z window monomials
+are exactly the U-holomorphic ones, so the complex keeps only the negative-z
+window monomials as coordinates, and its columns are the images (ii) of the
+V-holomorphic monomials, restricted to those coordinates.  Every computed
+dimension is therefore an in-window statement.  On the undeformed surface
+the monomial normal form makes the answer exact once the window stabilizes;
+on deformed surfaces the stabilization flag is reported alongside.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -151,10 +155,14 @@ class TrivialityCertificate:
 class CechComplex:
     """Coboundary space of a bundle over a fixed window, with normal forms.
 
-    Columns of the coboundary matrix are, in order: the in-window
-    U-holomorphic vector monomials mapped by inclusion, then the images
-    -T^-1 * rewrite(xi^a v^b e_slot) of V-holomorphic vector monomials whose
-    image meets the window, truncated to the window.
+    Every nonnegative-z window monomial is U-holomorphic, hence already a
+    coboundary, so the complex works modulo those: its coordinates are the
+    negative-z window monomials (times rank, slot-major).  Its columns are
+    the images -T^-1 * rewrite(xi^a v^b e_slot) of the V-holomorphic vector
+    monomials whose image meets the window, restricted to the negative-z
+    window monomials.  The image of a V monomial xi^a v^b is z^-a times the
+    image of v^b, so each column is written by shifting exponents of one
+    product per (b, slot).
     """
 
     def __init__(
@@ -173,7 +181,8 @@ class CechComplex:
         transition.unit_det()
         self.conv = transition.inverse()
         self._wsize = window.size
-        self._total = self.rank * self._wsize
+        # Negative-z monomials come first in each slot's local indices.
+        self._neg_size = -window.min_z * (window.max_u + 1)
         self._certificates = certificates
 
         span = self._conv_spans()
@@ -210,34 +219,13 @@ class CechComplex:
         l, i = divmod(local, self.window.max_u + 1)
         return slot, Monomial(l + self.window.min_z, i)
 
-    def _project(self, vec: Sequence[BiLaurent]) -> Dict[int, Q]:
-        out: Dict[int, Q] = {}
-        dropped = 0
-        for slot, poly in enumerate(vec):
-            for mono, coeff in poly.items():
-                if self.window.contains(mono):
-                    out[self._index(slot, mono)] = coeff
-                else:
-                    dropped += 1
-        self.truncated_terms += dropped
-        return out
-
     def _assemble(self) -> None:
+        # V-holomorphic generators xi^alpha v^beta e_slot, mapped by
+        # -T^-1 * (U-coordinate rewrite), in (beta, slot, alpha) order.
         w = self.window
-        # (i) U-holomorphic generators, mapped by inclusion.
-        for slot in range(self.rank):
-            for a in range(0, w.max_z + 1):
-                for b in range(0, w.max_u + 1):
-                    key = ("U", slot, a, b)
-                    vec = {self._index(slot, Monomial(a, b)): Q(1)}
-                    self.columns.append((key, vec))
-                    self._echelon.add(vec, key)
-        # (ii) V-holomorphic generators xi^alpha v^beta e_slot, mapped by
-        # -T^-1 * (U-coordinate rewrite), truncated to the window.
+        width = w.max_u + 1
         v_glue = self.surface.v_glue().with_tag(None)
         rho = BiLaurent.const(1)
-        n_v_columns = 0
-        pending: List[Tuple[tuple, Dict[int, Q], VectorCocycle]] = []
         for beta in range(self.beta_cap + 1):
             if beta:
                 rho = rho * v_glue
@@ -246,45 +234,61 @@ class CechComplex:
                     -(self.conv.entries[i][slot].with_tag(None) * rho)
                     for i in range(self.rank)
                 )
-                exps = [
-                    m.z_exp
-                    for comp in base
-                    for m in comp.support
+                n_terms = sum(len(comp.items()) for comp in base)
+                # (z, index of the term shifted by alpha = 0, coeff), z-sorted;
+                # shifting by z^-alpha moves an index down by alpha * width.
+                terms = sorted(
+                    (m.z_exp, self._index(i, m), c)
+                    for i, comp in enumerate(base)
+                    for m, c in comp.items()
                     if m.u_exp <= w.max_u
-                ]
-                if not exps:
+                )
+                if not terms:
                     continue
-                alpha_lo = max(0, min(exps) - w.max_z)
-                alpha_hi = max(exps) - w.min_z
+                zs = [z for z, _, _ in terms]
+                alpha_lo = max(0, zs[0] - w.max_z)
+                alpha_hi = zs[-1] - w.min_z
                 for alpha in range(alpha_lo, alpha_hi + 1):
-                    shift = BiLaurent.term(1, -alpha, 0)
-                    image = tuple(comp * shift for comp in base)
-                    vec = self._project(image)
-                    if not vec:
+                    first = bisect_left(zs, alpha + w.min_z)
+                    nonneg = bisect_left(zs, alpha, first)
+                    last = bisect_right(zs, alpha + w.max_z, nonneg)
+                    self.truncated_terms += n_terms - (last - first)
+                    if first == last:
                         continue
+                    shift = alpha * width
+                    vec = {
+                        index - shift: c for _, index, c in terms[first:nonneg]
+                    }
                     key = ("V", slot, alpha, beta)
-                    pending.append((key, vec, image))
-        if not pending:
+                    self.columns.append((key, vec))
+                    if self._certificates:
+                        self.full_images[key] = tuple(
+                            BiLaurent(
+                                {(m.z_exp - alpha, m.u_exp): c
+                                 for m, c in comp.items()}
+                            )
+                            for comp in base
+                        )
+                    self._echelon.add(vec, key)
+        if not self.columns:
             raise WindowTooSmall(
                 f"no V-holomorphic generator meets window {self.window}"
             )
-        pending.sort(key=lambda item: (item[0][3], item[0][1], item[0][2]))
-        for key, vec, image in pending:
-            self.columns.append((key, vec))
-            if self._certificates:
-                self.full_images[key] = image
-            self._echelon.add(vec, key)
-        self._n_v_columns = len(pending)
 
     # -- results -----------------------------------------------------------
 
     @property
     def dimension(self) -> int:
-        return self._total - self._echelon.rank
+        return self.rank * self._neg_size - self._echelon.rank
 
     def non_pivot_indices(self) -> List[int]:
         pivot = self._echelon.pivots.keys()
-        return [i for i in range(self._total) if i not in pivot]
+        negative = (
+            slot * self._wsize + local
+            for slot in range(self.rank)
+            for local in range(self._neg_size)
+        )
+        return [i for i in negative if i not in pivot]
 
     def basis(self) -> Tuple[VectorCocycle, ...]:
         out = []
@@ -312,6 +316,8 @@ class CechComplex:
         return vec
 
     def encode(self, sigma: CocycleLike) -> Dict[int, Q]:
+        """Coordinates of an in-window cocycle; its nonnegative-z terms are
+        U-holomorphic and drop out."""
         vec = self._as_vector(sigma)
         out: Dict[int, Q] = {}
         for slot, poly in enumerate(vec):
@@ -321,7 +327,8 @@ class CechComplex:
                         f"monomial z^{mono.z_exp} u^{mono.u_exp} outside "
                         f"window {self.window}"
                     )
-                out[self._index(slot, mono)] = coeff
+                if mono.z_exp < 0:
+                    out[self._index(slot, mono)] = coeff
         return out
 
     def decode(self, vec: Dict[int, Q]) -> VectorCocycle:
@@ -340,8 +347,8 @@ class CechComplex:
         return decoded[0] if scalar else decoded
 
     def solve_coboundary(self, sigma: CocycleLike) -> Optional[Dict[tuple, Q]]:
-        """Coefficients over the columns expressing an in-window sigma, or
-        None when [sigma] != 0 in the window."""
+        """Coefficients over the V columns expressing an in-window sigma up
+        to a U-holomorphic part, or None when [sigma] != 0 in the window."""
         if not self._certificates:
             raise ValueError("complex was built without certificate tracking")
         return self._echelon.solve_in_span(self.encode(sigma))
@@ -352,12 +359,19 @@ def coboundary_matrix(
     *, beta_cap: Optional[int] = None,
 ) -> RationalMatrix:
     """Dense coboundary matrix: rows indexed by window monomials (times
-    rank, slot-major), columns by the generators in canonical order."""
+    rank, slot-major), columns by the generators in canonical order: the
+    inclusions of the nonnegative-z (U-holomorphic) window monomials, then
+    the complex's V columns, which are zero on those monomials."""
     complex_ = CechComplex(s, transition, window, beta_cap=beta_cap)
-    matrix = [
-        [Q(0)] * len(complex_.columns) for _ in range(complex_.rank * window.size)
+    rows = complex_.rank * window.size
+    inclusions = [
+        {slot * window.size + local: Q(1)}
+        for slot in range(complex_.rank)
+        for local in range(complex_._neg_size, window.size)
     ]
-    for col_idx, (_, vec) in enumerate(complex_.columns):
+    columns = inclusions + [vec for _, vec in complex_.columns]
+    matrix = [[Q(0)] * len(columns) for _ in range(rows)]
+    for col_idx, vec in enumerate(columns):
         for row_idx, coeff in vec.items():
             matrix[row_idx][col_idx] = coeff
     return RationalMatrix(matrix)
@@ -381,11 +395,25 @@ class StabilizedValue:
     enlargements: int
 
 
-def _growth_cap(step_cap: Optional[int]) -> int:
-    if step_cap is not None:
-        return step_cap
-    env = os.environ.get(GROWTH_CAP_ENV)
-    return int(env) if env else _DEFAULT_GROWTH_CAP
+def growth_cap(step_cap: Optional[int] = None) -> int:
+    """The window growth cap: step_cap if given, else the value of the
+    LOCALSURFACES_GROWTH_CAP environment variable, else the default.
+
+    Raises ValueError unless the cap is an integer >= 1.
+    """
+    if step_cap is None:
+        env = os.environ.get(GROWTH_CAP_ENV)
+        if not env:
+            return _DEFAULT_GROWTH_CAP
+        try:
+            step_cap = int(env)
+        except ValueError:
+            raise ValueError(
+                f"{GROWTH_CAP_ENV} must be an integer >= 1, got {env!r}"
+            ) from None
+    if step_cap < 1:
+        raise ValueError(f"growth cap must be >= 1, got {step_cap}")
+    return step_cap
 
 
 def stabilize_window(
@@ -401,7 +429,7 @@ def stabilize_window(
     Returns the first window of the stable run.  Raises StepCapExceeded
     (carrying the last value and window) if the cap is hit first.
     """
-    cap = _growth_cap(step_cap)
+    cap = growth_cap(step_cap)
     dz, du = grow
     windows = [w0]
     values = [compute(w0)]
@@ -519,8 +547,6 @@ def triviality_certificate(
     if not nf.is_zero:
         raise NotTrivial(f"class of {sigma} is nonzero in window {window}")
 
-    factor = BiLaurent.term(1, -n, 0)
-
     # Exact attempt: solve over full (untruncated) V-images projected to the
     # negative-z coordinates; any solution yields residual 0 since the
     # remainder sigma - z^-n * rewrite(f_V) is then U-holomorphic.
@@ -537,39 +563,41 @@ def triviality_certificate(
         (m.z_exp, m.u_exp): c for m, c in sigma.items() if m.z_exp < 0
     }
     coeffs = echelon.solve_in_span(target)
-    if coeffs is not None:
-        f_V = BiLaurent.zero()
-        for (_, _, alpha, beta), x in coeffs.items():
-            # Columns carry -W*rewrite, so f_V picks up a sign flip.
-            f_V = f_V + BiLaurent.term(-x, alpha, beta)
-        f_V = f_V.with_tag(V_CHART)
-        rewritten = factor * _rewrite_to_U(f_V, s)
-        f_U = (sigma - rewritten).with_tag(U_CHART)
-        if not f_U.is_zero and f_U.min_z_exp() < 0:
+    exact = coeffs is not None
+    if not exact:
+        # Windowed fallback: solve the truncated system; the residual
+        # collects the truncated (window-external) terms.
+        coeffs = complex_.solve_coboundary(sigma)
+        if coeffs is None:
+            raise NotTrivial(
+                f"no in-window coboundary expression for {sigma}"
+            )
+    f_V = BiLaurent.zero()
+    for (_, _, alpha, beta), x in coeffs.items():
+        # Columns carry -W*rewrite, so f_V picks up a sign flip.
+        f_V = f_V + BiLaurent.term(-x, alpha, beta)
+    f_V = f_V.with_tag(V_CHART)
+    factor = BiLaurent.term(1, -n, 0)
+    remainder = sigma.with_tag(U_CHART) - factor * _rewrite_to_U(f_V, s)
+    if exact:
+        if not remainder.is_zero and remainder.min_z_exp() < 0:
             raise AssertionError(
                 "exact certificate produced a non-holomorphic f_U"
             )
-        return TrivialityCertificate(f_U, f_V, BiLaurent.zero(), window)
-
-    # Windowed fallback: solve the truncated system; the residual collects
-    # the truncated (window-external) terms.
-    coeffs = complex_.solve_coboundary(sigma)
-    if coeffs is None:
-        raise NotTrivial(
-            f"no in-window coboundary expression for {sigma}"
+        return TrivialityCertificate(
+            remainder, f_V, BiLaurent.zero(), window
         )
-    f_U = BiLaurent.zero()
-    f_V = BiLaurent.zero()
-    for key, x in coeffs.items():
-        side, _, third, fourth = key
-        if side == "U":
-            f_U = f_U + BiLaurent.term(x, third, fourth)
-        else:
-            f_V = f_V + BiLaurent.term(-x, third, fourth)
-    f_U = f_U.with_tag(U_CHART)
-    f_V = f_V.with_tag(V_CHART)
-    residual = sigma.with_tag(U_CHART) - f_U - factor * _rewrite_to_U(f_V, s)
-    return TrivialityCertificate(f_U, f_V, residual, window)
+    # The solve matched sigma on the negative-z window monomials; f_U is
+    # the remainder's in-window nonnegative-z part, the residual the rest.
+    f_U = BiLaurent(
+        {
+            m: c
+            for m, c in remainder.items()
+            if m.z_exp >= 0 and window.contains(m)
+        },
+        U_CHART,
+    )
+    return TrivialityCertificate(f_U, f_V, remainder - f_U, window)
 
 
 def _rewrite_to_U(p: BiLaurent, s: SurfaceSpec) -> BiLaurent:

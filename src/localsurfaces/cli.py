@@ -10,7 +10,8 @@ Exit codes separate mathematical negatives from usage problems:
 Stdout is deterministic: canonical JSON key order and canonical polynomial
 printing, so identical invocations are byte-identical.  The environment
 variable LOCALSURFACES_GROWTH_CAP sets the default window growth cap for
-stabilized computations.
+stabilized computations; a value that is not an integer >= 1 is a usage
+error.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .bundles import (
 from .cech import (
     Window,
     default_window,
+    growth_cap,
     h0_basis,
     h1_line_bundle,
     normal_form,
@@ -81,6 +83,13 @@ def _rational_list(text: str) -> list[Fraction]:
 def _poly(text: str) -> BiLaurent:
     try:
         return parse_poly(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _check_growth_cap() -> None:
+    try:
+        growth_cap()
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -556,6 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_growth_cap()
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

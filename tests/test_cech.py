@@ -128,6 +128,19 @@ def test_window_too_small():
         CechComplex(s, line_transition(-4), Window(-2, 2, 1), beta_cap=-1)
 
 
+def test_window_without_negative_z_is_not_too_small():
+    # With min_z = 0 no V column has a negative-z coordinate, but V images
+    # still meet the window, so the complex exists (H^1 is 0 there) and a
+    # cocycle reaching below the window is reported as such.
+    s = surface(1)
+    window = Window(0, 2, 4)
+    assert CechComplex(s, line_transition(0), window).dimension == 0
+    with pytest.raises(SupportOutsideWindow):
+        triviality_certificate(
+            P("-2*z^-3 + 3*u^3 - z^2*u^2"), s, 0, window
+        )
+
+
 # -- normal form -----------------------------------------------------------------
 
 def test_normal_form_coboundary_example():
@@ -335,6 +348,18 @@ def test_growth_cap_env_override(monkeypatch):
     with pytest.raises(StepCapExceeded):
         stabilize_window(compute, Window(-2, 2, 1))
     assert len(calls) == 4  # initial window plus three enlargements
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_growth_cap_env_must_be_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("LOCALSURFACES_GROWTH_CAP", value)
+    with pytest.raises(ValueError, match="LOCALSURFACES_GROWTH_CAP|>= 1"):
+        stabilize_window(lambda w: 0, Window(-2, 2, 1))
+
+
+def test_growth_cap_argument_must_be_positive():
+    with pytest.raises(ValueError):
+        stabilize_window(lambda w: 0, Window(-2, 2, 1), step_cap=0)
 
 
 # -- full oracle sweep (small slice; the complete sweep is in acceptance) ---------

@@ -1,0 +1,99 @@
+"""CechComplex against the full-window reference assembly in cech_oracle."""
+
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+from cech_oracle import FullComplex
+from localsurfaces.bundles import ExtensionClass, extension_to_transition
+from localsurfaces.cech import (
+    CechComplex,
+    Window,
+    default_window,
+    default_window_for_transition,
+)
+from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, parse_poly
+from localsurfaces.surface import line_transition, surface, tangent_transition
+
+TAU_KINDS = {
+    "zero": lambda k: [Q(0)] * (k - 1),
+    "unit": lambda k: [Q(-1)] + [Q(0)] * (k - 2),
+    "rational": lambda k: [Q(0)] * (k - 2) + [Q(2, 3)],
+}
+SURFACES = [(1, "zero")] + [
+    (k, kind) for k in (2, 3, 4) for kind in TAU_KINDS
+]
+
+
+def random_cocycle(rng, rank, window):
+    return tuple(
+        BiLaurent(
+            {
+                Monomial(
+                    rng.randint(window.min_z, window.max_z),
+                    rng.randint(0, window.max_u),
+                ): Q(rng.randint(-5, 5), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 5))
+            },
+            U_CHART,
+        )
+        for _ in range(rank)
+    )
+
+
+def assert_matches_full_assembly(s, transition, window, rng):
+    complex_ = CechComplex(s, transition, window)
+    full = FullComplex(s, transition, window)
+    assert complex_.dimension == full.dimension
+    basis = [
+        (slot, mono)
+        for vec in complex_.basis()
+        for slot, comp in enumerate(vec)
+        for mono in comp.support
+    ]
+    assert basis == full.basis_monomials()
+    for _ in range(4):
+        sigma = random_cocycle(rng, complex_.rank, window)
+        assert complex_.normal_form(sigma) == full.normal_form(sigma)
+
+
+@pytest.mark.parametrize("k,tau_kind", SURFACES)
+def test_line_bundles_match_full_assembly(k, tau_kind):
+    # A window reaching just past z^0 keeps the dense reference small while
+    # still cutting V images on both sides; n = 0..8 crosses every m-row
+    # boundary for k <= 4.
+    rng = random.Random(k * 10 + len(tau_kind))
+    s = surface(k, TAU_KINDS[tau_kind](k))
+    for n in range(0, 9):
+        m = (n - 2) // k if n >= 2 else 0
+        window = Window(default_window(s, n).min_z, 2, m + 2)
+        assert_matches_full_assembly(s, line_transition(-n), window, rng)
+
+
+def test_undeformed_default_windows_match_full_assembly():
+    rng = random.Random(5)
+    for k, n in [(1, 4), (2, 6), (3, 8), (4, 5)]:
+        s = surface(k)
+        assert_matches_full_assembly(
+            s, line_transition(-n), default_window(s, n), rng
+        )
+
+
+@pytest.mark.parametrize("k,tau_kind", [(1, "zero"), (2, "zero"), (2, "unit"),
+                                        (3, "rational")])
+def test_rank_two_extensions_match_full_assembly(k, tau_kind):
+    rng = random.Random(k)
+    s = surface(k, TAU_KINDS[tau_kind](k))
+    for j, sigma in [(1, "z^-1"), (2, "z^-1*u + 1/2*z^-2")]:
+        transition = extension_to_transition(ExtensionClass(j, parse_poly(sigma)))
+        window = default_window_for_transition(s, transition)
+        assert_matches_full_assembly(s, transition, window, rng)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tangent_transition_matches_full_assembly(k):
+    s = surface(k)
+    transition = tangent_transition(s)
+    window = default_window_for_transition(s, transition)
+    assert_matches_full_assembly(s, transition, window, random.Random(k))

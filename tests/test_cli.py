@@ -179,6 +179,15 @@ def test_bad_tau_poly_is_usage_error():
     assert code == 2  # flag-level validation happens before dispatch
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_growth_cap_is_usage_error(monkeypatch, value):
+    monkeypatch.setenv("LOCALSURFACES_GROWTH_CAP", value)
+    code, out, err = run("h1", "--k", "2", "--n", "4", "--tau", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 def test_bad_extension_class_is_mathematical_error():
     code, out, _ = run("integrate", "--k", "3", "--sigma", "z^5")
     assert code == 1
@@ -191,6 +200,26 @@ def test_output_is_byte_identical():
     _, first, _ = run("h1", "--k", "3", "--n", "5")
     _, second, _ = run("h1", "--k", "3", "--n", "5")
     assert first == second
+
+
+def test_certify_trivial_windowed_fallback():
+    # The exact attempt finds no f_V within the generator caps, so the
+    # certificate comes from the windowed solve and carries a residual
+    # outside the window.
+    code, out, _ = run("certify-trivial", "--k=2", "--tau=-1", "--n=2",
+                       "--sigma=-z^-5*u^3 + z^2 - 2*z^3*u")
+    assert code == 0
+    validate("certify_trivial", json.loads(out))
+    assert out == json.dumps({
+        "exact": False,
+        "f_U": "z^2 - 2*z^3*u",
+        "f_V": "-3*xi^7*v - 3*xi^8*v^2 - xi^9*v^3",
+        "k": 2,
+        "n": 2,
+        "residual": "-z^-8",
+        "sigma": "-z^-5*u^3 + z^2 - 2*z^3*u",
+        "window": {"max_u": 3, "max_z": 7, "min_z": -7},
+    }, indent=2, sort_keys=True) + "\n"
 
 
 def test_window_override_is_echoed():
