@@ -32,7 +32,6 @@ from .cech import (
     CohomologyResult,
     TrivialityCertificate,
     Window,
-    coboundary_matrix,
     default_window,
     h0_basis,
     h1,
@@ -76,7 +75,6 @@ from .errors import (
     WindowTooSmall,
 )
 from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART, parse_poly
-from .linalg import RationalMatrix, nullspace, rref_rank, solve
 from .params import ParamPoly
 from .polymatrix import PolyMatrix
 from .surface import (

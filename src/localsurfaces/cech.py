@@ -19,6 +19,11 @@ V-holomorphic monomials, restricted to those coordinates.  Every computed
 dimension is therefore an in-window statement.  On the undeformed surface
 the monomial normal form makes the answer exact once the window stabilizes;
 on deformed surfaces the stabilization flag is reported alongside.
+
+All linear algebra runs on the sparse ReducedEchelon: ranks and normal forms
+on the complex's own echelon, H^0 sections through linalg.nullspace, and
+both solves of a triviality certificate (over the untruncated images, then
+over the window columns) through one provenance-tracking solve.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     NotTrivial,
@@ -35,7 +40,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
-from .linalg import RationalMatrix, ReducedEchelon, nullspace
+from .linalg import ReducedEchelon, SparseVec, nullspace
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, line_transition, to_U_coords, to_V_coords
 
@@ -162,18 +167,11 @@ class CechComplex:
     monomials whose image meets the window, restricted to the negative-z
     window monomials.  The image of a V monomial xi^a v^b is z^-a times the
     image of v^b, so each column is written by shifting exponents of one
-    product per (b, slot).
+    product per (b, slot); the complex keeps those products, and image(key)
+    returns a column's untruncated image as the same shift.
     """
 
-    def __init__(
-        self,
-        s: SurfaceSpec,
-        transition: PolyMatrix,
-        window: Window,
-        *,
-        beta_cap: Optional[int] = None,
-        certificates: bool = False,
-    ):
+    def __init__(self, s: SurfaceSpec, transition: PolyMatrix, window: Window):
         self.surface = s
         self.transition = transition
         self.window = window
@@ -183,20 +181,12 @@ class CechComplex:
         self._wsize = window.size
         # Negative-z monomials come first in each slot's local indices.
         self._neg_size = -window.min_z * (window.max_u + 1)
-        self._certificates = certificates
 
-        span = self._conv_spans()
-        self._n_eff, self._u_gain = span
-        self.beta_cap = (
-            beta_cap
-            if beta_cap is not None
-            else window.max_u + self._n_eff + self._u_gain + 2
-        )
-
-        self.columns: List[Tuple[tuple, Dict[int, Q]]] = []
-        self.full_images: Dict[tuple, VectorCocycle] = {}
+        self.columns: List[Tuple[tuple, SparseVec]] = []
+        # Untruncated image of v^beta e_slot, by (beta, slot).
+        self._bases: Dict[Tuple[int, int], VectorCocycle] = {}
         self.truncated_terms = 0
-        self._echelon = ReducedEchelon(track_provenance=certificates)
+        self._echelon = ReducedEchelon()
         self._assemble()
 
     # -- construction ------------------------------------------------------
@@ -224,9 +214,10 @@ class CechComplex:
         # -T^-1 * (U-coordinate rewrite), in (beta, slot, alpha) order.
         w = self.window
         width = w.max_u + 1
+        n_eff, u_gain = self._conv_spans()
         v_glue = self.surface.v_glue().with_tag(None)
         rho = BiLaurent.const(1)
-        for beta in range(self.beta_cap + 1):
+        for beta in range(w.max_u + n_eff + u_gain + 3):
             if beta:
                 rho = rho * v_glue
             for slot in range(self.rank):
@@ -234,6 +225,7 @@ class CechComplex:
                     -(self.conv.entries[i][slot].with_tag(None) * rho)
                     for i in range(self.rank)
                 )
+                self._bases[beta, slot] = base
                 n_terms = sum(len(comp.items()) for comp in base)
                 # (z, index of the term shifted by alpha = 0, coeff), z-sorted;
                 # shifting by z^-alpha moves an index down by alpha * width.
@@ -261,19 +253,20 @@ class CechComplex:
                     }
                     key = ("V", slot, alpha, beta)
                     self.columns.append((key, vec))
-                    if self._certificates:
-                        self.full_images[key] = tuple(
-                            BiLaurent(
-                                {(m.z_exp - alpha, m.u_exp): c
-                                 for m, c in comp.items()}
-                            )
-                            for comp in base
-                        )
-                    self._echelon.add(vec, key)
+                    self._echelon.add(vec)
         if not self.columns:
             raise WindowTooSmall(
                 f"no V-holomorphic generator meets window {self.window}"
             )
+
+    def image(self, key: tuple) -> VectorCocycle:
+        """Untruncated image of the generator xi^alpha v^beta e_slot behind
+        the column key ("V", slot, alpha, beta)."""
+        _, slot, alpha, beta = key
+        return tuple(
+            BiLaurent({(m.z_exp - alpha, m.u_exp): c for m, c in comp.items()})
+            for comp in self._bases[beta, slot]
+        )
 
     # -- results -----------------------------------------------------------
 
@@ -345,36 +338,6 @@ class CechComplex:
         residual, _ = self._echelon.reduce(self.encode(sigma))
         decoded = self.decode(residual)
         return decoded[0] if scalar else decoded
-
-    def solve_coboundary(self, sigma: CocycleLike) -> Optional[Dict[tuple, Q]]:
-        """Coefficients over the V columns expressing an in-window sigma up
-        to a U-holomorphic part, or None when [sigma] != 0 in the window."""
-        if not self._certificates:
-            raise ValueError("complex was built without certificate tracking")
-        return self._echelon.solve_in_span(self.encode(sigma))
-
-
-def coboundary_matrix(
-    s: SurfaceSpec, transition: PolyMatrix, window: Window,
-    *, beta_cap: Optional[int] = None,
-) -> RationalMatrix:
-    """Dense coboundary matrix: rows indexed by window monomials (times
-    rank, slot-major), columns by the generators in canonical order: the
-    inclusions of the nonnegative-z (U-holomorphic) window monomials, then
-    the complex's V columns, which are zero on those monomials."""
-    complex_ = CechComplex(s, transition, window, beta_cap=beta_cap)
-    rows = complex_.rank * window.size
-    inclusions = [
-        {slot * window.size + local: Q(1)}
-        for slot in range(complex_.rank)
-        for local in range(complex_._neg_size, window.size)
-    ]
-    columns = inclusions + [vec for _, vec in complex_.columns]
-    matrix = [[Q(0)] * len(columns) for _ in range(rows)]
-    for col_idx, vec in enumerate(columns):
-        for row_idx, coeff in vec.items():
-            matrix[row_idx][col_idx] = coeff
-    return RationalMatrix(matrix)
 
 
 def h1_dimension_formula(k: int, n: int) -> int:
@@ -540,9 +503,7 @@ def triviality_certificate(
     """
     if window is None:
         window = default_window(s, n).hull([sigma])
-    complex_ = CechComplex(
-        s, line_transition(-n), window, certificates=True
-    )
+    complex_ = CechComplex(s, line_transition(-n), window)
     nf = complex_.normal_form(sigma)
     if not nf.is_zero:
         raise NotTrivial(f"class of {sigma} is nonzero in window {window}")
@@ -550,28 +511,17 @@ def triviality_certificate(
     # Exact attempt: solve over full (untruncated) V-images projected to the
     # negative-z coordinates; any solution yields residual 0 since the
     # remainder sigma - z^-n * rewrite(f_V) is then U-holomorphic.
-    echelon = ReducedEchelon(track_provenance=True)
-    for key, image in sorted(complex_.full_images.items(), key=lambda kv: kv[0]):
-        vec = {
-            (m.z_exp, m.u_exp): c
-            for m, c in image[0].items()
-            if m.z_exp < 0
-        }
-        if vec:
-            echelon.add(vec, key)
-    target = {
-        (m.z_exp, m.u_exp): c for m, c in sigma.items() if m.z_exp < 0
-    }
-    coeffs = echelon.solve_in_span(target)
+    images = (
+        (key, _negative_z_part(complex_.image(key)[0]))
+        for key in sorted(key for key, _ in complex_.columns)
+    )
+    coeffs = _solve_in_span(images, _negative_z_part(sigma))
     exact = coeffs is not None
     if not exact:
         # Windowed fallback: solve the truncated system; the residual
-        # collects the truncated (window-external) terms.
-        coeffs = complex_.solve_coboundary(sigma)
-        if coeffs is None:
-            raise NotTrivial(
-                f"no in-window coboundary expression for {sigma}"
-            )
+        # collects the truncated (window-external) terms.  The normal form
+        # is zero, so the encoded sigma lies in the columns' span.
+        coeffs = _solve_in_span(complex_.columns, complex_.encode(sigma))
     f_V = BiLaurent.zero()
     for (_, _, alpha, beta), x in coeffs.items():
         # Columns carry -W*rewrite, so f_V picks up a sign flip.
@@ -600,6 +550,23 @@ def triviality_certificate(
     return TrivialityCertificate(f_U, f_V, remainder - f_U, window)
 
 
+def _negative_z_part(p: BiLaurent) -> Dict[Monomial, Q]:
+    return {m: c for m, c in p.items() if m.z_exp < 0}
+
+
+def _solve_in_span(
+    columns: Iterable[Tuple[tuple, Dict]], target: Dict
+) -> Optional[Dict[tuple, Q]]:
+    """Coefficients x with sum(x[key] * vec) == target over the (key, vec)
+    columns, from a provenance echelon built in column order; None when the
+    target is outside their span."""
+    echelon = ReducedEchelon(track_provenance=True)
+    for key, vec in columns:
+        if vec:
+            echelon.add(vec, key)
+    return echelon.solve_in_span(target)
+
+
 def _rewrite_to_U(p: BiLaurent, s: SurfaceSpec) -> BiLaurent:
     return to_U_coords(p, s).with_tag(None)
 
@@ -623,27 +590,16 @@ def h0_basis(
         for a in range(0, window.max_z + 1)
         for b in range(0, window.max_u + 1)
     ]
-    constraint_rows: Dict[Monomial, Dict[int, Q]] = {}
+    constraint_rows: Dict[Monomial, SparseVec] = {}
     for idx, mono in enumerate(cols):
         twisted = BiLaurent.term(1, mono.z_exp - n, mono.u_exp, U_CHART)
         rewritten = to_V_coords(twisted, s)
         for vm, coeff in rewritten.items():
             if vm.z_exp < 0:
                 constraint_rows.setdefault(vm, {})[idx] = coeff
-    matrix = RationalMatrix(
-        [
-            [row.get(c, Q(0)) for c in range(len(cols))]
-            for _, row in sorted(constraint_rows.items())
-        ]
-        or [[Q(0)] * len(cols)]
-    )
-    kernel = nullspace(matrix)
     basis = []
-    for vec in kernel:
-        poly = BiLaurent(
-            {cols[i]: coeff for i, coeff in enumerate(vec) if coeff},
-            U_CHART,
-        )
+    for vec in nullspace(constraint_rows.values(), len(cols)):
+        poly = BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)
         basis.append((poly,))
     return CohomologyResult(
         dimension=len(basis),

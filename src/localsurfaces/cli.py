@@ -5,7 +5,8 @@ Exit codes separate mathematical negatives from usage problems:
 * 0 -- success, schema-conformant JSON on stdout;
 * 1 -- mathematical failure (NotTrivial, ProfileInconsistent, ...) with a
   machine-readable error object on stdout;
-* 2 -- usage error (bad flags, malformed input).
+* 2 -- usage error (bad flags, malformed input, a window too small for
+  any generator), reported on stderr as a "usage error:" line.
 
 Stdout is deterministic: canonical JSON key order and canonical polynomial
 printing, so identical invocations are byte-identical.  The environment
@@ -51,7 +52,7 @@ from .deformation import (
     integrability_analysis,
     tangent_h1,
 )
-from .errors import LocalSurfacesError
+from .errors import LocalSurfacesError, WindowTooSmall
 from .laurent import BiLaurent, Q, parse_poly
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, line_transition, surface
@@ -60,11 +61,33 @@ GOLDEN_KS = range(1, 6)
 GOLDEN_NS = range(0, 11)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """Reports flag errors as "usage error: ..." like every other usage
+    error of the CLI (exit 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"usage error: {message}\n")
+
+
+def _int_in(low: Optional[int] = None, high: Optional[int] = None):
+    """argparse type: an integer in [low, high] (either bound optional)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+_positive_int = _int_in(low=1)
+_nonnegative_int = _int_in(low=0)
+_family_k = _int_in(low=2)
 
 
 def _rational(text: str) -> Fraction:
@@ -136,11 +159,11 @@ def _window_from_args(args, base: Window) -> Window:
 
 
 def _add_window_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-z", type=int, default=None,
+    parser.add_argument("--min-z", type=_int_in(high=0), default=None,
                         help="window floor for z exponents (<= 0)")
-    parser.add_argument("--max-z", type=int, default=None,
+    parser.add_argument("--max-z", type=_nonnegative_int, default=None,
                         help="window ceiling for z exponents (>= 0)")
-    parser.add_argument("--max-u", type=int, default=None,
+    parser.add_argument("--max-u", type=_nonnegative_int, default=None,
                         help="window ceiling for u exponents (>= 0)")
 
 
@@ -419,8 +442,13 @@ def _cmd_golden(args) -> int:
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot read {args.path}: {exc}")
     checked = 0
-    for line in lines:
-        row = json.loads(line)
+    for number, line in enumerate(lines, start=1):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise argparse.ArgumentTypeError(
+                f"{args.path}: row {number} is not JSON: {exc}"
+            ) from None
         s = surface(row["k"], [Q(t) for t in row["tau"]])
         result = h1_line_bundle(s, row["n"])
         if result.dimension != row["dim"]:
@@ -443,7 +471,7 @@ def _cmd_golden(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="localsurfaces",
         description="Exact Cech cohomology, deformations and bundle "
                     "splitting on the two-chart local surfaces Z_k(tau).",
@@ -504,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family",
                        help="semiuniversal family and Kodaira-Spencer map")
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--k", type=_family_k, required=True)
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("deform",
@@ -516,13 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hirzebruch-check",
                        help="symbolic residuals of the Hirzebruch-family "
                             "embedding")
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--k", type=_family_k, required=True)
     p.set_defaults(handler=_cmd_hirzebruch_check)
 
     p = sub.add_parser("split-type",
                        help="splitting type on the zero section")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=_nonnegative_int, required=True)
     p.add_argument("--sigma", type=_poly, required=True)
     _add_tau_flags(p)
     p.set_defaults(handler=_cmd_split_type)
@@ -531,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit splitting certificate on a deformed "
                             "surface")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=_nonnegative_int, required=True)
     p.add_argument("--sigma", type=_poly, required=True)
     _add_tau_flags(p)
     _add_window_flags(p)
@@ -540,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charge",
                        help="charge bookkeeping for an extension bundle")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=_nonnegative_int, required=True)
     p.add_argument("--sigma", type=_poly, required=True)
     _add_tau_flags(p)
     _add_window_flags(p)
@@ -571,7 +599,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, WindowTooSmall) as exc:
+        # The default windows always meet a generator, so a window too
+        # small for any comes from the window flags.
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except LocalSurfacesError as exc:

@@ -1,137 +1,20 @@
-"""Exact rational linear algebra: dense RREF and an incremental sparse echelon.
+"""Exact rational linear algebra: an incremental sparse echelon and kernels.
 
-The dense RationalMatrix/rref_rank pair is the reference quotient-dimension
-engine; RREF output is canonical (unique for a given matrix), with pivot
-columns strictly increasing.  ReducedEchelon maintains the same reduced form
-incrementally for sparse column streams and optionally tracks provenance
-(each echelon vector as a combination of the original columns), which is what
-lets the cohomology layer emit explicit coboundary certificates.
+ReducedEchelon maintains the reduced row-echelon form of a span of sparse
+vectors incrementally; its rows are the unique RREF of the span, with
+pivots at each row's minimum key.  It optionally tracks provenance (each
+echelon vector as a combination of the inserted columns), which is what lets
+the cohomology layer emit explicit coboundary certificates.  nullspace reads
+the canonical kernel basis of a sparse matrix off that echelon.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 Q = Fraction
 SparseVec = Dict[int, Q]
-
-
-class RationalMatrix:
-    """Dense rectangular matrix of exact rationals."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        data = [[Q(x) for x in row] for row in entries]
-        if data and any(len(row) != len(data[0]) for row in data):
-            raise ValueError("ragged rows")
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        self.entries = data
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[Q(0)] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.entries[i][i] = Q(1)
-        return m
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)]
-        )
-
-    def column(self, c: int) -> List[Q]:
-        return [self.entries[r][c] for r in range(self.rows)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        body = "; ".join(
-            " ".join(str(x) for x in row) for row in self.entries
-        )
-        return f"RationalMatrix[{self.rows}x{self.cols}: {body}]"
-
-
-def rref_rank(matrix: RationalMatrix) -> Tuple[int, List[int], RationalMatrix]:
-    """Reduced row-echelon form with exact arithmetic.
-
-    Returns (rank, pivot column indices, reduced matrix).  Pivot search scans
-    columns left to right, taking the first row with a nonzero entry
-    (lowest row, lowest column) -- RREF is unique, so the scan order only
-    fixes the elimination path.
-    """
-    work = [row[:] for row in matrix.entries]
-    rows, cols = matrix.rows, matrix.cols
-    pivots: List[int] = []
-    pivot_row = 0
-    for col in range(cols):
-        if pivot_row >= rows:
-            break
-        src = next(
-            (r for r in range(pivot_row, rows) if work[r][col]),
-            None,
-        )
-        if src is None:
-            continue
-        if src != pivot_row:
-            work[pivot_row], work[src] = work[src], work[pivot_row]
-        lead = work[pivot_row][col]
-        if lead != 1:
-            work[pivot_row] = [x / lead for x in work[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and work[r][col]:
-                factor = work[r][col]
-                row_r, row_p = work[r], work[pivot_row]
-                for c in range(col, cols):
-                    if row_p[c]:
-                        row_r[c] -= factor * row_p[c]
-        pivots.append(col)
-        pivot_row += 1
-    return len(pivots), pivots, RationalMatrix(work)
-
-
-def nullspace(matrix: RationalMatrix) -> List[List[Q]]:
-    """Canonical kernel basis (one vector per free column, free entry = 1)."""
-    rank, pivots, red = rref_rank(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(matrix.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Q(0)] * matrix.cols
-        vec[f] = Q(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -red.entries[r][f]
-        basis.append(vec)
-    return basis
-
-
-def solve(matrix: RationalMatrix, rhs: Sequence) -> Optional[List[Q]]:
-    """One exact solution of M x = b (free variables 0), or None."""
-    b = [Q(x) for x in rhs]
-    if len(b) != matrix.rows:
-        raise ValueError("rhs length != row count")
-    augmented = RationalMatrix(
-        [matrix.entries[r] + [b[r]] for r in range(matrix.rows)]
-    )
-    rank, pivots, red = rref_rank(augmented)
-    if matrix.cols in pivots:
-        return None
-    x = [Q(0)] * matrix.cols
-    for r, p in enumerate(pivots):
-        x[p] = red.entries[r][matrix.cols]
-    return x
 
 
 class ReducedEchelon:
@@ -236,3 +119,28 @@ class ReducedEchelon:
         if residual:
             return None
         return {cid: -val for cid, val in combo.items()}
+
+
+def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
+    """Canonical kernel basis of the matrix with the given sparse rows
+    (column index -> nonzero entry).
+
+    One vector per non-pivot column f of range(ncols): f -> 1 and
+    p -> -row_p[f] at each pivot p.  The echelon rows are the unique RREF,
+    so these are the vectors a dense RREF gives.
+    """
+    echelon = ReducedEchelon()
+    for row in rows:
+        echelon.add(row)
+    pivots = sorted(echelon.pivots.items())
+    basis = []
+    for f in range(ncols):
+        if f in echelon.pivots:
+            continue
+        vec = {f: Q(1)}
+        for p, row in pivots:
+            x = row.get(f)
+            if x:
+                vec[p] = -x
+        basis.append(vec)
+    return basis

@@ -8,12 +8,16 @@ products and truncated to the window.  Dimension and normal forms come from
 the dense RREF of that matrix.  It shares no assembly code with CechComplex,
 which quotients the U-holomorphic coordinates out analytically, so the two
 must agree on dimension, basis and normal forms.
+
+coboundary_matrix is the dense matrix of CechComplex's own columns plus the
+inclusion columns it quotients out, for rank checks against the dense RREF.
 """
 
 from fractions import Fraction as Q
 
-from localsurfaces.laurent import BiLaurent, Monomial, U_CHART
-from localsurfaces.linalg import RationalMatrix, rref_rank
+from dense_oracle import RationalMatrix, rref_rank
+from localsurfaces.cech import CechComplex
+from localsurfaces.laurent import BiLaurent, U_CHART
 
 
 class FullComplex:
@@ -90,3 +94,24 @@ class FullComplex:
             if coeff:
                 polys[slot][mono] = coeff
         return tuple(BiLaurent(p, U_CHART) for p in polys)
+
+
+def coboundary_matrix(s, transition, window):
+    """Dense coboundary matrix: rows indexed by window monomials (times
+    rank, slot-major), columns by the generators in canonical order: the
+    inclusions of the nonnegative-z (U-holomorphic) window monomials, then
+    the complex's V columns, which are zero on those monomials."""
+    complex_ = CechComplex(s, transition, window)
+    rows = complex_.rank * window.size
+    neg_size = -window.min_z * (window.max_u + 1)
+    inclusions = [
+        {slot * window.size + local: Q(1)}
+        for slot in range(complex_.rank)
+        for local in range(neg_size, window.size)
+    ]
+    columns = inclusions + [vec for _, vec in complex_.columns]
+    matrix = [[Q(0)] * len(columns) for _ in range(rows)]
+    for col_idx, vec in enumerate(columns):
+        for row_idx, coeff in vec.items():
+            matrix[row_idx][col_idx] = coeff
+    return RationalMatrix(matrix)

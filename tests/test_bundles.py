@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from dense_oracle import RationalMatrix, nullspace
 from localsurfaces.bundles import (
     DISCRETE_ZERO_DIMENSIONAL,
     ExtensionClass,
@@ -24,7 +25,6 @@ from localsurfaces.errors import (
     NoZeroSection,
 )
 from localsurfaces.laurent import BiLaurent, parse_poly
-from localsurfaces.linalg import RationalMatrix, nullspace
 from localsurfaces.polymatrix import PolyMatrix
 from localsurfaces.surface import surface, to_U_coords
 

@@ -5,10 +5,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from cech_oracle import coboundary_matrix
+from dense_oracle import rref_rank
 from localsurfaces.cech import (
     CechComplex,
     Window,
-    coboundary_matrix,
     default_window,
     h0_basis,
     h1_dimension_formula,
@@ -24,7 +25,6 @@ from localsurfaces.errors import (
     WindowTooSmall,
 )
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, parse_poly
-from localsurfaces.linalg import rref_rank
 from localsurfaces.surface import (
     line_transition,
     surface,
@@ -125,7 +125,7 @@ def test_coboundary_matrix_shape_and_rank():
 def test_window_too_small():
     s = surface(2)
     with pytest.raises(WindowTooSmall):
-        CechComplex(s, line_transition(-4), Window(-2, 2, 1), beta_cap=-1)
+        CechComplex(s, line_transition(-4), Window(0, 0, 0))
 
 
 def test_window_without_negative_z_is_not_too_small():

@@ -188,6 +188,44 @@ def test_bad_growth_cap_is_usage_error(monkeypatch, value):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+# Flag values the library would reject with ValueError, and a golden file
+# with a malformed row: each is a usage error, reported without a traceback.
+USAGE_ERRORS = [
+    ["h1", "--k", "2", "--n", "4", "--min-z", "1"],
+    ["h1", "--k", "2", "--n", "4", "--max-z", "-1"],
+    ["h1", "--k", "2", "--n", "4", "--max-u", "-1"],
+    ["split-type", "--k", "2", "--j", "-1", "--sigma", "z^-1"],
+    ["charge", "--k", "2", "--j", "-1", "--sigma", "z^-1"],
+    ["certify-split", "--k", "2", "--j", "-1", "--sigma", "z^-1"],
+    ["family", "--k", "1"],
+    ["hirzebruch-check", "--k", "1"],
+    ["golden", "verify", "--path", "{malformed}"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_invalid_values_are_usage_errors(argv, tmp_path):
+    malformed = tmp_path / "table.jsonl"
+    malformed.write_text('{"k": 1, "n": 0,\n')
+    code, out, err = run(
+        *(arg.replace("{malformed}", str(malformed)) for arg in argv)
+    )
+    assert code == 2
+    assert out == ""
+    assert any(line.startswith("usage error:") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+def test_window_too_small_is_usage_error():
+    # No V-holomorphic generator meets the 1x1 window at the origin; only
+    # the window flags can ask for such a window.
+    code, out, err = run("h1", "--k", "2", "--n", "4", "--min-z", "0",
+                         "--max-z", "0", "--max-u", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "meets window" in err
+
+
 def test_bad_extension_class_is_mathematical_error():
     code, out, _ = run("integrate", "--k", "3", "--sigma", "z^5")
     assert code == 1
@@ -219,6 +257,30 @@ def test_certify_trivial_windowed_fallback():
         "residual": "-z^-8",
         "sigma": "-z^-5*u^3 + z^2 - 2*z^3*u",
         "window": {"max_u": 3, "max_z": 7, "min_z": -7},
+    }, indent=2, sort_keys=True) + "\n"
+
+
+def test_h0_deformed_basis_stdout():
+    # Sections of O(3) on Z_2(z): beyond monomials, the kernel holds
+    # combinations such as z^5 + 2*z^6*u + z^7*u^2.
+    code, out, _ = run("h0", "--k", "2", "--n", "3", "--tau", "1")
+    assert code == 0
+    basis = [
+        "1", "u", "u^2", "u^3", "z", "z*u", "z*u^2", "z*u^3",
+        "z^2", "z^2*u", "z^2*u^2", "z^2*u^3", "z^3", "z^3*u", "z^3*u^2",
+        "z^3*u^3", "z^4*u", "z^4*u^2", "z^4*u^3", "z^4 + z^5*u",
+        "z^5*u^2", "z^5*u^3", "-z^4 + z^6*u^2", "z^6*u^3",
+        "z^5 + 2*z^6*u + z^7*u^2", "z^4 + z^7*u^3",
+        "-2*z^5 - 3*z^6*u + z^8*u^3",
+    ]
+    assert out == json.dumps({
+        "basis": basis,
+        "dim": 27,
+        "k": 2,
+        "n": 3,
+        "stabilized": False,
+        "tau": ["1"],
+        "window": {"max_u": 3, "max_z": 8, "min_z": -8},
     }, indent=2, sort_keys=True) + "\n"
 
 

@@ -1,16 +1,13 @@
-"""Exact RREF, kernels and the incremental echelon."""
+"""The incremental echelon and its kernels, against the dense RREF oracle."""
 
 import random
 from fractions import Fraction as Q
 
-from localsurfaces.cech import Window, coboundary_matrix, h1_dimension_formula
-from localsurfaces.linalg import (
-    RationalMatrix,
-    ReducedEchelon,
-    nullspace,
-    rref_rank,
-    solve,
-)
+from cech_oracle import coboundary_matrix
+from dense_oracle import RationalMatrix, nullspace, rref_rank
+from localsurfaces.cech import Window, h1_dimension_formula
+from localsurfaces.linalg import ReducedEchelon
+from localsurfaces.linalg import nullspace as sparse_nullspace
 from localsurfaces.surface import line_transition, surface
 
 
@@ -77,28 +74,6 @@ def test_nullspace_annihilates():
             )
 
 
-def test_solve_round_trip():
-    rng = random.Random(19)
-    for _ in range(25):
-        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        x = [Q(rng.randint(-3, 3)) for _ in range(m.cols)]
-        b = [
-            sum(m.entries[r][c] * x[c] for c in range(m.cols))
-            for r in range(m.rows)
-        ]
-        got = solve(m, b)
-        assert got is not None
-        assert all(
-            sum(m.entries[r][c] * got[c] for c in range(m.cols)) == b[r]
-            for r in range(m.rows)
-        )
-
-
-def test_solve_detects_inconsistency():
-    m = RationalMatrix([[1, 2], [2, 4]])
-    assert solve(m, [1, 3]) is None
-
-
 def test_incremental_echelon_matches_dense_rank():
     rng = random.Random(23)
     for _ in range(25):
@@ -137,3 +112,43 @@ def test_echelon_provenance_solves():
             for r, v in columns[c].items():
                 recombined[r] = recombined.get(r, Q(0)) + x * v
         assert {r: v for r, v in recombined.items() if v} == target
+
+
+def random_sparse_rows(rng, rows, cols, density):
+    return [
+        {c: Q(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+         for c in range(cols) if rng.random() < density}
+        for _ in range(rows)
+    ]
+
+
+def dense(rows, cols):
+    return RationalMatrix([[row.get(c, Q(0)) for c in range(cols)] for row in rows])
+
+
+def kernel_as_dense(kernel, cols):
+    return [[vec.get(c, Q(0)) for c in range(cols)] for vec in kernel]
+
+
+def test_sparse_nullspace_matches_dense_oracle():
+    rng = random.Random(31)
+    cases = [
+        ([], 4),  # no rows: every column is free
+        ([{}, {}], 3),  # zero rows
+        ([{0: Q(1)}, {1: Q(2)}, {2: Q(-1)}], 3),  # full rank
+        ([{0: Q(1), 2: Q(2)}, {0: Q(2), 2: Q(4)}], 4),  # rank deficient
+    ]
+    for _ in range(60):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 7)
+        cases.append(
+            (random_sparse_rows(rng, rows, cols, rng.choice((0.2, 0.5, 0.9))), cols)
+        )
+    for rows, cols in cases:
+        got = kernel_as_dense(sparse_nullspace(rows, cols), cols)
+        if rows:
+            assert got == nullspace(dense(rows, cols))
+        else:
+            assert got == RationalMatrix.identity(cols).entries
+        for vec in got:
+            for row in rows:
+                assert sum(x * vec[c] for c, x in row.items()) == 0
