@@ -12,7 +12,7 @@ assembles a pair of unipotent matrices splitting the bundle off the diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .cech import Window, h1, triviality_certificate
 from .errors import (
@@ -96,9 +96,7 @@ def _section_count(T: PolyMatrix, twist: int, degree_cap: int) -> int:
     return nvars - rank
 
 
-def splitting_type_p1(
-    T: PolyMatrix, window: Optional[Window] = None
-) -> Tuple[int, ...]:
+def splitting_type_p1(T: PolyMatrix) -> Tuple[int, ...]:
     """Splitting type (j_1 >= ... >= j_r) of the u-free bundle T on the
     projective line, recovered from the profile of section counts
     h0(E(m)) = sum_i max(0, j_i + m + 1) over a twist range wide enough
@@ -115,8 +113,6 @@ def splitting_type_p1(
             if not p.is_zero:
                 span = max(span, abs(p.min_z_exp()), abs(p.max_z_exp()))
     reach = r * span + 2
-    if window is not None:
-        reach = max(reach, window.max_z)
     counts_h: Dict[int, int] = {}
     for m in range(-reach - 2, reach + 1):
         # section degrees propagate through row reduction, adding up to
@@ -169,9 +165,7 @@ class SplitCertificate:
         )
 
 
-def split_certificate(
-    s: SurfaceSpec, e: ExtensionClass, window: Optional[Window] = None
-) -> SplitCertificate:
+def split_certificate(s: SurfaceSpec, e: ExtensionClass) -> SplitCertificate:
     """Split the extension bundle of e over the deformed surface s.
 
     Solves sigma = f_U + z^-2j * (f_V in U-coords) and assembles
@@ -190,7 +184,7 @@ def split_certificate(
         residual = target - target  # zero, shape 2x2
         return SplitCertificate(identity, identity, target, residual)
     try:
-        cert = triviality_certificate(e.sigma, s, 2 * j, window)
+        cert = triviality_certificate(e.sigma, s, 2 * j)
     except NotTrivial as exc:
         raise CertificateNotFound(
             f"class {e.sigma} is not an in-window coboundary on {s}"
@@ -225,13 +219,8 @@ class ChargeReport:
     stabilized: bool
 
 
-def charge_report(
-    s: SurfaceSpec,
-    T: PolyMatrix,
-    j: int,
-    window: Optional[Window] = None,
-) -> ChargeReport:
-    result = h1(s, T, window, stabilize=True)
+def charge_report(s: SurfaceSpec, T: PolyMatrix, j: int) -> ChargeReport:
+    result = h1(s, T)
     return ChargeReport(
         r1_dim=result.dimension,
         q_dim=_UNSUPPORTED,

@@ -20,6 +20,11 @@ dimension is therefore an in-window statement.  On the undeformed surface
 the monomial normal form makes the answer exact once the window stabilizes;
 on deformed surfaces the stabilization flag is reported alongside.
 
+Window growth is fixed: H^1 enlarges its window by (3, 1) (three z steps on
+each side, one u step) until the dimension is unchanged across two
+consecutive enlargements, and gives up with StepCapExceeded after 8
+enlargements.
+
 All linear algebra runs on the sparse ReducedEchelon: ranks and normal forms
 on the complex's own echelon, H^0 sections through linalg.nullspace, and
 both solves of a triviality certificate (over the untruncated images, then
@@ -28,7 +33,6 @@ over the window columns) through one provenance-tracking solve.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -44,8 +48,10 @@ from .linalg import ReducedEchelon, SparseVec, nullspace
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, line_transition, to_U_coords, to_V_coords
 
-GROWTH_CAP_ENV = "LOCALSURFACES_GROWTH_CAP"
-_DEFAULT_GROWTH_CAP = 8
+# Window growth per enlargement (z steps on each side, u steps) and the
+# number of enlargements after which stabilization gives up.
+_GROW = (3, 1)
+_GROWTH_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -358,54 +364,27 @@ class StabilizedValue:
     enlargements: int
 
 
-def growth_cap(step_cap: Optional[int] = None) -> int:
-    """The window growth cap: step_cap if given, else the value of the
-    LOCALSURFACES_GROWTH_CAP environment variable, else the default.
-
-    Raises ValueError unless the cap is an integer >= 1.
-    """
-    if step_cap is None:
-        env = os.environ.get(GROWTH_CAP_ENV)
-        if not env:
-            return _DEFAULT_GROWTH_CAP
-        try:
-            step_cap = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{GROWTH_CAP_ENV} must be an integer >= 1, got {env!r}"
-            ) from None
-    if step_cap < 1:
-        raise ValueError(f"growth cap must be >= 1, got {step_cap}")
-    return step_cap
-
-
 def stabilize_window(
-    compute: Callable[[Window], int],
-    w0: Window,
-    *,
-    grow: Tuple[int, int] = (3, 1),
-    step_cap: Optional[int] = None,
+    compute: Callable[[Window], int], w0: Window
 ) -> StabilizedValue:
-    """Enlarge the window in fixed increments until the computed value is
-    unchanged across two consecutive enlargements.
+    """Enlarge the window by (3, 1) until the computed value is unchanged
+    across two consecutive enlargements.
 
     Returns the first window of the stable run.  Raises StepCapExceeded
-    (carrying the last value and window) if the cap is hit first.
+    (carrying the last value and window) after 8 enlargements.
     """
-    cap = growth_cap(step_cap)
-    dz, du = grow
     windows = [w0]
     values = [compute(w0)]
     while True:
         if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
             return StabilizedValue(values[-1], windows[-3], len(values) - 1)
-        if len(values) - 1 >= cap:
+        if len(values) - 1 >= _GROWTH_CAP:
             raise StepCapExceeded(
-                f"value did not stabilize within {cap} enlargements",
+                f"value did not stabilize within {_GROWTH_CAP} enlargements",
                 last_value=values[-1],
                 last_window=windows[-1],
             )
-        windows.append(windows[-1].grown(dz, du))
+        windows.append(windows[-1].grown(*_GROW))
         values.append(compute(windows[-1]))
 
 
@@ -414,66 +393,42 @@ def h1(
     transition: PolyMatrix,
     window: Optional[Window] = None,
     *,
-    stabilize: bool = True,
-    grow: Tuple[int, int] = (3, 1),
-    step_cap: Optional[int] = None,
     m_row: Optional[int] = None,
 ) -> CohomologyResult:
-    """H^1 of the bundle with the given transition matrix, over a window.
+    """H^1 of the bundle with the given transition matrix.
 
-    With stabilize=True the window is enlarged until the dimension settles;
-    the result reports the first stable window and stabilized=True.
+    Starting from the given (or default) window, the window is enlarged
+    until the dimension settles; the result reports the first stable
+    window and stabilized=True.
     """
     if window is None:
         window = default_window_for_transition(s, transition)
-    if stabilize:
-        cache: Dict[Window, CechComplex] = {}
+    cache: Dict[Window, CechComplex] = {}
 
-        def compute(w: Window) -> int:
-            cache[w] = CechComplex(s, transition, w)
-            return cache[w].dimension
+    def compute(w: Window) -> int:
+        cache[w] = CechComplex(s, transition, w)
+        return cache[w].dimension
 
-        stable = stabilize_window(compute, window, grow=grow, step_cap=step_cap)
-        complex_ = cache[stable.window]
-        return CohomologyResult(
-            dimension=complex_.dimension,
-            basis=complex_.basis(),
-            m_row=m_row,
-            window=stable.window,
-            stabilized=True,
-            rank=complex_.rank,
-        )
-    complex_ = CechComplex(s, transition, window)
+    stable = stabilize_window(compute, window)
+    complex_ = cache[stable.window]
     return CohomologyResult(
         dimension=complex_.dimension,
         basis=complex_.basis(),
         m_row=m_row,
-        window=window,
-        stabilized=False,
+        window=stable.window,
+        stabilized=True,
         rank=complex_.rank,
     )
 
 
 def h1_line_bundle(
-    s: SurfaceSpec,
-    n: int,
-    window: Optional[Window] = None,
-    *,
-    stabilize: bool = True,
-    step_cap: Optional[int] = None,
+    s: SurfaceSpec, n: int, window: Optional[Window] = None
 ) -> CohomologyResult:
     """H^1(Z_k(tau), O(-n)); n is the positive twist, so n = 4 means O(-4)."""
     if window is None:
         window = default_window(s, n)
     m_row = (n - 2) // s.k if n >= 2 else None
-    return h1(
-        s,
-        line_transition(-n),
-        window,
-        stabilize=stabilize,
-        step_cap=step_cap,
-        m_row=m_row,
-    )
+    return h1(s, line_transition(-n), window, m_row=m_row)
 
 
 def normal_form(

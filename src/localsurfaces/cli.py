@@ -9,10 +9,10 @@ Exit codes separate mathematical negatives from usage problems:
   any generator), reported on stderr as a "usage error:" line.
 
 Stdout is deterministic: canonical JSON key order and canonical polynomial
-printing, so identical invocations are byte-identical.  The environment
-variable LOCALSURFACES_GROWTH_CAP sets the default window growth cap for
-stabilized computations; a value that is not an integer >= 1 is a usage
-error.
+printing, so identical invocations are byte-identical.  The window flags
+--min-z/--max-z/--max-u exist only on h1, h0, normal-form and
+certify-trivial; h1 grows its window by a fixed policy (see cech), so
+nothing in the environment changes a result.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .bundles import (
 from .cech import (
     Window,
     default_window,
-    growth_cap,
     h0_basis,
     h1_line_bundle,
     normal_form,
@@ -106,13 +105,6 @@ def _rational_list(text: str) -> list[Fraction]:
 def _poly(text: str) -> BiLaurent:
     try:
         return parse_poly(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _check_growth_cap() -> None:
-    try:
-        growth_cap()
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -427,6 +419,24 @@ def _row_line(row: dict) -> str:
     return json.dumps(row, sort_keys=True)
 
 
+def _golden_row_inputs(row, where: str) -> tuple[SurfaceSpec, int, int]:
+    """The surface, twist and dim a golden row pins; a usage error unless
+    the row is an object with integer k, n and dim and a tau list fitting
+    k."""
+    if not (
+        isinstance(row, dict)
+        and all(type(row.get(key)) is int for key in ("k", "n", "dim"))
+        and isinstance(row.get("tau"), list)
+    ):
+        raise argparse.ArgumentTypeError(
+            f"{where} is not a golden row (integer k, n, dim and a tau list)"
+        )
+    try:
+        return surface(row["k"], [Q(t) for t in row["tau"]]), row["n"], row["dim"]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"{where}: {exc}") from None
+
+
 def _cmd_golden(args) -> int:
     if args.mode == "generate":
         rows = _golden_rows()
@@ -449,9 +459,9 @@ def _cmd_golden(args) -> int:
             raise argparse.ArgumentTypeError(
                 f"{args.path}: row {number} is not JSON: {exc}"
             ) from None
-        s = surface(row["k"], [Q(t) for t in row["tau"]])
-        result = h1_line_bundle(s, row["n"])
-        if result.dimension != row["dim"]:
+        s, n, dim = _golden_row_inputs(row, f"{args.path}: row {number}")
+        result = h1_line_bundle(s, n)
+        if result.dimension != dim:
             print(
                 f"mismatch at k={row['k']} n={row['n']} tau={row['tau']}: "
                 f"table says {row['dim']}, recomputed {result.dimension}",
@@ -562,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=_nonnegative_int, required=True)
     p.add_argument("--sigma", type=_poly, required=True)
     _add_tau_flags(p)
-    _add_window_flags(p)
     p.set_defaults(handler=_cmd_certify_split)
 
     p = sub.add_parser("charge",
@@ -571,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=_nonnegative_int, required=True)
     p.add_argument("--sigma", type=_poly, required=True)
     _add_tau_flags(p)
-    _add_window_flags(p)
     p.set_defaults(handler=_cmd_charge)
 
     p = sub.add_parser("moduli-dim",
@@ -593,7 +601,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_growth_cap()
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -26,10 +26,10 @@ from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, glue_matrix, surface, tangent_transition
 
 
-def tangent_h1(k: int, *, stabilize: bool = True) -> CohomologyResult:
+def tangent_h1(k: int) -> CohomologyResult:
     """H^1(Z_k, T_{Z_k}): dimension k-1 with basis {(0, z^{-k+i})^t}."""
     s = surface(k)
-    return h1(s, tangent_transition(s), stabilize=stabilize)
+    return h1(s, tangent_transition(s))
 
 
 def ext_basis_tangent(k: int) -> Tuple[Tuple[BiLaurent, ...], Tuple[BiLaurent, ...]]:

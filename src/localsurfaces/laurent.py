@@ -320,20 +320,6 @@ def _raw(terms: dict[Monomial, Q], tag: Optional[str]) -> BiLaurent:
     return p
 
 
-# -- convenient builders ---------------------------------------------------
-
-def z_pow(exp: int, coeff=1, tag: Optional[str] = None) -> BiLaurent:
-    return BiLaurent.term(coeff, exp, 0, tag)
-
-
-def u_pow(exp: int, coeff=1, tag: Optional[str] = None) -> BiLaurent:
-    return BiLaurent.term(coeff, 0, exp, tag)
-
-
-def monomial(coeff, z_exp: int, u_exp: int, tag: Optional[str] = None) -> BiLaurent:
-    return BiLaurent.term(coeff, z_exp, u_exp, tag)
-
-
 # -- parsing ---------------------------------------------------------------
 
 _TOKEN = re.compile(

@@ -83,9 +83,6 @@ class ParamPoly:
     def coefficient(self, exps: Tuple[int, ...]) -> BiLaurent:
         return self._terms.get(tuple(exps), BiLaurent.zero())
 
-    def constant_coefficient(self) -> BiLaurent:
-        return self.coefficient((0,) * len(self.params))
-
     def as_unit_monomial(self):
         """Parameter-free single-term content, or None."""
         if len(self._terms) != 1:

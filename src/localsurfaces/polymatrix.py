@@ -92,9 +92,6 @@ class PolyMatrix:
     def map_entries(self, fn: Callable[[BiLaurent], BiLaurent]) -> "PolyMatrix":
         return PolyMatrix([[fn(p) for p in row] for row in self.entries])
 
-    def scale(self, factor: BiLaurent) -> "PolyMatrix":
-        return self.map_entries(lambda p: p * factor)
-
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.size != other.size:
             raise ValueError("size mismatch")

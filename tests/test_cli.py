@@ -180,16 +180,19 @@ def test_bad_tau_poly_is_usage_error():
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_bad_growth_cap_is_usage_error(monkeypatch, value):
+def test_growth_cap_variable_is_ignored(monkeypatch, value):
+    # Window growth is fixed in the library, so no environment variable
+    # changes a result or an exit code.
+    argv = ("h1", "--k", "2", "--n", "4", "--tau", "1")
+    expected = run(*argv)
     monkeypatch.setenv("LOCALSURFACES_GROWTH_CAP", value)
-    code, out, err = run("h1", "--k", "2", "--n", "4", "--tau", "1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage error:") and "Traceback" not in err
+    assert run(*argv) == expected
+    assert expected[0] == 0
 
 
-# Flag values the library would reject with ValueError, and a golden file
-# with a malformed row: each is a usage error, reported without a traceback.
+# Flag values the library would reject with ValueError, window flags on
+# subcommands that take none, and golden files whose rows are not JSON or
+# not row objects: each is a usage error, reported without a traceback.
 USAGE_ERRORS = [
     ["h1", "--k", "2", "--n", "4", "--min-z", "1"],
     ["h1", "--k", "2", "--n", "4", "--max-z", "-1"],
@@ -199,21 +202,35 @@ USAGE_ERRORS = [
     ["certify-split", "--k", "2", "--j", "-1", "--sigma", "z^-1"],
     ["family", "--k", "1"],
     ["hirzebruch-check", "--k", "1"],
+    ["charge", "--k", "2", "--j", "2", "--sigma", "z^-1", "--min-z", "-1"],
+    ["certify-split", "--k", "2", "--j", "1", "--tau", "1", "--sigma", "z^-1",
+     "--min-z", "-1"],
     ["golden", "verify", "--path", "{malformed}"],
+    ["golden", "verify", "--path", "{not_object}"],
+    ["golden", "verify", "--path", "{no_tau}"],
 ]
+
+GOLDEN_FILES = {
+    "{malformed}": '{"k": 1, "n": 0,\n',
+    "{not_object}": "[1]\n",
+    "{no_tau}": '{"k": 1}\n',
+}
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
 def test_invalid_values_are_usage_errors(argv, tmp_path):
-    malformed = tmp_path / "table.jsonl"
-    malformed.write_text('{"k": 1, "n": 0,\n')
-    code, out, err = run(
-        *(arg.replace("{malformed}", str(malformed)) for arg in argv)
-    )
+    paths = {}
+    for index, (placeholder, text) in enumerate(GOLDEN_FILES.items()):
+        paths[placeholder] = tmp_path / f"table{index}.jsonl"
+        paths[placeholder].write_text(text)
+    code, out, err = run(*(str(paths.get(arg, arg)) for arg in argv))
     assert code == 2
     assert out == ""
-    assert any(line.startswith("usage error:") for line in err.splitlines())
+    usage = [line for line in err.splitlines() if line.startswith("usage error:")]
+    assert usage
     assert "Traceback" not in err
+    if argv[0] == "golden":
+        assert "row 1" in usage[0]
 
 
 def test_window_too_small_is_usage_error():
@@ -285,12 +302,23 @@ def test_h0_deformed_basis_stdout():
 
 
 def test_window_override_is_echoed():
-    doc = payload("h1", "--k", "2", "--n", "4", "--min-z", "-12",
-                  "--max-z", "12", "--max-u", "5")
-    # stabilization starts from the override; since the value is already
-    # stable there, the echoed window is the override itself
-    assert doc["window"] == {"min_z": -12, "max_z": 12, "max_u": 5}
-    assert doc["dim"] == 4
+    override = ("--min-z", "-12", "--max-z", "12", "--max-u", "5")
+    docs = {
+        argv[0]: payload(*argv, *override)
+        for argv in (
+            ("h1", "--k", "2", "--n", "4"),
+            ("h0", "--k", "2", "--n", "4"),
+            ("normal-form", "--k", "2", "--n", "4", "--sigma", "3*z^-1*u"),
+            ("certify-trivial", "--k", "2", "--n", "2", "--tau", "1",
+             "--sigma", "z^-1"),
+        )
+    }
+    # h1 stabilizes from the override; since the value is already stable
+    # there, every subcommand echoes the override itself
+    for command, doc in docs.items():
+        validate(command.replace("-", "_"), doc)
+        assert doc["window"] == {"min_z": -12, "max_z": 12, "max_u": 5}
+    assert docs["h1"]["dim"] == 4
 
 
 # -- golden table -----------------------------------------------------------------------

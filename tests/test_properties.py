@@ -1,7 +1,9 @@
 """Property tests for the algebraic invariants the library relies on:
 canonical printing round-trips through the parser, the two chart rewrites
-are inverse to each other, and the window normal form is an idempotent
-linear projection.  Derandomized, so every run draws the same examples."""
+are inverse to each other, the window normal form is an idempotent linear
+projection, and on the undeformed surface every window is exact on the
+monomial normal forms.  Derandomized, so every run draws the same
+examples."""
 
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -9,8 +11,9 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localsurfaces.cech import CechComplex, default_window
-from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART, parse_poly
+from localsurfaces.cech import CechComplex, Window, default_window
+from localsurfaces.errors import WindowTooSmall
+from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART, parse_poly
 from localsurfaces.surface import (
     line_transition,
     surface,
@@ -98,3 +101,50 @@ def test_normal_form_idempotent_and_linear(data):
     assert complex_.normal_form(nf) == nf
     combined = complex_.normal_form(sigma + tau * BiLaurent.const(c))
     assert combined == nf + complex_.normal_form(tau) * BiLaurent.const(c)
+
+
+# -- undeformed windows are exact ----------------------------------------------
+
+UNDEFORMED_KS = range(1, 6)
+UNDEFORMED_NS = range(-3, 13)
+
+
+def normal_form_monomials(k, n):
+    """Basis of H^1(Z_k, O(-n)) (Gasparim's monomial normal forms):
+    z^l u^i with i <= m = floor((n-2)/k) and ik-n+1 <= l <= -1."""
+    m = (n - 2) // k
+    return {
+        Monomial(l, i) for i in range(m + 1) for l in range(i * k - n + 1, 0)
+    }
+
+
+windows = st.builds(
+    Window, st.integers(-16, 0), st.integers(0, 6), st.integers(0, 5)
+)
+
+
+@SETTINGS
+@given(windows)
+def test_undeformed_window_dimension_counts_normal_forms(w):
+    # On Z_k every V-image is one monomial z^(ki-n-a) u^i, so a window's
+    # H^1 is spanned by the normal-form monomials inside it, whatever the
+    # window; the only failure allowed is a window no generator meets.
+    for k in UNDEFORMED_KS:
+        for n in UNDEFORMED_NS:
+            try:
+                complex_ = CechComplex(surface(k), line_transition(-n), w)
+            except WindowTooSmall:
+                continue
+            inside = {m for m in normal_form_monomials(k, n) if w.contains(m)}
+            basis = [vec[0] for vec in complex_.basis()]
+            assert complex_.dimension == len(inside) == len(basis)
+            assert all(len(b.support) == 1 for b in basis)
+            assert {m for b in basis for m in b.support} == inside
+
+
+def test_default_windows_hold_every_normal_form_monomial():
+    # with the property above: every default window is exact on tau = 0
+    for k in UNDEFORMED_KS:
+        for n in UNDEFORMED_NS:
+            w = default_window(surface(k), n)
+            assert all(w.contains(m) for m in normal_form_monomials(k, n))
