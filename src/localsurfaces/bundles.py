@@ -74,11 +74,8 @@ def _section_count(T: PolyMatrix, twist: int, degree_cap: int) -> int:
     T * z^-twist * s_U free of positive z-powers."""
     r = T.size
     echelon = ReducedEchelon()
-    rank = 0
-    nvars = 0
     for slot in range(r):
         for deg in range(degree_cap + 1):
-            nvars += 1
             vec: Dict[Tuple[int, int], Q] = {}
             for i in range(r):
                 entry = T.entries[i][slot]
@@ -91,9 +88,8 @@ def _section_count(T: PolyMatrix, twist: int, degree_cap: int) -> int:
                             vec[key] = acc
                         else:
                             vec.pop(key, None)
-            if echelon.add(vec):
-                rank += 1
-    return nvars - rank
+            echelon.add(vec)
+    return r * (degree_cap + 1) - echelon.rank
 
 
 def splitting_type_p1(T: PolyMatrix) -> Tuple[int, ...]:
@@ -179,10 +175,6 @@ def split_certificate(s: SurfaceSpec, e: ExtensionClass) -> SplitCertificate:
     ])
     one = BiLaurent.const(1, U_CHART)
     nil = BiLaurent.zero(U_CHART)
-    if e.sigma.is_zero:
-        identity = PolyMatrix.identity(2)
-        residual = target - target  # zero, shape 2x2
-        return SplitCertificate(identity, identity, target, residual)
     try:
         cert = triviality_certificate(e.sigma, s, 2 * j)
     except NotTrivial as exc:

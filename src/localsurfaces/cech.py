@@ -28,13 +28,14 @@ enlargements.
 All linear algebra runs on the sparse ReducedEchelon: ranks and normal forms
 on the complex's own echelon, H^0 sections through linalg.nullspace, and
 both solves of a triviality certificate (over the untruncated images, then
-over the window columns) through one provenance-tracking solve.
+over the window columns) through one solve, _solve_in_span, which
+eliminates the columns augmented by unit tag coordinates.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -341,8 +342,7 @@ class CechComplex:
         """Unique window representative of [sigma] supported on the
         non-pivot basis monomials."""
         scalar = isinstance(sigma, BiLaurent)
-        residual, _ = self._echelon.reduce(self.encode(sigma))
-        decoded = self.decode(residual)
+        decoded = self.decode(self._echelon.reduce(self.encode(sigma)))
         return decoded[0] if scalar else decoded
 
 
@@ -392,8 +392,6 @@ def h1(
     s: SurfaceSpec,
     transition: PolyMatrix,
     window: Optional[Window] = None,
-    *,
-    m_row: Optional[int] = None,
 ) -> CohomologyResult:
     """H^1 of the bundle with the given transition matrix.
 
@@ -414,7 +412,7 @@ def h1(
     return CohomologyResult(
         dimension=complex_.dimension,
         basis=complex_.basis(),
-        m_row=m_row,
+        m_row=None,
         window=stable.window,
         stabilized=True,
         rank=complex_.rank,
@@ -428,7 +426,7 @@ def h1_line_bundle(
     if window is None:
         window = default_window(s, n)
     m_row = (n - 2) // s.k if n >= 2 else None
-    return h1(s, line_transition(-n), window, m_row=m_row)
+    return replace(h1(s, line_transition(-n), window), m_row=m_row)
 
 
 def normal_form(
@@ -513,13 +511,27 @@ def _solve_in_span(
     columns: Iterable[Tuple[tuple, Dict]], target: Dict
 ) -> Optional[Dict[tuple, Q]]:
     """Coefficients x with sum(x[key] * vec) == target over the (key, vec)
-    columns, from a provenance echelon built in column order; None when the
-    target is outside their span."""
-    echelon = ReducedEchelon(track_provenance=True)
+    columns; None when the target is outside their span.
+
+    Eliminates the augmented columns [vec | e_i] in column order, with each
+    tag coordinate (1, i) sorting after every real coordinate (0, c), so a
+    row's tag part records it as a combination of the columns.  A column
+    that leaves no real coordinate (a zero or dependent one) is skipped:
+    inserting it would rewrite the other rows' tag parts.
+    """
+    echelon = ReducedEchelon()
+    keys = []
     for key, vec in columns:
-        if vec:
-            echelon.add(vec, key)
-    return echelon.solve_in_span(target)
+        augmented = {(0, c): x for c, x in vec.items()}
+        augmented[1, len(keys)] = Q(1)
+        keys.append(key)
+        residual = echelon.reduce(augmented)
+        if min(residual)[0] == 0:
+            echelon.add(residual)
+    residual = echelon.reduce({(0, c): x for c, x in target.items()})
+    if any(tag == 0 for tag, _ in residual):
+        return None
+    return {keys[i]: -x for (_, i), x in residual.items()}
 
 
 def _rewrite_to_U(p: BiLaurent, s: SurfaceSpec) -> BiLaurent:

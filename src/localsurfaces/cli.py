@@ -52,7 +52,7 @@ from .deformation import (
     tangent_h1,
 )
 from .errors import LocalSurfacesError, WindowTooSmall
-from .laurent import BiLaurent, Q, parse_poly
+from .laurent import BiLaurent, Q, V_CHART, parse_poly
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, line_transition, surface
 
@@ -103,10 +103,17 @@ def _rational_list(text: str) -> list[Fraction]:
 
 
 def _poly(text: str) -> BiLaurent:
+    """argparse type: a polynomial in the (z, u) alphabet; the (xi, v)
+    alphabet names V-chart functions, which no flag takes."""
     try:
-        return parse_poly(text)
+        poly = parse_poly(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if poly.tag == V_CHART:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} uses the V-chart variables xi, v; write it in z, u"
+        )
+    return poly
 
 
 def _emit(payload: dict) -> None:
@@ -440,9 +447,12 @@ def _golden_row_inputs(row, where: str) -> tuple[SurfaceSpec, int, int]:
 def _cmd_golden(args) -> int:
     if args.mode == "generate":
         rows = _golden_rows()
-        with open(args.path, "w", encoding="utf-8", newline="\n") as handle:
-            for row in rows:
-                handle.write(_row_line(row) + "\n")
+        try:
+            with open(args.path, "w", encoding="utf-8", newline="\n") as handle:
+                for row in rows:
+                    handle.write(_row_line(row) + "\n")
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(f"cannot write {args.path}: {exc}")
         _emit({"written": len(rows), "path": args.path})
         return 0
     # verify

@@ -191,8 +191,9 @@ def test_growth_cap_variable_is_ignored(monkeypatch, value):
 
 
 # Flag values the library would reject with ValueError, window flags on
-# subcommands that take none, and golden files whose rows are not JSON or
-# not row objects: each is a usage error, reported without a traceback.
+# subcommands that take none, polynomials written in the V-chart alphabet
+# (xi, v), and golden files whose rows are not JSON or not row objects: each
+# is a usage error, reported without a traceback.
 USAGE_ERRORS = [
     ["h1", "--k", "2", "--n", "4", "--min-z", "1"],
     ["h1", "--k", "2", "--n", "4", "--max-z", "-1"],
@@ -205,6 +206,13 @@ USAGE_ERRORS = [
     ["charge", "--k", "2", "--j", "2", "--sigma", "z^-1", "--min-z", "-1"],
     ["certify-split", "--k", "2", "--j", "1", "--tau", "1", "--sigma", "z^-1",
      "--min-z", "-1"],
+    ["integrate", "--k", "2", "--sigma", "xi"],
+    ["charge", "--k", "2", "--j", "2", "--sigma", "v"],
+    ["split-type", "--k", "2", "--j", "1", "--sigma", "v"],
+    ["deform", "--k", "2", "--tau-poly", "xi"],
+    ["normal-form", "--k", "2", "--n", "4", "--sigma", "xi^-1"],
+    ["certify-trivial", "--k", "2", "--n", "4", "--sigma", "xi^-1"],
+    ["certify-split", "--k", "2", "--j", "1", "--tau", "1", "--sigma", "v"],
     ["golden", "verify", "--path", "{malformed}"],
     ["golden", "verify", "--path", "{not_object}"],
     ["golden", "verify", "--path", "{no_tau}"],
@@ -359,6 +367,16 @@ def test_golden_generate_verify_and_corrupt(tmp_path):
     doc = json.loads(out)
     assert doc["error"]["type"] == "GoldenMismatch"
     assert "k=2" in doc["error"]["message"] and "n=4" in doc["error"]["message"]
+
+
+def test_golden_generate_to_unwritable_path_is_usage_error(tmp_path):
+    path = tmp_path / "missing" / "table.jsonl"
+    code, out, err = run("golden", "generate", "--path", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write")
+    assert "Traceback" not in err
+    assert not path.exists()
 
 
 def test_committed_golden_file_verifies():

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 from cech_oracle import coboundary_matrix
 from dense_oracle import RationalMatrix, nullspace, rref_rank
-from localsurfaces.cech import Window, h1_dimension_formula
+from localsurfaces.cech import Window, _solve_in_span, h1_dimension_formula
 from localsurfaces.linalg import ReducedEchelon
 from localsurfaces.linalg import nullspace as sparse_nullspace
 from localsurfaces.surface import line_transition, surface
@@ -82,36 +82,50 @@ def test_incremental_echelon_matches_dense_rank():
         echelon = ReducedEchelon()
         for c in range(cols):
             vec = {r: m.entries[r][c] for r in range(rows) if m.entries[r][c]}
-            echelon.add(vec, c)
+            echelon.add(vec)
         rank, pivots, _ = rref_rank(m.transpose())
         assert echelon.rank == rank
         assert sorted(echelon.pivots) == pivots
 
 
-def test_echelon_provenance_solves():
+def test_solve_in_span_solves_random_systems():
     rng = random.Random(29)
     for _ in range(25):
         rows, cols = rng.randint(2, 5), rng.randint(2, 5)
         m = random_matrix(rng, rows, cols)
-        echelon = ReducedEchelon(track_provenance=True)
         columns = {}
         for c in range(cols):
             vec = {r: m.entries[r][c] for r in range(rows) if m.entries[r][c]}
             columns[c] = vec
-            echelon.add(vec, c)
         coeffs = [Q(rng.randint(-2, 2)) for _ in range(cols)]
         target = {}
         for c, x in enumerate(coeffs):
             for r, v in columns[c].items():
                 target[r] = target.get(r, Q(0)) + x * v
         target = {r: v for r, v in target.items() if v}
-        sol = echelon.solve_in_span(target)
+        sol = _solve_in_span(columns.items(), target)
         assert sol is not None
         recombined = {}
         for c, x in sol.items():
             for r, v in columns[c].items():
                 recombined[r] = recombined.get(r, Q(0)) + x * v
         assert {r: v for r, v in recombined.items() if v} == target
+
+
+def test_solve_in_span_edge_cases():
+    columns = [("a", {0: Q(1)}), ("zero", {}), ("twice_a", {0: Q(2)}),
+               ("b", {1: Q(1), 2: Q(3)})]
+    # a zero or dependent column gets no coefficient: only the columns
+    # that enlarged the span carry the solution
+    assert _solve_in_span(columns, {0: Q(2), 1: Q(-1), 2: Q(-3)}) == {
+        "a": Q(2), "b": Q(-1)
+    }
+    # outside the span: coordinate 2 without coordinate 1
+    assert _solve_in_span(columns, {2: Q(1)}) is None
+    assert _solve_in_span([("zero", {})], {0: Q(1)}) is None
+    # the empty target is the empty combination
+    assert _solve_in_span(columns, {}) == {}
+    assert _solve_in_span([], {}) == {}
 
 
 def random_sparse_rows(rng, rows, cols, density):

@@ -1,9 +1,9 @@
 """Property tests for the algebraic invariants the library relies on:
 canonical printing round-trips through the parser, the two chart rewrites
 are inverse to each other, the window normal form is an idempotent linear
-projection, and on the undeformed surface every window is exact on the
-monomial normal forms.  Derandomized, so every run draws the same
-examples."""
+projection, on the undeformed surface every window is exact on the
+monomial normal forms, and triviality and splitting certificates re-verify.
+Derandomized, so every run draws the same examples."""
 
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -11,9 +11,20 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localsurfaces.cech import CechComplex, Window, default_window
-from localsurfaces.errors import WindowTooSmall
+from localsurfaces.bundles import (
+    ExtensionClass,
+    extension_to_transition,
+    split_certificate,
+)
+from localsurfaces.cech import (
+    CechComplex,
+    Window,
+    default_window,
+    triviality_certificate,
+)
+from localsurfaces.errors import NotTrivial, WindowTooSmall
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART, parse_poly
+from localsurfaces.polymatrix import PolyMatrix
 from localsurfaces.surface import (
     line_transition,
     surface,
@@ -39,8 +50,8 @@ def polys(tag, min_z=-6, max_z=6, max_u=4):
 
 
 @st.composite
-def deformed_surfaces(draw):
-    k = draw(st.integers(2, 4))
+def deformed_surfaces(draw, ks=st.integers(2, 4)):
+    k = draw(ks)
     tau = draw(st.lists(coefficients, min_size=k - 1, max_size=k - 1))
     if not any(tau):
         tau[0] = Q(1)
@@ -148,3 +159,85 @@ def test_default_windows_hold_every_normal_form_monomial():
         for n in UNDEFORMED_NS:
             w = default_window(surface(k), n)
             assert all(w.contains(m) for m in normal_form_monomials(k, n))
+
+
+# -- certificates re-verify ----------------------------------------------------
+
+CERTIFICATE_SETTINGS = settings(
+    max_examples=25, derandomize=True, deadline=None, database=None
+)
+
+points = st.lists(st.tuples(nonzero, coefficients), min_size=2, max_size=2)
+
+
+@st.composite
+def certificate_cases(draw):
+    # zero, unit and rational tau; kept to k <= 3 and n <= 4, where one
+    # certificate takes under a second
+    k = draw(st.integers(1, 3))
+    s = surface(k, draw(st.lists(coefficients, min_size=k - 1, max_size=k - 1)))
+    n = draw(st.integers(0, 4))
+    w = default_window(s, n)
+    return s, n, draw(polys(U_CHART, w.min_z, 3, w.max_u))
+
+
+def holomorphic(p):
+    return p.is_zero or p.min_z_exp() >= 0
+
+
+@CERTIFICATE_SETTINGS
+@given(certificate_cases(), points)
+def test_triviality_certificate_reverifies(case, pts):
+    s, n, sigma = case
+    try:
+        cert = triviality_certificate(sigma, s, n)
+    except NotTrivial:
+        w = default_window(s, n).hull([sigma])
+        complex_ = CechComplex(s, line_transition(-n), w)
+        assert not complex_.normal_form(sigma).is_zero
+        return
+    f_U, f_V, residual = cert.f_U, cert.f_V, cert.residual
+    # f_U and f_V are holomorphic on their charts
+    assert f_U.tag == U_CHART and holomorphic(f_U)
+    assert f_V.tag == V_CHART and holomorphic(f_V)
+    # the residual lies outside the window, and only it breaks exactness
+    assert not any(cert.window.contains(m) for m in residual.support)
+    assert cert.exact == residual.is_zero
+    twist = BiLaurent.term(1, -n, 0)
+    assert sigma == f_U + twist * to_U_coords(f_V, s) + residual
+    # at rational points, f_V evaluated in its own chart (xi, v)
+    v_glue = s.v_glue()
+    for z, u in pts:
+        xi, v = 1 / z, v_glue.evaluate(z, u)
+        assert sigma.evaluate(z, u) == (
+            f_U.evaluate(z, u)
+            + z ** -n * f_V.evaluate(xi, v)
+            + residual.evaluate(z, u)
+        )
+
+
+@st.composite
+def split_cases(draw):
+    # (k, j) pairs whose certificate takes well under a second
+    k, j = draw(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1))))
+    s = draw(deformed_surfaces(st.just(k)))
+    monomials = sorted(normal_form_monomials(s.k, 2 * j))
+    values = draw(st.lists(
+        coefficients, min_size=len(monomials), max_size=len(monomials)
+    ))
+    return s, ExtensionClass(j, BiLaurent(dict(zip(monomials, values))))
+
+
+@CERTIFICATE_SETTINGS
+@given(split_cases())
+def test_split_certificate_splits_on_deformed_surfaces(case):
+    s, e = case
+    cert = split_certificate(s, e)
+    assert cert.residual.is_zero() and cert.exact
+    diag = PolyMatrix.diagonal(
+        [BiLaurent.term(1, e.j, 0), BiLaurent.term(1, -e.j, 0)]
+    )
+    assert cert.target == diag
+    a_v_in_u = cert.a_v.map_entries(lambda p: to_U_coords(p, s))
+    T = extension_to_transition(e)
+    assert (a_v_in_u @ T) @ cert.a_u.inverse() == diag
