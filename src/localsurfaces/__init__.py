@@ -66,7 +66,6 @@ from .errors import (
     NotApplicable,
     NoZeroSection,
     NotTrivial,
-    ProfileInconsistent,
     StepCapExceeded,
     SupportOutsideWindow,
     TagMismatch,

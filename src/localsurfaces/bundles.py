@@ -12,18 +12,12 @@ assembles a pair of unipotent matrices splitting the bundle off the diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 from .cech import Window, h1, triviality_certificate
-from .errors import (
-    CertificateNotFound,
-    NoZeroSection,
-    NotApplicable,
-    NotTrivial,
-    ProfileInconsistent,
-)
+from .errors import CertificateNotFound, NoZeroSection, NotApplicable, NotTrivial
 from .laurent import BiLaurent, Q, U_CHART, V_CHART
-from .linalg import ReducedEchelon
+from .linalg import nullspace
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, to_U_coords
 
@@ -68,74 +62,48 @@ def restrict_to_zero_section(T: PolyMatrix, s: SurfaceSpec) -> PolyMatrix:
     )
 
 
-def _section_count(T: PolyMatrix, twist: int, degree_cap: int) -> int:
-    """dim of global sections of E(twist) on the projective line, where E
-    has the u-free transition T: vectors of polynomials s_U with
-    T * z^-twist * s_U free of positive z-powers."""
-    r = T.size
-    echelon = ReducedEchelon()
-    for slot in range(r):
-        for deg in range(degree_cap + 1):
-            vec: Dict[Tuple[int, int], Q] = {}
-            for i in range(r):
-                entry = T.entries[i][slot]
-                for mono, coeff in entry.items():
-                    e = mono.z_exp + deg - twist
-                    if e > 0:
-                        key = (i, e)
-                        acc = vec.get(key, Q(0)) + coeff
-                        if acc:
-                            vec[key] = acc
-                        else:
-                            vec.pop(key, None)
-            echelon.add(vec)
-    return r * (degree_cap + 1) - echelon.rank
-
-
 def splitting_type_p1(T: PolyMatrix) -> Tuple[int, ...]:
     """Splitting type (j_1 >= ... >= j_r) of the u-free bundle T on the
-    projective line, recovered from the profile of section counts
-    h0(E(m)) = sum_i max(0, j_i + m + 1) over a twist range wide enough
-    that both ends are in the stable regime."""
+    projective line, by column reduction over Q[z] (Kailath, Linear
+    Systems, 1980, sec. 6.3).
+
+    Column j of T has degree d_j, its largest z-exponent.  While the
+    leading column-coefficient matrix (row i, column j: the coefficient of
+    z^d_j in T[i][j]) is singular, a kernel vector c gives a column
+    operation, unimodular over Q[z], that lowers the degree of the
+    highest-degree column in c's support.  Each step lowers sum(d_j), which
+    is bounded below by the degree of det T, so the loop ends.  Then
+    T * diag(z^-d_j) is invertible over Q[z^-1], so T is the transition of
+    O(-d_1) + ... + O(-d_r)."""
     r = T.size
     for row in T.entries:
         for p in row:
             if not p.is_zero and p.max_u_exp() > 0:
                 raise ValueError("splitting_type_p1 needs u-free entries")
-    _, det_exp = T.unit_det()
-    span = 1
-    for row in T.entries:
-        for p in row:
-            if not p.is_zero:
-                span = max(span, abs(p.min_z_exp()), abs(p.max_z_exp()))
-    reach = r * span + 2
-    counts_h: Dict[int, int] = {}
-    for m in range(-reach - 2, reach + 1):
-        # section degrees propagate through row reduction, adding up to
-        # 2*span per rank level
-        degree_cap = abs(m) + (2 * r - 1) * span + 2
-        counts_h[m] = _section_count(T, m, degree_cap)
-    multiplicity: Dict[int, int] = {}
-    for c in range(-reach, reach + 1):
-        cnt = counts_h[-c] - 2 * counts_h[-c - 1] + counts_h[-c - 2]
-        if cnt < 0:
-            raise ProfileInconsistent(f"negative multiplicity at degree {c}")
-        if cnt:
-            multiplicity[c] = cnt
-    split: list[int] = []
-    for c in sorted(multiplicity, reverse=True):
-        split.extend([c] * multiplicity[c])
-    if len(split) != r or sum(split) != -det_exp:
-        raise ProfileInconsistent(
-            f"profile fits {split}, expected rank {r} and degree {-det_exp} "
-            f"(window too small)"
-        )
-    for m, h in counts_h.items():
-        if h != sum(max(0, ji + m + 1) for ji in split):
-            raise ProfileInconsistent(
-                f"section count at twist {m} disagrees with {split}"
+    T.unit_det()
+    cols = [[row[j] for row in T.entries] for j in range(r)]  # cols[j][i] = T[i][j]
+    while True:
+        deg = [max(p.max_z_exp() for p in col if not p.is_zero) for col in cols]
+        lead = [{} for _ in range(r)]
+        for j, col in enumerate(cols):
+            for i, p in enumerate(col):
+                x = p.coefficient(deg[j], 0)
+                if x:
+                    lead[i][j] = x
+        kernel = nullspace(lead, r)
+        if not kernel:
+            return tuple(sorted((-d for d in deg), reverse=True))
+        c = kernel[0]
+        h = max(c, key=lambda j: (deg[j], j))
+        # column h becomes sum over s of (c_s / c_h) * z^(d_h - d_s) * column s
+        cols[h] = [
+            sum(
+                (BiLaurent.term(c[s] / c[h], deg[h] - deg[s], 0) * cols[s][i]
+                 for s in c),
+                BiLaurent.zero(),
             )
-    return tuple(split)
+            for i in range(r)
+        ]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Exit codes separate mathematical negatives from usage problems:
 
 * 0 -- success, schema-conformant JSON on stdout;
-* 1 -- mathematical failure (NotTrivial, ProfileInconsistent, ...) with a
+* 1 -- mathematical failure (NotTrivial, NotApplicable, ...) with a
   machine-readable error object on stdout;
 * 2 -- usage error (bad flags, malformed input, a window too small for
   any generator), reported on stderr as a "usage error:" line.

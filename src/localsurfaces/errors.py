@@ -60,10 +60,6 @@ class VerificationFailed(LocalSurfacesError):
     """A symbolic identity that must vanish did not."""
 
 
-class ProfileInconsistent(LocalSurfacesError):
-    """No splitting tuple matches the computed section-count profile."""
-
-
 class CertificateNotFound(LocalSurfacesError):
     """No in-window splitting certificate exists (window too small, or the
     class is genuinely nontrivial)."""

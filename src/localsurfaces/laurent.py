@@ -381,7 +381,10 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
                 flush()
             sign = Q(-1) if op == "-" else Q(1)
         elif kind == "rat":
-            value = Q(token.group("rat"))
+            try:
+                value = Q(token.group("rat"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
             coeff = value if coeff is None else coeff * value
             in_term = True
             pending_mul = False

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from dense_oracle import RationalMatrix, nullspace
+from localsurfaces import bundles
 from localsurfaces.bundles import (
     DISCRETE_ZERO_DIMENSIONAL,
     ExtensionClass,
@@ -21,6 +22,7 @@ from localsurfaces.bundles import (
 from localsurfaces.cech import h1_line_bundle
 from localsurfaces.errors import (
     CertificateNotFound,
+    NonUnitDeterminant,
     NotApplicable,
     NoZeroSection,
 )
@@ -236,6 +238,26 @@ def test_normal_form_extensions_restrict_to_j_minus_j():
 def test_splitting_type_rejects_u_terms():
     with pytest.raises(ValueError):
         splitting_type_p1(extension_to_transition(ExtensionClass(1, P("z^-1*u"))))
+
+
+def test_splitting_type_checks_determinant_before_reducing(monkeypatch):
+    def no_reduction(*args):
+        raise AssertionError("column reduction started")
+
+    monkeypatch.setattr(bundles, "nullspace", no_reduction)
+    non_monomial = PolyMatrix([[P("1 + z"), BiLaurent.zero()],
+                               [BiLaurent.zero(), P("1")]])
+    zero_column = PolyMatrix([[P("z"), BiLaurent.zero()],
+                              [P("z^-2"), BiLaurent.zero()]])
+    for T in (non_monomial, zero_column):
+        with pytest.raises(NonUnitDeterminant):
+            splitting_type_p1(T)
+
+
+def test_splitting_type_rank_one():
+    for coeff, a in ((Q(1), 0), (Q(-3, 2), 4), (Q(5), -3)):
+        T = PolyMatrix([[BiLaurent.term(coeff, a, 0)]])
+        assert splitting_type_p1(T) == (-a,)
 
 
 # -- split certificates ---------------------------------------------------------------------

@@ -6,6 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -192,8 +194,9 @@ def test_growth_cap_variable_is_ignored(monkeypatch, value):
 
 # Flag values the library would reject with ValueError, window flags on
 # subcommands that take none, polynomials written in the V-chart alphabet
-# (xi, v), and golden files whose rows are not JSON or not row objects: each
-# is a usage error, reported without a traceback.
+# (xi, v) or with a zero denominator, and golden files whose rows are not
+# JSON or not row objects: each is a usage error, reported without a
+# traceback.
 USAGE_ERRORS = [
     ["h1", "--k", "2", "--n", "4", "--min-z", "1"],
     ["h1", "--k", "2", "--n", "4", "--max-z", "-1"],
@@ -213,6 +216,11 @@ USAGE_ERRORS = [
     ["normal-form", "--k", "2", "--n", "4", "--sigma", "xi^-1"],
     ["certify-trivial", "--k", "2", "--n", "4", "--sigma", "xi^-1"],
     ["certify-split", "--k", "2", "--j", "1", "--tau", "1", "--sigma", "v"],
+    ["split-type", "--k", "2", "--j", "2", "--sigma", "3/0"],
+    ["certify-trivial", "--k", "2", "--n", "3", "--tau", "1", "--sigma",
+     "2/0*z^-1"],
+    ["integrate", "--k", "2", "--sigma", "1/0*z"],
+    ["deform", "--k", "2", "--tau-poly", "1/0*z"],
     ["golden", "verify", "--path", "{malformed}"],
     ["golden", "verify", "--path", "{not_object}"],
     ["golden", "verify", "--path", "{no_tau}"],
@@ -239,6 +247,72 @@ def test_invalid_values_are_usage_errors(argv, tmp_path):
     assert "Traceback" not in err
     if argv[0] == "golden":
         assert "row 1" in usage[0]
+
+
+# Polynomial flags drawn from a grammar: one to three terms (coefficients
+# with zero denominators, powers of both chart alphabets, negative or
+# missing u-exponents), joined by operators that may be doubled or missing,
+# with dangling operators or stray characters at either end.  Repeated
+# entries weight the draw towards well-formed strings.
+COEFFICIENT_TEXTS = ("1", "2", "-3", "3/4", "0", "1/0", "5/0")
+POWER_TEXTS = (
+    "z", "u", "z^-1", "z^-3", "z^2", "u^2", "u^-1", "xi", "v^2", "z^",
+)
+SEPARATORS = ("+", "-", "+", "*", "", "++")
+ENDS = ("", "", "", "", "", "", "", "-", "+", "*", "/", "w")
+poly_terms = st.one_of(
+    st.sampled_from(COEFFICIENT_TEXTS),
+    st.sampled_from(POWER_TEXTS),
+    st.tuples(st.sampled_from(COEFFICIENT_TEXTS),
+              st.sampled_from(POWER_TEXTS)).map("*".join),
+)
+
+
+@st.composite
+def poly_texts(draw):
+    terms = draw(st.lists(poly_terms, min_size=1, max_size=3))
+    text = terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from(SEPARATORS)) + term
+    return draw(st.sampled_from(ENDS)) + text + draw(st.sampled_from(ENDS))
+
+
+small_ints = st.integers(-1, 4).map(str)
+tau_flags = st.one_of(
+    st.just([]),
+    st.tuples(st.just("--tau"), st.sampled_from(["0", "1", "1/2,-1", "1/0", ""])),
+    st.tuples(st.just("--tau-poly"), poly_texts()),
+).map(list)
+
+
+@st.composite
+def polynomial_argvs(draw):
+    command = draw(st.sampled_from(["split-type", "normal-form", "integrate",
+                                    "deform"]))
+    argv = [command, "--k", draw(small_ints)]
+    if command == "split-type":
+        argv += ["--j", draw(small_ints)]
+    if command == "normal-form":
+        argv += ["--n", draw(small_ints)]
+    if command != "deform":
+        argv += ["--sigma", draw(poly_texts())]
+    if command != "integrate":
+        argv += draw(tau_flags)
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(polynomial_argvs())
+def test_polynomial_flags_keep_the_exit_code_contract(argv):
+    code, out, err = run(*argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert any(line.startswith("usage error:") for line in err.splitlines())
+    else:
+        validate(argv[0].replace("-", "_") if code == 0 else "error",
+                 json.loads(out))
 
 
 def test_window_too_small_is_usage_error():

@@ -162,6 +162,13 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
+def test_parse_rejects_zero_denominator():
+    # a ValueError naming the cause, not Fraction's ZeroDivisionError
+    for bad in ["3/0", "2/0*z^-1", "z + 1/00*u", "1/2*5/0"]:
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_poly(bad)
+
+
 def test_canonical_print_order():
     p = P("u + z^-1 + z*u^2 + z")
     assert str(p) == "z^-1 + u + z + z*u^2"

@@ -2,8 +2,10 @@
 canonical printing round-trips through the parser, the two chart rewrites
 are inverse to each other, the window normal form is an idempotent linear
 projection, on the undeformed surface every window is exact on the
-monomial normal forms, and triviality and splitting certificates re-verify.
-Derandomized, so every run draws the same examples."""
+monomial normal forms, triviality and splitting certificates re-verify,
+and splitting types on the projective line match the section-count oracle
+and are invariant under changes of frame.  Derandomized, so every run draws
+the same examples."""
 
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -11,10 +13,12 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p1_oracle import splitting_type_by_profile
 from localsurfaces.bundles import (
     ExtensionClass,
     extension_to_transition,
     split_certificate,
+    splitting_type_p1,
 )
 from localsurfaces.cech import (
     CechComplex,
@@ -241,3 +245,56 @@ def test_split_certificate_splits_on_deformed_surfaces(case):
     a_v_in_u = cert.a_v.map_entries(lambda p: to_U_coords(p, s))
     T = extension_to_transition(e)
     assert (a_v_in_u @ T) @ cert.a_u.inverse() == diag
+
+
+# -- splitting types on the projective line ------------------------------------
+
+P1_SETTINGS = settings(
+    max_examples=30, derandomize=True, deadline=None, database=None
+)
+
+
+@st.composite
+def p1_transitions(draw):
+    """u-free transitions with unit determinant, rank 2 or 3: monomial
+    diagonal, multi-term Laurent entries above it, rows and columns
+    permuted independently."""
+    r = draw(st.integers(2, 3))
+    # the oracle's cost grows fast with rank and span
+    span = 3 if r == 2 else 1
+    rows = [[BiLaurent.zero()] * r for _ in range(r)]
+    for i in range(r):
+        exponent = draw(st.integers(-span, span))
+        rows[i][i] = BiLaurent.term(draw(nonzero), exponent, 0)
+        for j in range(i + 1, r):
+            rows[i][j] = draw(polys(None, -span, span, 0))
+    row_order = draw(st.permutations(range(r)))
+    col_order = draw(st.permutations(range(r)))
+    return PolyMatrix([[rows[i][j] for j in col_order] for i in row_order])
+
+
+@st.composite
+def elementary_products(draw, r, exponents):
+    """Products of 1 to 3 elementary matrices I + c z^e E_ij, e drawn from
+    exponents: unimodular over Q[z] for e >= 0 and over Q[z^-1] for
+    e <= 0."""
+    product = PolyMatrix.identity(r)
+    off_diagonal = [(i, j) for i in range(r) for j in range(r) if i != j]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.sampled_from(off_diagonal))
+        rows = [list(row) for row in PolyMatrix.identity(r).entries]
+        rows[i][j] = BiLaurent.term(draw(nonzero), draw(exponents), 0)
+        product = product @ PolyMatrix(rows)
+    return product
+
+
+@P1_SETTINGS
+@given(st.data())
+def test_splitting_type_matches_profile_and_is_frame_invariant(data):
+    T = data.draw(p1_transitions())
+    split = splitting_type_p1(T)
+    assert split == splitting_type_by_profile(T)
+    assert sum(split) == -T.unit_det()[1]
+    a_u = data.draw(elementary_products(T.size, st.integers(0, 2)))
+    a_v = data.draw(elementary_products(T.size, st.integers(-2, 0)))
+    assert splitting_type_p1(a_v @ T @ a_u) == split
