@@ -132,10 +132,10 @@ class SplitCertificate:
 def split_certificate(s: SurfaceSpec, e: ExtensionClass) -> SplitCertificate:
     """Split the extension bundle of e over the deformed surface s.
 
-    Solves sigma = f_U + z^-2j * (f_V in U-coords) and assembles
+    Solves sigma = f_U + z^-2j * (f_V in U-coords) exactly and assembles
     A_U = [[1, f_U], [0, 1]], A_V = [[1, -f_V], [0, 1]].  Raises
-    CertificateNotFound when no in-window coboundary expression exists
-    (never expected on a deformed surface once the window suffices)."""
+    CertificateNotFound when sigma is nontrivial, which happens only on
+    the undeformed surface."""
     j = e.j
     target = PolyMatrix.diagonal([
         BiLaurent.term(1, j, 0, U_CHART),
@@ -147,7 +147,7 @@ def split_certificate(s: SurfaceSpec, e: ExtensionClass) -> SplitCertificate:
         cert = triviality_certificate(e.sigma, s, 2 * j)
     except NotTrivial as exc:
         raise CertificateNotFound(
-            f"class {e.sigma} is not an in-window coboundary on {s}"
+            f"class {e.sigma} is not a coboundary on {s}"
         ) from exc
     a_u = PolyMatrix([[one, cert.f_U.with_tag(U_CHART)], [nil, one]])
     f_v_neg = (-cert.f_V).with_tag(V_CHART)

@@ -26,10 +26,10 @@ consecutive enlargements, and gives up with StepCapExceeded after 8
 enlargements.
 
 All linear algebra runs on the sparse ReducedEchelon: ranks and normal forms
-on the complex's own echelon, H^0 sections through linalg.nullspace, and
-both solves of a triviality certificate (over the untruncated images, then
-over the window columns) through one solve, _solve_in_span, which
-eliminates the columns augmented by unit tag coordinates.
+on the complex's own echelon, H^0 sections through linalg.nullspace, and the
+relation solve of a triviality certificate, which uses no window, through
+_solve_in_span, which eliminates the columns augmented by unit tag
+coordinates.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ class CohomologyResult:
 @dataclass(frozen=True)
 class TrivialityCertificate:
     """Explicit coboundary data: sigma = f_U + T^-1 * (f_V in U-coords)
-    + residual, with the residual supported outside the window (empty when
-    the certificate is exact)."""
+    + residual.  triviality_certificate solves exactly, so the residual is
+    always zero; residual, exact and window stay for the output schema."""
 
     f_U: BiLaurent
     f_V: BiLaurent
@@ -174,8 +174,7 @@ class CechComplex:
     monomials whose image meets the window, restricted to the negative-z
     window monomials.  The image of a V monomial xi^a v^b is z^-a times the
     image of v^b, so each column is written by shifting exponents of one
-    product per (b, slot); the complex keeps those products, and image(key)
-    returns a column's untruncated image as the same shift.
+    product per (b, slot).
     """
 
     def __init__(self, s: SurfaceSpec, transition: PolyMatrix, window: Window):
@@ -190,8 +189,6 @@ class CechComplex:
         self._neg_size = -window.min_z * (window.max_u + 1)
 
         self.columns: List[Tuple[tuple, SparseVec]] = []
-        # Untruncated image of v^beta e_slot, by (beta, slot).
-        self._bases: Dict[Tuple[int, int], VectorCocycle] = {}
         self.truncated_terms = 0
         self._echelon = ReducedEchelon()
         self._assemble()
@@ -232,7 +229,6 @@ class CechComplex:
                     -(self.conv.entries[i][slot].with_tag(None) * rho)
                     for i in range(self.rank)
                 )
-                self._bases[beta, slot] = base
                 n_terms = sum(len(comp.items()) for comp in base)
                 # (z, index of the term shifted by alpha = 0, coeff), z-sorted;
                 # shifting by z^-alpha moves an index down by alpha * width.
@@ -265,15 +261,6 @@ class CechComplex:
             raise WindowTooSmall(
                 f"no V-holomorphic generator meets window {self.window}"
             )
-
-    def image(self, key: tuple) -> VectorCocycle:
-        """Untruncated image of the generator xi^alpha v^beta e_slot behind
-        the column key ("V", slot, alpha, beta)."""
-        _, slot, alpha, beta = key
-        return tuple(
-            BiLaurent({(m.z_exp - alpha, m.u_exp): c for m, c in comp.items()})
-            for comp in self._bases[beta, slot]
-        )
 
     # -- results -----------------------------------------------------------
 
@@ -440,71 +427,91 @@ def normal_form(
 
 
 def triviality_certificate(
-    sigma: BiLaurent,
-    s: SurfaceSpec,
-    n: int,
-    window: Optional[Window] = None,
+    sigma: BiLaurent, s: SurfaceSpec, n: int
 ) -> TrivialityCertificate:
-    """Explicit f_U, f_V with sigma = f_U + z^-n * (f_V in U-coords) up to a
-    window-external residual, for the line bundle O(-n).
+    """Explicit f_U, f_V with sigma = f_U + z^-n * (f_V in U-coords) exactly,
+    for the line bundle O(-n).
 
-    Raises NotTrivial when the in-window normal form of sigma is nonzero.
-    The exact (residual-free) solve is attempted first: it searches for a
-    V-holomorphic f_V whose conversion cancels every negative-z term of
-    sigma identically, which succeeds whenever a polynomial certificate
-    exists within the generator caps.
+    The image g(a, b) = z^(-n-a) v^b of xi^a v^b, v = z^k u + tau, has the
+    monic top u-degree term z^(kb-n-a) u^b.  Dividing sigma by these images
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2) leaves a
+    remainder R on the normal-form monomials z^l u^i, ki - n < l < 0
+    (Gasparim, Comm. Algebra 25, 1997).  On tau = 0, R is the normal form
+    and NotTrivial is raised when R != 0.  On tau != 0, R is solved over the
+    remainders of the U-holomorphic z^(kb-n-a) u^b, 0 <= a <= kb - n, for
+    levels b = 1, 2, ... up to the first that suffices, at most n - 1.
+    Proof of the cap: let d be tau's lowest degree, weigh z by 1 and u by
+    -(k - d), and put w = z^(k-d) u.  Then v = z^d (w + t_d) + (higher
+    weight), and the division never lowers weight.  At weight e in
+    [-n+1, -1] the non-U-holomorphic normal-form monomials are z^e w^q,
+    q < q0 = ceil(-e / (k - d)), and the leading parts (w + t_d)^b of the
+    images of weight e, b0 = ceil((e + n) / d) <= b < b0 + q0, are a basis
+    of Q[w]/(w^q0), as w + t_d is a unit there.  Inducting from e = -1 down
+    to e = -n + 1 gives b <= max_e (b0 + q0 - 1) <= (e + n) - e - 1 = n - 1.
     """
-    if window is None:
-        window = default_window(s, n).hull([sigma])
-    complex_ = CechComplex(s, line_transition(-n), window)
-    nf = complex_.normal_form(sigma)
-    if not nf.is_zero:
-        raise NotTrivial(f"class of {sigma} is nonzero in window {window}")
-
-    # Exact attempt: solve over full (untruncated) V-images projected to the
-    # negative-z coordinates; any solution yields residual 0 since the
-    # remainder sigma - z^-n * rewrite(f_V) is then U-holomorphic.
-    images = (
-        (key, _negative_z_part(complex_.image(key)[0]))
-        for key in sorted(key for key, _ in complex_.columns)
-    )
-    coeffs = _solve_in_span(images, _negative_z_part(sigma))
-    exact = coeffs is not None
-    if not exact:
-        # Windowed fallback: solve the truncated system; the residual
-        # collects the truncated (window-external) terms.  The normal form
-        # is zero, so the encoded sigma lies in the columns' span.
-        coeffs = _solve_in_span(complex_.columns, complex_.encode(sigma))
-    f_V = BiLaurent.zero()
-    for (_, _, alpha, beta), x in coeffs.items():
-        # Columns carry -W*rewrite, so f_V picks up a sign flip.
-        f_V = f_V + BiLaurent.term(-x, alpha, beta)
-    f_V = f_V.with_tag(V_CHART)
+    if sigma.tag == V_CHART:
+        raise SupportOutsideWindow("cocycles must be given in U-coordinates")
+    powers = [BiLaurent.const(1), s.v_glue().with_tag(None)]
+    negative = [(m, c) for m, c in sigma.items() if m.z_exp < 0]
+    quotient, remainder = _divide(negative, s.k, n, powers)
+    if remainder and not s.is_deformed:
+        normal = BiLaurent(remainder, U_CHART)
+        raise NotTrivial(f"class of {sigma} has the normal form {normal} != 0")
+    terms = list(quotient.items())
+    if remainder:
+        # _solve_in_span skips dependent relations, so they never enter it.
+        span, relations, quotients = ReducedEchelon(), [], {}
+        for b in range(1, n):
+            for a in range(s.k * b - n + 1):
+                top = [((s.k * b - n - a, b), Q(1))]
+                quotients[a, b], vec = _divide(top, s.k, n, powers)
+                if span.add(vec):
+                    relations.append(((a, b), vec))
+            if not span.reduce(remainder):
+                break
+        else:
+            raise AssertionError(f"relations up to level {n - 1} miss {sigma}")
+        for key, x in _solve_in_span(relations, remainder).items():
+            terms += [(m, -x * c) for m, c in quotients[key].items()]
+    f_V = BiLaurent(terms, V_CHART)
     factor = BiLaurent.term(1, -n, 0)
-    remainder = sigma.with_tag(U_CHART) - factor * _rewrite_to_U(f_V, s)
-    if exact:
-        if not remainder.is_zero and remainder.min_z_exp() < 0:
-            raise AssertionError(
-                "exact certificate produced a non-holomorphic f_U"
-            )
-        return TrivialityCertificate(
-            remainder, f_V, BiLaurent.zero(), window
-        )
-    # The solve matched sigma on the negative-z window monomials; f_U is
-    # the remainder's in-window nonnegative-z part, the residual the rest.
-    f_U = BiLaurent(
-        {
-            m: c
-            for m, c in remainder.items()
-            if m.z_exp >= 0 and window.contains(m)
-        },
-        U_CHART,
-    )
-    return TrivialityCertificate(f_U, f_V, remainder - f_U, window)
+    f_U = sigma.with_tag(U_CHART) - factor * to_U_coords(f_V, s)
+    if not f_U.is_zero and f_U.min_z_exp() < 0:
+        raise AssertionError("exact certificate produced a non-holomorphic f_U")
+    window = default_window(s, n).hull([sigma])
+    return TrivialityCertificate(f_U, f_V, BiLaurent.zero(), window)
 
 
-def _negative_z_part(p: BiLaurent) -> Dict[Monomial, Q]:
-    return {m: c for m, c in p.items() if m.z_exp < 0}
+def _divide(
+    terms: Iterable, k: int, n: int, powers: List[BiLaurent]
+) -> Tuple[Dict[Tuple[int, int], Q], Dict[Tuple[int, int], Q]]:
+    """Divide the terms ((l, i), c) by the images g(a, b) = z^(-n-a) v^b by
+    descending u-degree, dropping the nonnegative-z terms that arise and
+    extending powers (v^0, v^1, ...) as needed; cancelled terms stay in
+    work at 0 until popped.  Returns the quotient {(a, b): c} and the
+    remainder {(l, i): c}, which lies on the normal-form monomials
+    ki - n < l < 0 when every term that is not divided has l < 0.
+    """
+    work = dict(terms)
+    quotient, remainder = {}, {}
+    while work:
+        i = max(i for _, i in work)
+        while len(powers) <= i:
+            powers.append(powers[-1] * powers[1])
+        for l in [l for l, j in work if j == i]:
+            c = work.pop((l, i))
+            a = k * i - n - l
+            if not c:
+                continue
+            if a < 0:
+                remainder[l, i] = c
+                continue
+            quotient[a, i] = c
+            for (l2, j), x in powers[i].items():
+                l2 -= n + a
+                if l2 < 0 and j < i:
+                    work[l2, j] = work.get((l2, j), 0) - c * x
+    return quotient, remainder
 
 
 def _solve_in_span(
@@ -532,10 +539,6 @@ def _solve_in_span(
     if any(tag == 0 for tag, _ in residual):
         return None
     return {keys[i]: -x for (_, i), x in residual.items()}
-
-
-def _rewrite_to_U(p: BiLaurent, s: SurfaceSpec) -> BiLaurent:
-    return to_U_coords(p, s).with_tag(None)
 
 
 def h0_basis(

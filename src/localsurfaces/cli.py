@@ -10,9 +10,9 @@ Exit codes separate mathematical negatives from usage problems:
 
 Stdout is deterministic: canonical JSON key order and canonical polynomial
 printing, so identical invocations are byte-identical.  The window flags
---min-z/--max-z/--max-u exist only on h1, h0, normal-form and
-certify-trivial; h1 grows its window by a fixed policy (see cech), so
-nothing in the environment changes a result.
+--min-z/--max-z/--max-u exist only on h1, h0 and normal-form; h1 grows its
+window by a fixed policy (see cech), and certify-trivial solves exactly with
+no window, so nothing in the environment changes a result.
 """
 
 from __future__ import annotations
@@ -237,10 +237,7 @@ def _cmd_normal_form(args) -> int:
 
 def _cmd_certify_trivial(args) -> int:
     s = _surface_from_args(args)
-    window = _window_from_args(
-        args, default_window(s, args.n).hull([args.sigma])
-    )
-    cert = triviality_certificate(args.sigma, s, args.n, window)
+    cert = triviality_certificate(args.sigma, s, args.n)
     _emit({
         "sigma": str(args.sigma),
         "f_U": str(cert.f_U),
@@ -530,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma", type=_poly, required=True)
     _add_tau_flags(p)
-    _add_window_flags(p)
     p.set_defaults(handler=_cmd_certify_trivial)
 
     p = sub.add_parser("tangent", help="H^1 of the tangent bundle of Z_k")

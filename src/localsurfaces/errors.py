@@ -61,8 +61,7 @@ class VerificationFailed(LocalSurfacesError):
 
 
 class CertificateNotFound(LocalSurfacesError):
-    """No in-window splitting certificate exists (window too small, or the
-    class is genuinely nontrivial)."""
+    """No splitting certificate exists: the class is nontrivial."""
 
 
 class NotApplicable(LocalSurfacesError):

@@ -129,15 +129,10 @@ def test_window_too_small():
 
 def test_window_without_negative_z_is_not_too_small():
     # With min_z = 0 no V column has a negative-z coordinate, but V images
-    # still meet the window, so the complex exists (H^1 is 0 there) and a
-    # cocycle reaching below the window is reported as such.
+    # still meet the window, so the complex exists (H^1 is 0 there).
     s = surface(1)
     window = Window(0, 2, 4)
     assert CechComplex(s, line_transition(0), window).dimension == 0
-    with pytest.raises(SupportOutsideWindow):
-        triviality_certificate(
-            P("-2*z^-3 + 3*u^3 - z^2*u^2"), s, 0, window
-        )
 
 
 # -- normal form -----------------------------------------------------------------
@@ -242,7 +237,7 @@ def test_certificate_soundness_random_trivial_classes():
                 for _ in range(rng.randint(1, 3))
             }
             sigma = BiLaurent(terms, U_CHART)
-            cert = triviality_certificate(sigma, s, n, window)
+            cert = triviality_certificate(sigma, s, n)
             recombined = cert.f_U + factor * to_U_coords(cert.f_V, s)
             assert sigma - recombined == cert.residual
             assert all(
@@ -257,10 +252,43 @@ def test_certificate_soundness_random_trivial_classes():
 def test_certificate_exactness_on_undeformed_coboundary():
     # z^-5 on Z_2 for O(-4): exact certificate via f_V = xi
     s = surface(2)
-    window = default_window(s, 4).hull([P("z^-5")])
-    cert = triviality_certificate(P("z^-5"), s, 4, window)
+    cert = triviality_certificate(P("z^-5"), s, 4)
     assert cert.exact
     assert P("z^-5") == cert.f_U + P("z^-4") * to_U_coords(cert.f_V, s)
+
+
+def test_certificate_rejects_v_chart_cocycle():
+    with pytest.raises(SupportOutsideWindow):
+        triviality_certificate(P("xi^2*v"), surface(2, [1]), 2)
+
+
+def test_certificate_reaches_every_normal_form_within_the_proved_cap():
+    # The relation levels b <= n - 1 span every class; with t_1 != 0 the
+    # last level is needed, so a cap of n - 2 fails here.  Every tau is
+    # t_d z^d with d its lowest degree, alone or with rational terms of
+    # higher degree, and sigma combines every normal-form monomial.
+    rng = random.Random(47)
+    for k in range(2, 6):
+        for d in range(1, k):
+            for multi in (False, True):
+                tau = [Q(0)] * (k - 1)
+                tau[d - 1] = Q(rng.choice([1, -2, 3]), rng.choice([1, 2]))
+                for degree in range(d + 1, k if multi else d):
+                    tau[degree - 1] = Q(rng.randint(-3, 3), rng.randint(1, 3))
+                s = surface(k, tau)
+                for n in range(2, 13):
+                    sigma = BiLaurent({
+                        (l, i): Q(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+                        for i in range((n - 2) // k + 1)
+                        for l in range(i * k - n + 1, 0)
+                    }, U_CHART)
+                    assert len(sigma.support) == h1_dimension_formula(k, n)
+                    cert = triviality_certificate(sigma, s, n)
+                    assert cert.exact
+                    assert cert.f_U.is_zero or cert.f_U.min_z_exp() >= 0
+                    assert cert.f_V.is_zero or cert.f_V.min_z_exp() >= 0
+                    twist = BiLaurent.term(1, -n, 0)
+                    assert sigma == cert.f_U + twist * to_U_coords(cert.f_V, s)
 
 
 # -- h0 ------------------------------------------------------------------------

@@ -209,6 +209,12 @@ USAGE_ERRORS = [
     ["charge", "--k", "2", "--j", "2", "--sigma", "z^-1", "--min-z", "-1"],
     ["certify-split", "--k", "2", "--j", "1", "--tau", "1", "--sigma", "z^-1",
      "--min-z", "-1"],
+    ["certify-trivial", "--k", "2", "--n", "2", "--tau", "1", "--sigma",
+     "z^-1", "--min-z", "-12"],
+    ["certify-trivial", "--k", "2", "--n", "2", "--tau", "1", "--sigma",
+     "z^-1", "--max-z", "12"],
+    ["certify-trivial", "--k", "2", "--n", "2", "--tau", "1", "--sigma",
+     "z^-1", "--max-u", "5"],
     ["integrate", "--k", "2", "--sigma", "xi"],
     ["charge", "--k", "2", "--j", "2", "--sigma", "v"],
     ["split-type", "--k", "2", "--j", "1", "--sigma", "v"],
@@ -301,9 +307,7 @@ def polynomial_argvs(draw):
     return argv
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(polynomial_argvs())
-def test_polynomial_flags_keep_the_exit_code_contract(argv):
+def assert_exit_code_contract(argv):
     code, out, err = run(*argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -313,6 +317,44 @@ def test_polynomial_flags_keep_the_exit_code_contract(argv):
     else:
         validate(argv[0].replace("-", "_") if code == 0 else "error",
                  json.loads(out))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(polynomial_argvs())
+def test_polynomial_flags_keep_the_exit_code_contract(argv):
+    assert_exit_code_contract(argv)
+
+
+# The certificate subcommands over twists and splitting types -3..12, zero,
+# unit and rational tau, sigmas far below any window the class would once
+# have been solved in or on the normal-form monomials, and the window flags
+# neither subcommand takes.  --k leans to 2..4, where tau has coefficients.
+CERTIFICATE_SIGMAS = (
+    "z^-40", "3*z^-40*u^3", "z^-25*u - 1/2*z^-1", "z^-3*u^2 + z^4",
+)
+certificate_taus = st.sampled_from([
+    [], ["--tau", "0"], ["--tau", "1"], ["--tau", "0,1"], ["--tau", "-3/4"],
+    ["--tau", "1/2,-1"], ["--tau", "1/2,-2/3,3/4"],
+])
+window_flags = st.sampled_from(
+    [[]] * 5 + [["--min-z", "-12"], ["--max-z", "12"], ["--max-u", "5"]]
+)
+
+
+@st.composite
+def certificate_argvs(draw):
+    command = draw(st.sampled_from(["certify-trivial", "certify-split"]))
+    argv = [command, "--k", draw(st.sampled_from("12343420"))]
+    argv += ["--n" if command == "certify-trivial" else "--j",
+             str(draw(st.integers(-3, 12)))]
+    sigma = draw(st.sampled_from(CERTIFICATE_SIGMAS) | poly_texts())
+    return argv + ["--sigma", sigma] + draw(certificate_taus) + draw(window_flags)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(certificate_argvs())
+def test_certificate_flags_keep_the_exit_code_contract(argv):
+    assert_exit_code_contract(argv)
 
 
 def test_window_too_small_is_usage_error():
@@ -339,21 +381,21 @@ def test_output_is_byte_identical():
     assert first == second
 
 
-def test_certify_trivial_windowed_fallback():
-    # The exact attempt finds no f_V within the generator caps, so the
-    # certificate comes from the windowed solve and carries a residual
-    # outside the window.
+def test_certify_trivial_former_fallback_is_exact():
+    # A windowed solve once certified this class only up to a residual
+    # -z^-8 outside the window; the division by u-degree cancels that term
+    # too, with f_V = -xi^6 (1 + xi*v)^3.
     code, out, _ = run("certify-trivial", "--k=2", "--tau=-1", "--n=2",
                        "--sigma=-z^-5*u^3 + z^2 - 2*z^3*u")
     assert code == 0
     validate("certify_trivial", json.loads(out))
     assert out == json.dumps({
-        "exact": False,
+        "exact": True,
         "f_U": "z^2 - 2*z^3*u",
-        "f_V": "-3*xi^7*v - 3*xi^8*v^2 - xi^9*v^3",
+        "f_V": "-xi^6 - 3*xi^7*v - 3*xi^8*v^2 - xi^9*v^3",
         "k": 2,
         "n": 2,
-        "residual": "-z^-8",
+        "residual": "0",
         "sigma": "-z^-5*u^3 + z^2 - 2*z^3*u",
         "window": {"max_u": 3, "max_z": 7, "min_z": -7},
     }, indent=2, sort_keys=True) + "\n"
@@ -391,8 +433,6 @@ def test_window_override_is_echoed():
             ("h1", "--k", "2", "--n", "4"),
             ("h0", "--k", "2", "--n", "4"),
             ("normal-form", "--k", "2", "--n", "4", "--sigma", "3*z^-1*u"),
-            ("certify-trivial", "--k", "2", "--n", "2", "--tau", "1",
-             "--sigma", "z^-1"),
         )
     }
     # h1 stabilizes from the override; since the value is already stable
