@@ -22,7 +22,7 @@ from localsurfaces import (
 
 P = parse_poly
 
-print("=== in-window H^1 dimensions, undeformed vs deformed ===")
+print("=== H^1 dimensions: windowed on Z_k, proved 0 on Z_k(tau) ===")
 for k, tau, label in [(2, [1], "Z_2(z)"), (3, [1, 1], "Z_3(z + z^2)")]:
     for n in (2, 4, 6):
         plain = h1_line_bundle(surface(k), n).dimension

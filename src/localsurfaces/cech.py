@@ -15,10 +15,18 @@ The infinite cochain spaces are truncated to a finite monomial window.
 Quotienting by (i) is done analytically: the nonnegative-z window monomials
 are exactly the U-holomorphic ones, so the complex keeps only the negative-z
 window monomials as coordinates, and its columns are the images (ii) of the
-V-holomorphic monomials, restricted to those coordinates.  Every computed
-dimension is therefore an in-window statement.  On the undeformed surface
-the monomial normal form makes the answer exact once the window stabilizes;
-on deformed surfaces the stabilization flag is reported alongside.
+V-holomorphic monomials, restricted to those coordinates.  A dimension the
+complex computes is therefore an in-window statement.  On the undeformed
+surface the monomial normal form makes the answer exact once the window
+stabilizes; for other bundles on deformed surfaces the stabilization flag
+is reported alongside.
+
+Line bundles O(-n) need no window for H^1 on a deformed surface, nor for
+a triviality certificate: dividing by the monic u-degree tops of the
+V-images leaves a remainder on the finitely many normal-form monomials, and
+the remainders of the relations of levels b <= n - 1 span all of them (the
+cap is proved in triviality_certificate's docstring).  h1_line_bundle
+counts their rank up to the closed-form number, which proves H^1 = 0.
 
 Window growth is fixed: H^1 enlarges its window by (3, 1) (three z steps on
 each side, one u step) until the dimension is unchanged across two
@@ -26,17 +34,19 @@ consecutive enlargements, and gives up with StepCapExceeded after 8
 enlargements.
 
 All linear algebra runs on the sparse ReducedEchelon: ranks and normal forms
-on the complex's own echelon, H^0 sections through linalg.nullspace, and the
-relation solve of a triviality certificate, which uses no window, through
-_solve_in_span, which eliminates the columns augmented by unit tag
-coordinates.
+on the complex's own echelon, H^0 sections through linalg.nullspace, the
+relation rank of deformed line-bundle H^1 on one echelon, and the relation
+solve of a triviality certificate through _solve_in_span, which eliminates
+the columns augmented by unit tag coordinates.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+)
 
 from .errors import (
     NotTrivial,
@@ -409,11 +419,43 @@ def h1(
 def h1_line_bundle(
     s: SurfaceSpec, n: int, window: Optional[Window] = None
 ) -> CohomologyResult:
-    """H^1(Z_k(tau), O(-n)); n is the positive twist, so n = 4 means O(-4)."""
+    """H^1(Z_k(tau), O(-n)); n is the positive twist, so n = 4 means O(-4).
+
+    On tau = 0 the window grows until the dimension settles (see h1); the
+    result is the closed form with the normal-form monomial basis.  On
+    tau != 0 no window is used: every class divides by u-degree to a
+    remainder on the h1_dimension_formula(k, n) normal-form monomials, and
+    the relations of levels b <= n - 1 span all of them, by the cap proved
+    in triviality_certificate.  Their rank is counted level by level until
+    it reaches that number, which proves H^1 = 0; the result echoes the
+    given (or default) window with stabilized=True.  Falling short at level
+    n - 1 raises AssertionError: a positive dimension is never reported on a
+    deformed surface.
+    """
     if window is None:
         window = default_window(s, n)
     m_row = (n - 2) // s.k if n >= 2 else None
-    return replace(h1(s, line_transition(-n), window), m_row=m_row)
+    if not s.is_deformed:
+        return replace(h1(s, line_transition(-n), window), m_row=m_row)
+    count = h1_dimension_formula(s.k, n)
+    powers = [BiLaurent.const(1), s.v_glue().with_tag(None)]
+    span = ReducedEchelon()
+    if count and not any(
+        span.add(vec) and span.rank == count
+        for level in _relation_levels(s, n, powers)
+        for _, _, vec in level
+    ):
+        raise AssertionError(
+            f"relations up to level {n - 1} do not span H^1(O(-{n})) on {s}"
+        )
+    return CohomologyResult(
+        dimension=0,
+        basis=(),
+        m_row=m_row,
+        window=window,
+        stabilized=True,
+        rank=1,
+    )
 
 
 def normal_form(
@@ -461,12 +503,11 @@ def triviality_certificate(
     if remainder:
         # _solve_in_span skips dependent relations, so they never enter it.
         span, relations, quotients = ReducedEchelon(), [], {}
-        for b in range(1, n):
-            for a in range(s.k * b - n + 1):
-                top = [((s.k * b - n - a, b), Q(1))]
-                quotients[a, b], vec = _divide(top, s.k, n, powers)
+        for level in _relation_levels(s, n, powers):
+            for key, relation_quotient, vec in level:
                 if span.add(vec):
-                    relations.append(((a, b), vec))
+                    relations.append((key, vec))
+                    quotients[key] = relation_quotient
             if not span.reduce(remainder):
                 break
         else:
@@ -480,6 +521,24 @@ def triviality_certificate(
         raise AssertionError("exact certificate produced a non-holomorphic f_U")
     window = default_window(s, n).hull([sigma])
     return TrivialityCertificate(f_U, f_V, BiLaurent.zero(), window)
+
+
+def _relation_levels(
+    s: SurfaceSpec, n: int, powers: List[BiLaurent]
+) -> Iterator[Iterator[Tuple[Tuple[int, int], Dict, Dict]]]:
+    """The relations of O(-n) on Z_k(tau), one lazy level per b = 1 .. n - 1.
+
+    The relation (a, b), 0 <= a <= kb - n, is the division of the
+    U-holomorphic top z^(kb-n-a) u^b by _divide: a coboundary whose
+    remainder lies on the normal-form monomials.  Level b yields
+    ((a, b), quotient, remainder) in increasing a, dividing each top only
+    when it is reached, so a caller may stop inside a level.
+    """
+    for b in range(1, n):
+        yield (
+            ((a, b), *_divide([((s.k * b - n - a, b), Q(1))], s.k, n, powers))
+            for a in range(s.k * b - n + 1)
+        )
 
 
 def _divide(

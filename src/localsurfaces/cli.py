@@ -11,8 +11,9 @@ Exit codes separate mathematical negatives from usage problems:
 Stdout is deterministic: canonical JSON key order and canonical polynomial
 printing, so identical invocations are byte-identical.  The window flags
 --min-z/--max-z/--max-u exist only on h1, h0 and normal-form; h1 grows its
-window by a fixed policy (see cech), and certify-trivial solves exactly with
-no window, so nothing in the environment changes a result.
+window by a fixed policy on tau = 0 and proves H^1 = 0 without one on
+tau != 0, echoing the window (see cech), and certify-trivial solves exactly
+with no window, so nothing in the environment changes a result.
 """
 
 from __future__ import annotations

@@ -80,15 +80,16 @@ def test_criterion_02_tangent_cohomology():
 
 def test_criterion_03_deformed_vanishing():
     samples = {
-        2: [P("z")],
-        3: [P("z"), P("z + z^2")],
-        4: [P("z"), P("z + z^2")],
+        2: [P("z"), P("-3/2*z")],
+        3: [P("z"), P("z + z^2"), P("-1/2*z^2"), P("1/2*z - z^2")],
+        4: [P("z"), P("z + z^2"), P("2/3*z^3"),
+            P("1/2*z - 2/3*z^2 + 3/4*z^3")],
     }
     for k, taus in samples.items():
         for tau in taus:
             coeffs = [tau.coefficient(i, 0) for i in range(1, k)]
             s = surface(k, coeffs)
-            for n in range(2, 9):
+            for n in range(2, 17):
                 result = h1_line_bundle(s, n)
                 assert result.dimension == 0, (k, str(tau), n)
                 assert result.stabilized

@@ -1,5 +1,6 @@
 """Truncated Cech cohomology: dimensions, normal forms, certificates."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ import pytest
 
 from cech_oracle import coboundary_matrix
 from dense_oracle import rref_rank
+from localsurfaces import cech
 from localsurfaces.cech import (
     CechComplex,
     Window,
@@ -262,12 +264,9 @@ def test_certificate_rejects_v_chart_cocycle():
         triviality_certificate(P("xi^2*v"), surface(2, [1]), 2)
 
 
-def test_certificate_reaches_every_normal_form_within_the_proved_cap():
-    # The relation levels b <= n - 1 span every class; with t_1 != 0 the
-    # last level is needed, so a cap of n - 2 fails here.  Every tau is
-    # t_d z^d with d its lowest degree, alone or with rational terms of
-    # higher degree, and sigma combines every normal-form monomial.
-    rng = random.Random(47)
+def cap_surfaces(rng):
+    """(d, Z_k(tau)) for k = 2..5 and every lowest degree d of tau: tau is
+    t_d z^d alone or with rational terms of every higher degree."""
     for k in range(2, 6):
         for d in range(1, k):
             for multi in (False, True):
@@ -275,20 +274,65 @@ def test_certificate_reaches_every_normal_form_within_the_proved_cap():
                 tau[d - 1] = Q(rng.choice([1, -2, 3]), rng.choice([1, 2]))
                 for degree in range(d + 1, k if multi else d):
                     tau[degree - 1] = Q(rng.randint(-3, 3), rng.randint(1, 3))
-                s = surface(k, tau)
-                for n in range(2, 13):
-                    sigma = BiLaurent({
-                        (l, i): Q(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
-                        for i in range((n - 2) // k + 1)
-                        for l in range(i * k - n + 1, 0)
-                    }, U_CHART)
-                    assert len(sigma.support) == h1_dimension_formula(k, n)
-                    cert = triviality_certificate(sigma, s, n)
-                    assert cert.exact
-                    assert cert.f_U.is_zero or cert.f_U.min_z_exp() >= 0
-                    assert cert.f_V.is_zero or cert.f_V.min_z_exp() >= 0
-                    twist = BiLaurent.term(1, -n, 0)
-                    assert sigma == cert.f_U + twist * to_U_coords(cert.f_V, s)
+                yield d, surface(k, tau)
+
+
+def test_certificate_reaches_every_normal_form_within_the_proved_cap():
+    # The relation levels b <= n - 1 span every class; with tau = t_1 z the
+    # last level is needed, so a cap of n - 2 fails here.  sigma combines
+    # every normal-form monomial.
+    rng = random.Random(47)
+    for _, s in cap_surfaces(rng):
+        k = s.k
+        for n in range(2, 13):
+            sigma = BiLaurent({
+                (l, i): Q(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+                for i in range((n - 2) // k + 1)
+                for l in range(i * k - n + 1, 0)
+            }, U_CHART)
+            assert len(sigma.support) == h1_dimension_formula(k, n)
+            cert = triviality_certificate(sigma, s, n)
+            assert cert.exact
+            assert cert.f_U.is_zero or cert.f_U.min_z_exp() >= 0
+            assert cert.f_V.is_zero or cert.f_V.min_z_exp() >= 0
+            twist = BiLaurent.term(1, -n, 0)
+            assert sigma == cert.f_U + twist * to_U_coords(cert.f_V, s)
+
+
+def test_h1_relation_rank_reaches_the_count_within_the_proved_cap(monkeypatch):
+    # h1_line_bundle proves H^1 = 0 inside the first relation level at
+    # which the rank reaches the closed-form count: a level b <= n - 1, and
+    # b = n - 1 when tau = t_1 z (with higher terms it can come sooner:
+    # Z_4(z + z^2) needs only level ceil((n - 1) / 2)).  With the cap
+    # lowered to n - 2, tau = t_1 z raises AssertionError instead of
+    # reporting a dimension.
+    real = cech._relation_levels
+    started = []
+
+    def counted(s, n, powers):
+        for b, level in enumerate(real(s, n, powers), start=1):
+            started.append(b)
+            yield level
+
+    monkeypatch.setattr(cech, "_relation_levels", counted)
+    linear = []
+    for d, s in cap_surfaces(random.Random(48)):
+        if d == 1 and not any(s.tau[1:]):
+            linear.append(s)
+        for n in range(2, 13):
+            started.clear()
+            result = h1_line_bundle(s, n)
+            assert (result.dimension, result.basis) == (0, ())
+            assert started[-1] == n - 1 if s in linear else started[-1] < n
+
+    def lowered(s, n, powers):
+        return itertools.islice(real(s, n, powers), n - 2)
+
+    monkeypatch.setattr(cech, "_relation_levels", lowered)
+    for s in linear:
+        for n in range(2, 13):
+            with pytest.raises(AssertionError, match=f"level {n - 1}"):
+                h1_line_bundle(s, n)
 
 
 # -- h0 ------------------------------------------------------------------------

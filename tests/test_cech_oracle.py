@@ -1,4 +1,5 @@
-"""CechComplex against the full-window reference assembly in cech_oracle."""
+"""CechComplex against the full-window reference assembly in cech_oracle, and
+the windowless line-bundle H^1 against the windowed computation."""
 
 import random
 from fractions import Fraction as Q
@@ -12,6 +13,9 @@ from localsurfaces.cech import (
     Window,
     default_window,
     default_window_for_transition,
+    h1,
+    h1_dimension_formula,
+    h1_line_bundle,
 )
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, parse_poly
 from localsurfaces.surface import line_transition, surface, tangent_transition
@@ -97,3 +101,37 @@ def test_tangent_transition_matches_full_assembly(k):
     transition = tangent_transition(s)
     window = default_window_for_transition(s, transition)
     assert_matches_full_assembly(s, transition, window, random.Random(k))
+
+
+ORACLE_TAUS = {
+    "zero": lambda rng, k: [Q(0)] * (k - 1),
+    "unit": lambda rng, k: [
+        Q(d) for d in rng.sample([rng.choice([1, -1])] + [0] * (k - 2), k - 1)
+    ],
+    "rational": lambda rng, k: [
+        Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([2, 3, 4]))
+        for _ in range(k - 1)
+    ],
+}
+
+
+def test_line_bundle_h1_matches_windowed_stabilization():
+    # The windowed stabilization from the default window, which
+    # h1_line_bundle keeps for tau = 0, against the relation-rank proof it
+    # uses on tau != 0.  Every k <= 6 with zero tau, one unit
+    # coefficient in a seeded degree, and every coefficient rational, at
+    # seeded twists -1 <= n <= 16; on rational tau the windowed side costs
+    # seconds at large n, so those surfaces get one twist each.
+    rng = random.Random(16)
+    for kind, draw in ORACLE_TAUS.items():
+        for k in range(1 if kind == "zero" else 2, 7):
+            s = surface(k, draw(rng, k))
+            for n in rng.sample(range(-1, 17), 1 if kind == "rational" else 3):
+                window = default_window(s, n)
+                windowed = h1(s, line_transition(-n), window)
+                proved = h1_line_bundle(s, n)
+                want = 0 if s.is_deformed else h1_dimension_formula(k, n)
+                assert windowed.dimension == proved.dimension == want, (s, n)
+                assert windowed.basis == proved.basis
+                assert windowed.window == proved.window == window
+                assert windowed.stabilized and proved.stabilized

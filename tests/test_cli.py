@@ -308,15 +308,18 @@ def polynomial_argvs(draw):
 
 
 def assert_exit_code_contract(argv):
+    """Run argv and check the exit-code contract; returns the payload of a
+    success, else None."""
     code, out, err = run(*argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
         assert out == ""
         assert any(line.startswith("usage error:") for line in err.splitlines())
-    else:
-        validate(argv[0].replace("-", "_") if code == 0 else "error",
-                 json.loads(out))
+        return None
+    document = json.loads(out)
+    validate(argv[0].replace("-", "_") if code == 0 else "error", document)
+    return document if code == 0 else None
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -355,6 +358,45 @@ def certificate_argvs(draw):
 @given(certificate_argvs())
 def test_certificate_flags_keep_the_exit_code_contract(argv):
     assert_exit_code_contract(argv)
+
+
+# h1 over twists -3..16, zero, unit and rational tau, and each window flag
+# absent or set to a tiny, a wide or an out-of-range value.  On tau != 0 the
+# answer is the proved dim 0 whatever the window, and the window is echoed.
+h1_taus = st.sampled_from([
+    [], ["--tau", "0"], ["--tau", "1"], ["--tau", "0,-1"], ["--tau", "3/4"],
+    ["--tau", "1/2,-1"], ["--tau", "1/2,-2/3,3/4"],
+])
+H1_WINDOW_VALUES = {
+    "--min-z": ("0", "-1", "-3", "-12", "1"),
+    "--max-z": ("0", "1", "12", "-1"),
+    "--max-u": ("0", "1", "5", "-1"),
+}
+
+
+@st.composite
+def h1_argvs(draw):
+    argv = ["h1", "--k", draw(st.sampled_from("12343420")),
+            "--n", str(draw(st.integers(-3, 16)))] + draw(h1_taus)
+    for flag, values in H1_WINDOW_VALUES.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(h1_argvs())
+def test_h1_flags_keep_the_exit_code_contract(argv):
+    document = assert_exit_code_contract(argv)
+    if document is None or not any(t != "0" for t in document["tau"]):
+        return
+    assert (document["dim"], document["basis"]) == (0, [])
+    assert document["stabilized"] is True
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    for flag in H1_WINDOW_VALUES:
+        if flag in flags:
+            key = flag[2:].replace("-", "_")
+            assert document["window"][key] == int(flags[flag])
 
 
 def test_window_too_small_is_usage_error():
