@@ -5,6 +5,9 @@ j is an extension with transition [[z^j, z^j sigma], [0, z^-j]].  On Z_k
 the classes sigma form nontrivial moduli; on a deformed surface every such
 bundle splits, certified here by explicit matrices, and the charge
 component h^0(R^1 pi_* E) drops to zero -- the instanton moduli empty out.
+charge_report(s, e) computes that component exactly from the extension
+sequence 0 -> O(-j) -> E -> O(j) -> 0: h^1(O(-j)) minus the rank of the
+connecting map t -> [sigma * t].
 
 Run:  python demos/05_splitting_and_charges.py
 """
@@ -12,7 +15,6 @@ Run:  python demos/05_splitting_and_charges.py
 from localsurfaces import (
     DISCRETE_ZERO_DIMENSIONAL,
     ExtensionClass,
-    PolyMatrix,
     charge_report,
     extension_parameter_count,
     extension_to_transition,
@@ -56,14 +58,18 @@ print("  every class splits: A_V * T * A_U^-1 = diag(z^2, z^-2), checked "
 
 print()
 print("=== charge bookkeeping ===")
-diag = PolyMatrix.diagonal([P("z^2"), P("z^-2")])
-plain = charge_report(surface(1), diag, 2)
+# sigma = 0 is the split bundle O(-2) + O(2), with h^1 = h^1(O(-2)) = 1
+plain = charge_report(surface(1), ExtensionClass(2, P("0")))
 print(f"  Z_1, O(-2)+O(2): r1_dim = {plain.r1_dim}, "
       f"splitting divisible by k: {plain.splitting_ok}, "
       f"skyscraper component: {plain.q_dim}")
+for sigma_text in ("0", "z^-1", "z^-1*u"):
+    rep = charge_report(surface(2), ExtensionClass(2, P(sigma_text)))
+    print(f"  Z_2, j=2, sigma={sigma_text:7s}: r1_dim = {rep.r1_dim} "
+          f"(h^1(O(-2)) = 1 minus the rank of t -> [sigma * t])")
 for sigma in h1_line_bundle(surface(2), 4).scalar_basis:
     e = ExtensionClass(2, sigma)
-    rep = charge_report(s, extension_to_transition(e), e.j)
+    rep = charge_report(s, e)
     assert rep.r1_dim == 0
 print("  on Z_2(z) every tested bundle has r1_dim = 0: no charge is left "
       "to hold an instanton")

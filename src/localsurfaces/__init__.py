@@ -2,8 +2,9 @@
 
 The library mechanizes, in exact rational arithmetic:
 
-* Cech cohomology of line and vector bundles on Z_k and its deformations,
-  with monomial normal forms and explicit triviality certificates;
+* Cech cohomology of line bundles on Z_k and its deformations, with
+  monomial normal forms and explicit triviality certificates, and of
+  rank-2 bundles through their extension sequences;
 * the deformation pipeline: tangent-bundle H^1, integrability analysis of
   candidate Jacobians, the (k-1)-parameter semiuniversal family with its
   Kodaira-Spencer map, and the embedding into the Hirzebruch-surface family;

@@ -7,6 +7,8 @@ extension of O(j) by O(-j) and is presented by the transition matrix
 undeformed Z_k such classes form nontrivial moduli; on any nontrivial
 deformation every class is a coboundary, and the explicit coboundary data
 assembles a pair of unipotent matrices splitting the bundle off the diagonal.
+The charge h^1 of such a bundle is exact: the cokernel of the connecting map
+of its extension sequence, computed on line bundles alone.
 """
 
 from __future__ import annotations
@@ -14,10 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .cech import Window, h1, triviality_certificate
+from .cech import (
+    Window,
+    default_window_for_transition,
+    h1_dimension_formula,
+    h1_line_bundle,
+    triviality_certificate,
+)
 from .errors import CertificateNotFound, NoZeroSection, NotApplicable, NotTrivial
 from .laurent import BiLaurent, Q, U_CHART, V_CHART
-from .linalg import nullspace
+from .linalg import ReducedEchelon, nullspace
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, to_U_coords
 
@@ -166,11 +174,13 @@ _UNSUPPORTED = "unsupported"
 
 @dataclass(frozen=True)
 class ChargeReport:
-    """Charge bookkeeping: r1_dim is the computed h0(R^1 pi_* E)
-    = dim H^1 of the bundle; the skyscraper component of the local
-    holomorphic Euler characteristic is never fabricated and is reported
-    as unsupported; splitting_ok records the divisibility criterion
-    j = 0 mod k for the bundle to correspond to an instanton."""
+    """Charge bookkeeping: r1_dim is h0(R^1 pi_* E) = h^1(E), computed
+    exactly from the extension sequence of E; the skyscraper component of
+    the local holomorphic Euler characteristic is never fabricated and is
+    reported as unsupported; splitting_ok records the divisibility
+    criterion j = 0 mod k for the bundle to correspond to an instanton.
+    window echoes the default window of E's transition, with
+    stabilized=True."""
 
     r1_dim: int
     q_dim: str
@@ -179,15 +189,56 @@ class ChargeReport:
     stabilized: bool
 
 
-def charge_report(s: SurfaceSpec, T: PolyMatrix, j: int) -> ChargeReport:
-    result = h1(s, T)
+def charge_report(s: SurfaceSpec, e: ExtensionClass) -> ChargeReport:
+    """Charge of the extension bundle E of e on Z_k(tau), following the
+    charge computation of Gasparim-Koppe-Majumdar (Pure Appl. Math. Q. 4,
+    2008).
+
+    In extension_to_transition, slot 1 (z^j) spans the sub-bundle O(-j) and
+    slot 2 (z^-j) the quotient O(j): 0 -> O(-j) -> E -> O(j) -> 0.  A
+    section t of O(j) lifts to (0, t_U) on U and (0, t_V) on V; in the
+    V-frame the lifts differ by (z^j sigma t_U, 0), which is sigma * t_U in
+    the U-frame of O(-j).  So the connecting map is delta(t) = [sigma * t_U]
+    in H^1(O(-j)), and as H^1(O(j)) = 0 for j >= 0 and the cover has no
+    H^2, h^1(E) = h^1(O(-j)) - rank delta.  On tau != 0, h1_line_bundle
+    proves h^1(O(-j)) = 0; on tau = 0 see _connecting_rank.
+    """
+    if s.is_deformed:
+        r1_dim = h1_line_bundle(s, e.j).dimension
+    else:
+        r1_dim = h1_dimension_formula(s.k, e.j) - _connecting_rank(s.k, e)
     return ChargeReport(
-        r1_dim=result.dimension,
+        r1_dim=r1_dim,
         q_dim=_UNSUPPORTED,
-        splitting_ok=(j % s.k == 0),
-        window=result.window,
-        stabilized=result.stabilized,
+        splitting_ok=(e.j % s.k == 0),
+        window=default_window_for_transition(s, extension_to_transition(e)),
+        stabilized=True,
     )
+
+
+def _connecting_rank(k: int, e: ExtensionClass) -> int:
+    """Rank of delta(t) = [sigma * t] from H^0(Z_k, O(j)) to H^1(Z_k, O(-j)).
+
+    H^0(O(j)) is spanned by the z^a u^b with z^-j z^a u^b = xi^(j+kb-a) v^b
+    V-holomorphic, 0 <= a <= j + kb.  On Z_k every V-image z^(-j-a) v^b is
+    the monomial z^(kb-j-a) u^b, so the normal form of a cocycle keeps
+    exactly its terms z^l u^i with ki - j < l < 0 (the remainder of
+    cech._divide).  Only finitely many sections can have a nonzero image:
+    sigma z^a u^b is U-holomorphic once a >= -min_z(sigma), and for
+    b > m = floor((j - 2) / k) every term has ki - j >= k(m + 1) - j >= -1,
+    so no normal-form monomial.
+    """
+    j, sigma = e.j, e.sigma
+    reach = 0 if sigma.is_zero else -sigma.min_z_exp()
+    span = ReducedEchelon()
+    for b in range((j - 2) // k + 1):
+        for a in range(min(j + k * b + 1, reach)):
+            span.add({
+                (l + a, i + b): c
+                for (l, i), c in sigma.items()
+                if k * (i + b) - j < l + a < 0
+            })
+    return span.rank
 
 
 class _DiscreteZeroDimensional:

@@ -1,15 +1,14 @@
-"""Truncated Cech complex for the two-chart cover of Z_k(tau).
+"""Truncated Cech complex of line bundles on the two-chart cover of Z_k(tau).
 
 The cover has two sets, so the complex has two levels and H^i = 0 for i >= 2
-structurally; this module computes H^0 and H^1 with coefficients in any
-bundle given by a transition matrix T (orientation: s_V = T * s_U).
+structurally; this module computes H^0 and H^1 with coefficients in the line
+bundles O(-n), whose transition is z^n (orientation: s_V = z^n * s_U).
+Rank-2 bundles are not assembled here: their H^1 comes from an extension
+sequence of line bundles (bundles.charge_report, deformation.tangent_h1).
 
-A 1-cocycle is a vector of overlap functions in U-coordinates.  Its class is
-unchanged by adding: (i) any U-holomorphic vector, and (ii) any V-holomorphic
-vector converted to U-frame components, which means multiplied by T^-1 after
-rewriting the component functions to U-coordinates.  For O(-n), whose
-transition is (z^n), the V-side contributions are exactly the functions
-z^-n * f with f holomorphic on V.
+A 1-cocycle is an overlap function in U-coordinates.  Its class is
+unchanged by adding: (i) any U-holomorphic function, and (ii) z^-n * f for
+any f holomorphic on V, rewritten to U-coordinates.
 
 The infinite cochain spaces are truncated to a finite monomial window.
 Quotienting by (i) is done analytically: the nonnegative-z window monomials
@@ -18,8 +17,7 @@ window monomials as coordinates, and its columns are the images (ii) of the
 V-holomorphic monomials, restricted to those coordinates.  A dimension the
 complex computes is therefore an in-window statement.  On the undeformed
 surface the monomial normal form makes the answer exact once the window
-stabilizes; for other bundles on deformed surfaces the stabilization flag
-is reported alongside.
+stabilizes.
 
 Line bundles O(-n) need no window for H^1 on a deformed surface, nor for
 a triviality certificate: dividing by the monic u-degree tops of the
@@ -43,9 +41,9 @@ the columns augmented by unit tag coordinates.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 )
 
 from .errors import (
@@ -57,7 +55,7 @@ from .errors import (
 from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
 from .linalg import ReducedEchelon, SparseVec, nullspace
 from .polymatrix import PolyMatrix
-from .surface import SurfaceSpec, line_transition, to_U_coords, to_V_coords
+from .surface import SurfaceSpec, to_U_coords, to_V_coords
 
 # Window growth per enlargement (z steps on each side, u steps) and the
 # number of enlargements after which stabilization gives up.
@@ -123,7 +121,8 @@ def default_window(s: SurfaceSpec, n: int) -> Window:
 
 
 def default_window_for_transition(s: SurfaceSpec, transition: PolyMatrix) -> Window:
-    """Window sized from the exponent span of a transition matrix."""
+    """Window sized from the exponent span of a transition matrix; the
+    rank-2 H^1 results of charge_report and tangent_h1 echo it."""
     span_z = 0
     span_u = 0
     for row in transition.entries:
@@ -137,7 +136,6 @@ def default_window_for_transition(s: SurfaceSpec, transition: PolyMatrix) -> Win
 
 
 VectorCocycle = Tuple[BiLaurent, ...]
-CocycleLike = Union[BiLaurent, Sequence[BiLaurent]]
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ class CohomologyResult:
 
 @dataclass(frozen=True)
 class TrivialityCertificate:
-    """Explicit coboundary data: sigma = f_U + T^-1 * (f_V in U-coords)
+    """Explicit coboundary data: sigma = f_U + z^-n * (f_V in U-coords)
     + residual.  triviality_certificate solves exactly, so the residual is
     always zero; residual, exact and window stay for the output schema."""
 
@@ -175,27 +173,22 @@ class TrivialityCertificate:
 
 
 class CechComplex:
-    """Coboundary space of a bundle over a fixed window, with normal forms.
+    """Coboundary space of O(-n) over a fixed window, with normal forms.
 
     Every nonnegative-z window monomial is U-holomorphic, hence already a
     coboundary, so the complex works modulo those: its coordinates are the
-    negative-z window monomials (times rank, slot-major).  Its columns are
-    the images -T^-1 * rewrite(xi^a v^b e_slot) of the V-holomorphic vector
+    negative-z window monomials.  Its columns are the images
+    -z^-n * rewrite(xi^a v^b) = -z^(-n-a) v^b of the V-holomorphic
     monomials whose image meets the window, restricted to the negative-z
-    window monomials.  The image of a V monomial xi^a v^b is z^-a times the
-    image of v^b, so each column is written by shifting exponents of one
-    product per (b, slot).
+    window monomials, so each column is written by shifting exponents of
+    one product per b.
     """
 
-    def __init__(self, s: SurfaceSpec, transition: PolyMatrix, window: Window):
+    def __init__(self, s: SurfaceSpec, n: int, window: Window):
         self.surface = s
-        self.transition = transition
+        self.n = n
         self.window = window
-        self.rank = transition.size
-        transition.unit_det()
-        self.conv = transition.inverse()
-        self._wsize = window.size
-        # Negative-z monomials come first in each slot's local indices.
+        # Negative-z monomials come first in the local indices.
         self._neg_size = -window.min_z * (window.max_u + 1)
 
         self.columns: List[Tuple[tuple, SparseVec]] = []
@@ -205,68 +198,46 @@ class CechComplex:
 
     # -- construction ------------------------------------------------------
 
-    def _conv_spans(self) -> Tuple[int, int]:
-        n_eff = 0
-        u_gain = 0
-        for row in self.conv.entries:
-            for p in row:
-                if not p.is_zero:
-                    n_eff = max(n_eff, -p.min_z_exp())
-                    u_gain = max(u_gain, p.max_u_exp())
-        return n_eff, u_gain
-
-    def _index(self, slot: int, mono: Monomial) -> int:
-        return slot * self._wsize + self.window.local_index(mono)
-
-    def _coords(self, index: int) -> Tuple[int, Monomial]:
-        slot, local = divmod(index, self._wsize)
-        l, i = divmod(local, self.window.max_u + 1)
-        return slot, Monomial(l + self.window.min_z, i)
+    def _coords(self, index: int) -> Monomial:
+        l, i = divmod(index, self.window.max_u + 1)
+        return Monomial(l + self.window.min_z, i)
 
     def _assemble(self) -> None:
-        # V-holomorphic generators xi^alpha v^beta e_slot, mapped by
-        # -T^-1 * (U-coordinate rewrite), in (beta, slot, alpha) order.
+        # V-holomorphic generators xi^alpha v^beta, mapped to
+        # -z^-n * (U-coordinate rewrite), in (beta, alpha) order.
         w = self.window
         width = w.max_u + 1
-        n_eff, u_gain = self._conv_spans()
         v_glue = self.surface.v_glue().with_tag(None)
+        twist = BiLaurent.term(-1, -self.n, 0)
         rho = BiLaurent.const(1)
-        for beta in range(w.max_u + n_eff + u_gain + 3):
+        for beta in range(w.max_u + max(0, self.n) + 3):
             if beta:
                 rho = rho * v_glue
-            for slot in range(self.rank):
-                base = tuple(
-                    -(self.conv.entries[i][slot].with_tag(None) * rho)
-                    for i in range(self.rank)
-                )
-                n_terms = sum(len(comp.items()) for comp in base)
-                # (z, index of the term shifted by alpha = 0, coeff), z-sorted;
-                # shifting by z^-alpha moves an index down by alpha * width.
-                terms = sorted(
-                    (m.z_exp, self._index(i, m), c)
-                    for i, comp in enumerate(base)
-                    for m, c in comp.items()
-                    if m.u_exp <= w.max_u
-                )
-                if not terms:
+            base = twist * rho
+            n_terms = len(base.items())
+            # (z, index of the term shifted by alpha = 0, coeff), z-sorted;
+            # shifting by z^-alpha moves an index down by alpha * width.
+            terms = sorted(
+                (m.z_exp, w.local_index(m), c)
+                for m, c in base.items()
+                if m.u_exp <= w.max_u
+            )
+            if not terms:
+                continue
+            zs = [z for z, _, _ in terms]
+            alpha_lo = max(0, zs[0] - w.max_z)
+            alpha_hi = zs[-1] - w.min_z
+            for alpha in range(alpha_lo, alpha_hi + 1):
+                first = bisect_left(zs, alpha + w.min_z)
+                nonneg = bisect_left(zs, alpha, first)
+                last = bisect_right(zs, alpha + w.max_z, nonneg)
+                self.truncated_terms += n_terms - (last - first)
+                if first == last:
                     continue
-                zs = [z for z, _, _ in terms]
-                alpha_lo = max(0, zs[0] - w.max_z)
-                alpha_hi = zs[-1] - w.min_z
-                for alpha in range(alpha_lo, alpha_hi + 1):
-                    first = bisect_left(zs, alpha + w.min_z)
-                    nonneg = bisect_left(zs, alpha, first)
-                    last = bisect_right(zs, alpha + w.max_z, nonneg)
-                    self.truncated_terms += n_terms - (last - first)
-                    if first == last:
-                        continue
-                    shift = alpha * width
-                    vec = {
-                        index - shift: c for _, index, c in terms[first:nonneg]
-                    }
-                    key = ("V", slot, alpha, beta)
-                    self.columns.append((key, vec))
-                    self._echelon.add(vec)
+                shift = alpha * width
+                vec = {index - shift: c for _, index, c in terms[first:nonneg]}
+                self.columns.append((("V", alpha, beta), vec))
+                self._echelon.add(vec)
         if not self.columns:
             raise WindowTooSmall(
                 f"no V-holomorphic generator meets window {self.window}"
@@ -276,71 +247,45 @@ class CechComplex:
 
     @property
     def dimension(self) -> int:
-        return self.rank * self._neg_size - self._echelon.rank
+        return self._neg_size - self._echelon.rank
 
-    def non_pivot_indices(self) -> List[int]:
+    def basis(self) -> Tuple[BiLaurent, ...]:
+        """The non-pivot negative-z monomials, in index order."""
         pivot = self._echelon.pivots.keys()
-        negative = (
-            slot * self._wsize + local
-            for slot in range(self.rank)
-            for local in range(self._neg_size)
+        return tuple(
+            BiLaurent({self._coords(index): Q(1)}, U_CHART)
+            for index in range(self._neg_size)
+            if index not in pivot
         )
-        return [i for i in negative if i not in pivot]
-
-    def basis(self) -> Tuple[VectorCocycle, ...]:
-        out = []
-        for index in self.non_pivot_indices():
-            slot, mono = self._coords(index)
-            vec = [BiLaurent.zero(U_CHART)] * self.rank
-            vec[slot] = BiLaurent.term(1, mono.z_exp, mono.u_exp, U_CHART)
-            out.append(tuple(vec))
-        return tuple(out)
 
     # -- cocycle reduction ---------------------------------------------------
 
-    def _as_vector(self, sigma: CocycleLike) -> VectorCocycle:
-        if isinstance(sigma, BiLaurent):
-            vec: Tuple[BiLaurent, ...] = (sigma,)
-        else:
-            vec = tuple(sigma)
-        if len(vec) != self.rank:
-            raise ValueError(f"cocycle must have {self.rank} components")
-        for comp in vec:
-            if comp.tag == V_CHART:
-                raise SupportOutsideWindow(
-                    "cocycles must be given in U-coordinates"
-                )
-        return vec
-
-    def encode(self, sigma: CocycleLike) -> Dict[int, Q]:
+    def encode(self, sigma: BiLaurent) -> Dict[int, Q]:
         """Coordinates of an in-window cocycle; its nonnegative-z terms are
         U-holomorphic and drop out."""
-        vec = self._as_vector(sigma)
+        if sigma.tag == V_CHART:
+            raise SupportOutsideWindow("cocycles must be given in U-coordinates")
         out: Dict[int, Q] = {}
-        for slot, poly in enumerate(vec):
-            for mono, coeff in poly.items():
-                if not self.window.contains(mono):
-                    raise SupportOutsideWindow(
-                        f"monomial z^{mono.z_exp} u^{mono.u_exp} outside "
-                        f"window {self.window}"
-                    )
-                if mono.z_exp < 0:
-                    out[self._index(slot, mono)] = coeff
+        for mono, coeff in sigma.items():
+            if not self.window.contains(mono):
+                raise SupportOutsideWindow(
+                    f"monomial z^{mono.z_exp} u^{mono.u_exp} outside "
+                    f"window {self.window}"
+                )
+            if mono.z_exp < 0:
+                out[self.window.local_index(mono)] = coeff
         return out
 
-    def decode(self, vec: Dict[int, Q]) -> VectorCocycle:
-        polys = [dict() for _ in range(self.rank)]
-        for index, coeff in vec.items():
-            slot, mono = self._coords(index)
-            polys[slot][mono] = coeff
-        return tuple(BiLaurent(p, U_CHART) for p in polys)
+    def decode(self, vec: Dict[int, Q]) -> BiLaurent:
+        return BiLaurent(
+            {self._coords(index): coeff for index, coeff in vec.items()},
+            U_CHART,
+        )
 
-    def normal_form(self, sigma: CocycleLike) -> CocycleLike:
+    def normal_form(self, sigma: BiLaurent) -> BiLaurent:
         """Unique window representative of [sigma] supported on the
         non-pivot basis monomials."""
-        scalar = isinstance(sigma, BiLaurent)
-        decoded = self.decode(self._echelon.reduce(self.encode(sigma)))
-        return decoded[0] if scalar else decoded
+        return self.decode(self._echelon.reduce(self.encode(sigma)))
 
 
 def h1_dimension_formula(k: int, n: int) -> int:
@@ -385,34 +330,30 @@ def stabilize_window(
         values.append(compute(windows[-1]))
 
 
-def h1(
-    s: SurfaceSpec,
-    transition: PolyMatrix,
-    window: Optional[Window] = None,
-) -> CohomologyResult:
-    """H^1 of the bundle with the given transition matrix.
+def h1(s: SurfaceSpec, n: int, window: Optional[Window] = None) -> CohomologyResult:
+    """Windowed H^1(Z_k(tau), O(-n)).
 
     Starting from the given (or default) window, the window is enlarged
     until the dimension settles; the result reports the first stable
     window and stabilized=True.
     """
     if window is None:
-        window = default_window_for_transition(s, transition)
+        window = default_window(s, n)
     cache: Dict[Window, CechComplex] = {}
 
     def compute(w: Window) -> int:
-        cache[w] = CechComplex(s, transition, w)
+        cache[w] = CechComplex(s, n, w)
         return cache[w].dimension
 
     stable = stabilize_window(compute, window)
     complex_ = cache[stable.window]
     return CohomologyResult(
         dimension=complex_.dimension,
-        basis=complex_.basis(),
-        m_row=None,
+        basis=tuple((p,) for p in complex_.basis()),
+        m_row=(n - 2) // s.k if n >= 2 else None,
         window=stable.window,
         stabilized=True,
-        rank=complex_.rank,
+        rank=1,
     )
 
 
@@ -434,9 +375,8 @@ def h1_line_bundle(
     """
     if window is None:
         window = default_window(s, n)
-    m_row = (n - 2) // s.k if n >= 2 else None
     if not s.is_deformed:
-        return replace(h1(s, line_transition(-n), window), m_row=m_row)
+        return h1(s, n, window)
     count = h1_dimension_formula(s.k, n)
     powers = [BiLaurent.const(1), s.v_glue().with_tag(None)]
     span = ReducedEchelon()
@@ -451,7 +391,7 @@ def h1_line_bundle(
     return CohomologyResult(
         dimension=0,
         basis=(),
-        m_row=m_row,
+        m_row=(n - 2) // s.k if n >= 2 else None,
         window=window,
         stabilized=True,
         rank=1,
@@ -459,13 +399,11 @@ def h1_line_bundle(
 
 
 def normal_form(
-    sigma: CocycleLike,
-    s: SurfaceSpec,
-    transition: PolyMatrix,
-    window: Window,
-) -> CocycleLike:
-    """Project a cocycle onto the non-pivot monomial basis of its window."""
-    return CechComplex(s, transition, window).normal_form(sigma)
+    sigma: BiLaurent, s: SurfaceSpec, n: int, window: Window
+) -> BiLaurent:
+    """Project a cocycle of O(-n) onto the non-pivot monomial basis of its
+    window."""
+    return CechComplex(s, n, window).normal_form(sigma)
 
 
 def triviality_certificate(

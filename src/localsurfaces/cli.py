@@ -12,14 +12,18 @@ Stdout is deterministic: canonical JSON key order and canonical polynomial
 printing, so identical invocations are byte-identical.  The window flags
 --min-z/--max-z/--max-u exist only on h1, h0 and normal-form; h1 grows its
 window by a fixed policy on tau = 0 and proves H^1 = 0 without one on
-tau != 0, echoing the window (see cech), and certify-trivial solves exactly
-with no window, so nothing in the environment changes a result.
+tau != 0, echoing the window (see cech); charge and tangent compute h^1
+exactly from an extension sequence of line bundles and echo the default
+window of their transition (see bundles.charge_report and
+deformation.tangent_h1); and certify-trivial solves exactly with no window,
+so nothing in the environment changes a result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -55,7 +59,7 @@ from .deformation import (
 from .errors import LocalSurfacesError, WindowTooSmall
 from .laurent import BiLaurent, Q, V_CHART, parse_poly
 from .polymatrix import PolyMatrix
-from .surface import SurfaceSpec, line_transition, surface
+from .surface import SurfaceSpec, surface
 
 GOLDEN_KS = range(1, 6)
 GOLDEN_NS = range(0, 11)
@@ -63,7 +67,15 @@ GOLDEN_NS = range(0, 11)
 
 class _Parser(argparse.ArgumentParser):
     """Reports flag errors as "usage error: ..." like every other usage
-    error of the CLI (exit 2)."""
+    error of the CLI (exit 2), and reads a rational list whose first entry
+    is negative ("-3/4", "-1/2,1") as a value, the way argparse reads
+    "-3"; no flag of the CLI looks like one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+(/\d+)?|\d*\.\d+)(,|$)"
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -224,7 +236,7 @@ def _cmd_normal_form(args) -> int:
     window = _window_from_args(
         args, default_window(s, args.n).hull([sigma])
     )
-    reduced = normal_form(sigma, s, line_transition(-args.n), window)
+    reduced = normal_form(sigma, s, args.n, window)
     _emit({
         "input": str(sigma),
         "normal_form": str(reduced),
@@ -360,8 +372,7 @@ def _cmd_certify_split(args) -> int:
 
 def _cmd_charge(args) -> int:
     s = _surface_from_args(args)
-    bundle = extension_to_transition(ExtensionClass(args.j, args.sigma))
-    report = charge_report(s, bundle, args.j)
+    report = charge_report(s, ExtensionClass(args.j, args.sigma))
     _emit({
         "r1_dim": report.r1_dim,
         "q_dim": report.q_dim,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
-from .cech import CohomologyResult, VectorCocycle, h1
+from .cech import CohomologyResult, VectorCocycle, default_window_for_transition
 from .errors import BadCocycleSupport, VerificationFailed
 from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
 from .params import ParamPoly
@@ -27,9 +27,32 @@ from .surface import SurfaceSpec, glue_matrix, surface, tangent_transition
 
 
 def tangent_h1(k: int) -> CohomologyResult:
-    """H^1(Z_k, T_{Z_k}): dimension k-1 with basis {(0, z^{-k+i})^t}."""
+    """H^1(Z_k, T_{Z_k}): dimension k-1 with basis {(0, z^l)^t},
+    1-k <= l <= -1.
+
+    In tangent_transition, slot 2 (z^k) spans the sub-bundle O(-k) and
+    slot 1 (-z^-2) the quotient O(2): 0 -> O(-k) -> T -> O(2) -> 0.  A
+    section t of O(2) lifts to (t_U, 0) and (t_V, 0); in the V-frame the
+    lifts differ by (0, k z^{k-1} u t_U), which is k z^-1 u t_U in the
+    U-frame of O(-k).  That has u-degree >= 1 > m = floor((k-2)/k), so its
+    class vanishes, and as H^1(O(2)) = 0 and the cover has no H^2,
+    H^1(T) = H^1(O(-k)), whose normal-form basis is z^l, -k < l < 0, in
+    slot 2.  The window of the tangent transition is echoed with
+    stabilized=True.
+    """
     s = surface(k)
-    return h1(s, tangent_transition(s))
+    zero = BiLaurent.zero(U_CHART)
+    basis = tuple(
+        (zero, BiLaurent.term(1, l, 0, U_CHART)) for l in range(1 - k, 0)
+    )
+    return CohomologyResult(
+        dimension=len(basis),
+        basis=basis,
+        m_row=None,
+        window=default_window_for_transition(s, tangent_transition(s)),
+        stabilized=True,
+        rank=2,
+    )
 
 
 def ext_basis_tangent(k: int) -> Tuple[Tuple[BiLaurent, ...], Tuple[BiLaurent, ...]]:

@@ -1,13 +1,15 @@
 """Reference Cech assembly over the whole window, for oracle tests.
 
-FullComplex builds the coboundary matrix the direct way: every window
-monomial (times rank) is a coordinate, the U-holomorphic window monomials
-enter as inclusion columns, and each V-holomorphic vector monomial
-xi^alpha v^beta e_slot enters as -T^-1 * rewrite(...), computed by BiLaurent
-products and truncated to the window.  Dimension and normal forms come from
-the dense RREF of that matrix.  It shares no assembly code with CechComplex,
-which quotients the U-holomorphic coordinates out analytically, so the two
-must agree on dimension, basis and normal forms.
+FullComplex builds the coboundary matrix of any bundle, given by its
+transition matrix T, the direct way: every window monomial (times rank) is a
+coordinate, the U-holomorphic window monomials enter as inclusion columns,
+and each V-holomorphic vector monomial xi^alpha v^beta e_slot enters as
+-T^-1 * rewrite(...), computed by BiLaurent products and truncated to the
+window.  Dimension and normal forms come from the dense RREF of that matrix.
+It shares no code with CechComplex, which assembles line bundles only and
+quotients the U-holomorphic coordinates out analytically, nor with the
+extension-sequence H^1 of rank-2 bundles (bundles.charge_report,
+deformation.tangent_h1), so it is the oracle for both.
 
 coboundary_matrix is the dense matrix of CechComplex's own columns plus the
 inclusion columns it quotients out, for rank checks against the dense RREF.
@@ -96,21 +98,16 @@ class FullComplex:
         return tuple(BiLaurent(p, U_CHART) for p in polys)
 
 
-def coboundary_matrix(s, transition, window):
-    """Dense coboundary matrix: rows indexed by window monomials (times
-    rank, slot-major), columns by the generators in canonical order: the
-    inclusions of the nonnegative-z (U-holomorphic) window monomials, then
-    the complex's V columns, which are zero on those monomials."""
-    complex_ = CechComplex(s, transition, window)
-    rows = complex_.rank * window.size
+def coboundary_matrix(s, n, window):
+    """Dense coboundary matrix of O(-n): rows indexed by window monomials,
+    columns by the generators in canonical order: the inclusions of the
+    nonnegative-z (U-holomorphic) window monomials, then the complex's V
+    columns, which are zero on those monomials."""
+    complex_ = CechComplex(s, n, window)
     neg_size = -window.min_z * (window.max_u + 1)
-    inclusions = [
-        {slot * window.size + local: Q(1)}
-        for slot in range(complex_.rank)
-        for local in range(neg_size, window.size)
-    ]
+    inclusions = [{local: Q(1)} for local in range(neg_size, window.size)]
     columns = inclusions + [vec for _, vec in complex_.columns]
-    matrix = [[Q(0)] * len(columns) for _ in range(rows)]
+    matrix = [[Q(0)] * len(columns) for _ in range(window.size)]
     for col_idx, vec in enumerate(columns):
         for row_idx, coeff in vec.items():
             matrix[row_idx][col_idx] = coeff

@@ -13,6 +13,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from cech_oracle import FullComplex
 from localsurfaces.bundles import (
     DISCRETE_ZERO_DIMENSIONAL,
     ExtensionClass,
@@ -24,7 +25,6 @@ from localsurfaces.bundles import (
     splitting_type_p1,
 )
 from localsurfaces.cech import (
-    CechComplex,
     default_window_for_transition,
     h1_dimension_formula,
     h1_line_bundle,
@@ -130,7 +130,7 @@ def test_criterion_05_family_consistency():
         # KS basis matrix is the identity
         s = surface(k)
         transition = tangent_transition(s)
-        complex_ = CechComplex(
+        complex_ = FullComplex(
             s, transition, default_window_for_transition(s, transition)
         )
         basis = tangent_h1(k).basis
@@ -226,15 +226,12 @@ def test_criterion_08_decomposability_certificates():
 def test_criterion_09_instanton_emptiness_shadow():
     # every bundle from the deformed samples has vanishing H^1
     for s, e in _deformed_certificate_samples():
-        report = charge_report(s, extension_to_transition(e), e.j)
+        report = charge_report(s, e)
         assert report.r1_dim == 0, (s, e.j, str(e.sigma))
         assert report.stabilized
     # while on the undeformed Z_1 the split bundle O(-2) + O(2) has charge
     # component h^0(R^1 pi_* E) = 1
-    diag = PolyMatrix.diagonal([
-        BiLaurent.term(1, 2, 0), BiLaurent.term(1, -2, 0)
-    ])
-    report = charge_report(surface(1), diag, 2)
+    report = charge_report(surface(1), ExtensionClass(2, BiLaurent.zero()))
     assert report.r1_dim == 1
     assert report.splitting_ok
 

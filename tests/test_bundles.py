@@ -308,30 +308,27 @@ def test_split_certificates_over_h1_basis():
 # -- charge reports ----------------------------------------------------------------------
 
 def test_charge_z1_diag():
-    report = charge_report(
-        surface(1), PolyMatrix.diagonal([P("z^2"), P("z^-2")]), 2
-    )
+    # the split bundle O(-2) + O(2): h^1 = h^1(Z_1, O(-2)) = 1
+    report = charge_report(surface(1), ExtensionClass(2, P("0")))
     assert report.r1_dim == 1
     assert report.splitting_ok
     assert report.q_dim == "unsupported"
 
 
 def test_charge_identity_bundle():
-    report = charge_report(surface(3), PolyMatrix.identity(2), 0)
+    report = charge_report(surface(3), ExtensionClass(0, P("0")))
     assert report.r1_dim == 0
 
 
 def test_charge_deformed_split_bundle():
-    report = charge_report(
-        surface(2, [1]), PolyMatrix.diagonal([P("z^3"), P("z^-3")]), 3
-    )
+    report = charge_report(surface(2, [1]), ExtensionClass(3, P("0")))
     assert report.r1_dim == 0
     assert not report.splitting_ok  # 3 is not a multiple of 2
 
 
 def test_charge_divisibility_flag():
-    assert charge_report(surface(2), PolyMatrix.identity(1), 4).splitting_ok
-    assert not charge_report(surface(3), PolyMatrix.identity(1), 4).splitting_ok
+    assert charge_report(surface(2), ExtensionClass(4, P("0"))).splitting_ok
+    assert not charge_report(surface(3), ExtensionClass(4, P("0"))).splitting_ok
 
 
 # -- moduli dimension ---------------------------------------------------------------------

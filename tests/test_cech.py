@@ -28,7 +28,6 @@ from localsurfaces.errors import (
 )
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, parse_poly
 from localsurfaces.surface import (
-    line_transition,
     surface,
     to_U_coords,
 )
@@ -83,7 +82,7 @@ def test_h1_deformed_vanishes():
 def test_h1_trivial_bundle_vanishes():
     # H^1(Z_k, O) = 0: the coboundary columns span a tiny window
     window = Window(-3, 3, 2)
-    assert CechComplex(surface(1), line_transition(0), window).dimension == 0
+    assert CechComplex(surface(1), 0, window).dimension == 0
 
 
 def test_basis_shape_matches_normal_form_range():
@@ -107,7 +106,7 @@ def test_basis_shape_matches_normal_form_range():
 def test_inclusion_columns_span_nonnegative_exponents():
     s = surface(2)
     window = Window(-4, 4, 2)
-    complex_ = CechComplex(s, line_transition(0), window)
+    complex_ = CechComplex(s, 0, window)
     sigma = P("z^3 + u^2 + 5")
     assert complex_.normal_form(sigma).is_zero
 
@@ -117,7 +116,7 @@ def test_inclusion_columns_span_nonnegative_exponents():
 def test_coboundary_matrix_shape_and_rank():
     s = surface(2)
     window = default_window(s, 4)
-    matrix = coboundary_matrix(s, line_transition(-4), window)
+    matrix = coboundary_matrix(s, 4, window)
     assert matrix.rows == window.size
     rank, _, _ = rref_rank(matrix)
     assert matrix.rows - rank == 4
@@ -126,7 +125,7 @@ def test_coboundary_matrix_shape_and_rank():
 def test_window_too_small():
     s = surface(2)
     with pytest.raises(WindowTooSmall):
-        CechComplex(s, line_transition(-4), Window(0, 0, 0))
+        CechComplex(s, 4, Window(0, 0, 0))
 
 
 def test_window_without_negative_z_is_not_too_small():
@@ -134,7 +133,7 @@ def test_window_without_negative_z_is_not_too_small():
     # still meet the window, so the complex exists (H^1 is 0 there).
     s = surface(1)
     window = Window(0, 2, 4)
-    assert CechComplex(s, line_transition(0), window).dimension == 0
+    assert CechComplex(s, 0, window).dimension == 0
 
 
 # -- normal form -----------------------------------------------------------------
@@ -144,7 +143,7 @@ def test_normal_form_coboundary_example():
     s = surface(2)
     assert to_U_coords(P("xi"), s) * P("z^-4") == P("z^-5")
     window = default_window(s, 4).hull([P("z^-5")])
-    reduced = normal_form(P("z^-5"), s, line_transition(-4), window)
+    reduced = normal_form(P("z^-5"), s, 4, window)
     assert reduced.is_zero
 
 
@@ -152,27 +151,27 @@ def test_normal_form_strips_u_holomorphic_part():
     s = surface(2)
     sigma = P("3*z^-1*u + z^2*u^7")
     window = default_window(s, 4).hull([sigma])
-    reduced = normal_form(sigma, s, line_transition(-4), window)
+    reduced = normal_form(sigma, s, 4, window)
     assert reduced == P("3*z^-1*u")
 
 
 def test_normal_form_of_u_holomorphic_is_zero():
     s = surface(3, [0, 0])
     window = default_window(s, 2)
-    assert normal_form(P("z^3"), s, line_transition(-2), window).is_zero
+    assert normal_form(P("z^3"), s, 2, window).is_zero
 
 
 def test_normal_form_rejects_support_outside_window():
     s = surface(2)
     with pytest.raises(SupportOutsideWindow):
-        normal_form(P("z^-20"), s, line_transition(-4), default_window(s, 4))
+        normal_form(P("z^-20"), s, 4, default_window(s, 4))
 
 
 def test_normal_form_idempotent_linear_and_coboundary_invariant():
     rng = random.Random(41)
     s = surface(2)
     window = default_window(s, 4)
-    complex_ = CechComplex(s, line_transition(-4), window)
+    complex_ = CechComplex(s, 4, window)
     columns = complex_.columns
 
     def random_cocycle():
@@ -192,7 +191,7 @@ def test_normal_form_idempotent_linear_and_coboundary_invariant():
         assert lhs == complex_.normal_form(sigma) + complex_.normal_form(tau) * 3
         # adding any coboundary column leaves the class unchanged
         _, col = columns[rng.randrange(len(columns))]
-        shift = complex_.decode(col)[0]
+        shift = complex_.decode(col)
         assert complex_.normal_form(sigma + shift) == nf_sigma
 
 
@@ -389,13 +388,13 @@ def test_stabilize_constant_function():
 def test_stabilize_h1_dimensions():
     s = surface(2)
     stable = stabilize_window(
-        lambda w: CechComplex(s, line_transition(-4), w).dimension,
+        lambda w: CechComplex(s, 4, w).dimension,
         default_window(s, 4),
     )
     assert stable.value == 4
     s_def = surface(3, [1, 0])
     stable = stabilize_window(
-        lambda w: CechComplex(s_def, line_transition(-3), w).dimension,
+        lambda w: CechComplex(s_def, 3, w).dimension,
         default_window(s_def, 3),
     )
     assert stable.value == 0

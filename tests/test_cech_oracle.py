@@ -1,5 +1,7 @@
-"""CechComplex against the full-window reference assembly in cech_oracle, and
-the windowless line-bundle H^1 against the windowed computation."""
+"""CechComplex against the full-window reference assembly in cech_oracle, the
+extension-sequence H^1 of rank-2 bundles (charge_report, tangent_h1) against
+the same assembly of their transitions, and the windowless line-bundle H^1
+against the windowed computation."""
 
 import random
 from fractions import Fraction as Q
@@ -7,7 +9,12 @@ from fractions import Fraction as Q
 import pytest
 
 from cech_oracle import FullComplex
-from localsurfaces.bundles import ExtensionClass, extension_to_transition
+from localsurfaces import bundles, cech, deformation
+from localsurfaces.bundles import (
+    ExtensionClass,
+    charge_report,
+    extension_to_transition,
+)
 from localsurfaces.cech import (
     CechComplex,
     Window,
@@ -17,6 +24,7 @@ from localsurfaces.cech import (
     h1_dimension_formula,
     h1_line_bundle,
 )
+from localsurfaces.deformation import tangent_h1
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, parse_poly
 from localsurfaces.surface import line_transition, surface, tangent_transition
 
@@ -30,36 +38,28 @@ SURFACES = [(1, "zero")] + [
 ]
 
 
-def random_cocycle(rng, rank, window):
-    return tuple(
-        BiLaurent(
-            {
-                Monomial(
-                    rng.randint(window.min_z, window.max_z),
-                    rng.randint(0, window.max_u),
-                ): Q(rng.randint(-5, 5), rng.randint(1, 3))
-                for _ in range(rng.randint(1, 5))
-            },
-            U_CHART,
-        )
-        for _ in range(rank)
+def random_cocycle(rng, window):
+    return BiLaurent(
+        {
+            Monomial(
+                rng.randint(window.min_z, window.max_z),
+                rng.randint(0, window.max_u),
+            ): Q(rng.randint(-5, 5), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 5))
+        },
+        U_CHART,
     )
 
 
-def assert_matches_full_assembly(s, transition, window, rng):
-    complex_ = CechComplex(s, transition, window)
-    full = FullComplex(s, transition, window)
+def assert_matches_full_assembly(s, n, window, rng):
+    complex_ = CechComplex(s, n, window)
+    full = FullComplex(s, line_transition(-n), window)
     assert complex_.dimension == full.dimension
-    basis = [
-        (slot, mono)
-        for vec in complex_.basis()
-        for slot, comp in enumerate(vec)
-        for mono in comp.support
-    ]
+    basis = [(0, mono) for p in complex_.basis() for mono in p.support]
     assert basis == full.basis_monomials()
     for _ in range(4):
-        sigma = random_cocycle(rng, complex_.rank, window)
-        assert complex_.normal_form(sigma) == full.normal_form(sigma)
+        sigma = random_cocycle(rng, window)
+        assert complex_.normal_form(sigma) == full.normal_form((sigma,))[0]
 
 
 @pytest.mark.parametrize("k,tau_kind", SURFACES)
@@ -72,35 +72,113 @@ def test_line_bundles_match_full_assembly(k, tau_kind):
     for n in range(0, 9):
         m = (n - 2) // k if n >= 2 else 0
         window = Window(default_window(s, n).min_z, 2, m + 2)
-        assert_matches_full_assembly(s, line_transition(-n), window, rng)
+        assert_matches_full_assembly(s, n, window, rng)
 
 
 def test_undeformed_default_windows_match_full_assembly():
     rng = random.Random(5)
     for k, n in [(1, 4), (2, 6), (3, 8), (4, 5)]:
-        s = surface(k)
-        assert_matches_full_assembly(
-            s, line_transition(-n), default_window(s, n), rng
-        )
+        assert_matches_full_assembly(surface(k), n, default_window(surface(k), n), rng)
+
+
+def assert_charge_matches_full_assembly(s, e):
+    """charge_report's r1_dim is the dimension the full assembly of E's
+    transition finds in the echoed window."""
+    report = charge_report(s, e)
+    transition = extension_to_transition(e)
+    assert report.window == default_window_for_transition(s, transition)
+    assert report.stabilized
+    full = FullComplex(s, transition, report.window)
+    assert report.r1_dim == full.dimension, (s, e.j, str(e.sigma))
+    return report.r1_dim
+
+
+# (j, sigma): the zero class, classes with nonnegative-z and u >= 1 terms,
+# and on Z_k classes whose connecting map has positive rank, so that r1_dim
+# falls below h^1(O(-j)).
+EXTENSIONS = [
+    (1, "z^-1"), (2, "0"), (2, "z^-1*u + 1/2*z^-2"), (2, "z^-1 + z^2 - u"),
+]
+UNDEFORMED_EXTENSIONS = [
+    (3, "z^-3 - u^2 + z"), (3, "z^-2*u + z^-1"), (4, "z^-5*u"),
+]
 
 
 @pytest.mark.parametrize("k,tau_kind", [(1, "zero"), (2, "zero"), (2, "unit"),
                                         (3, "rational")])
 def test_rank_two_extensions_match_full_assembly(k, tau_kind):
-    rng = random.Random(k)
     s = surface(k, TAU_KINDS[tau_kind](k))
-    for j, sigma in [(1, "z^-1"), (2, "z^-1*u + 1/2*z^-2")]:
-        transition = extension_to_transition(ExtensionClass(j, parse_poly(sigma)))
-        window = default_window_for_transition(s, transition)
-        assert_matches_full_assembly(s, transition, window, rng)
+    cases = EXTENSIONS + ([] if s.is_deformed else UNDEFORMED_EXTENSIONS)
+    deficits = []
+    for j, sigma in cases:
+        e = ExtensionClass(j, parse_poly(sigma))
+        r1_dim = assert_charge_matches_full_assembly(s, e)
+        if not s.is_deformed:
+            deficits.append(h1_dimension_formula(k, j) - r1_dim)
+    if s.is_deformed:
+        return
+    # sigma = 0 leaves all of H^1(O(-j)); on these surfaces some class has
+    # a connecting map of positive rank.
+    assert deficits[cases.index((2, "0"))] == 0
+    assert any(deficits)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+def test_charge_matches_full_assembly_on_seeded_extensions():
+    # Random classes with terms anywhere in -2j-1 <= l <= 2, u <= 2: eight
+    # on Z_k (k <= 3, j = 2, 3, where h^1(O(-j)) > 0), then three on
+    # surfaces with a unit or a rational coefficient.
+    rng = random.Random(9)
+    positive_rank = 0
+    for index in range(11):
+        kind = "zero" if index < 8 else ("unit", "rational")[index % 2]
+        k = rng.randint(1, 3) if kind == "zero" else rng.randint(2, 3)
+        j = rng.randint(2, 3) if kind == "zero" else rng.randint(1, 2)
+        s = surface(k, TAU_KINDS[kind](k))
+        sigma = BiLaurent({
+            Monomial(rng.randint(-2 * j - 1, 2), rng.randint(0, 2)):
+                Q(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+            for _ in range(rng.randint(1, 4))
+        })
+        r1_dim = assert_charge_matches_full_assembly(s, ExtensionClass(j, sigma))
+        if not s.is_deformed:
+            positive_rank += r1_dim < h1_dimension_formula(k, j)
+    assert positive_rank
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_tangent_transition_matches_full_assembly(k):
+    result = tangent_h1(k)
     s = surface(k)
     transition = tangent_transition(s)
-    window = default_window_for_transition(s, transition)
-    assert_matches_full_assembly(s, transition, window, random.Random(k))
+    assert result.window == default_window_for_transition(s, transition)
+    assert result.stabilized
+    full = FullComplex(s, transition, result.window)
+    assert result.dimension == full.dimension == k - 1
+    basis = [
+        (slot, mono)
+        for vec in result.basis
+        for slot, comp in enumerate(vec)
+        for mono in comp.support
+    ]
+    assert basis == full.basis_monomials()
+
+
+def test_rank_two_h1_builds_no_complex_and_tries_no_window(monkeypatch):
+    # The extension-sequence H^1 uses no windowed computation: every
+    # binding of CechComplex.__init__, stabilize_window and h1 raises.
+    def refuse(*args, **kwargs):
+        raise AssertionError("windowed computation used")
+
+    monkeypatch.setattr(CechComplex, "__init__", refuse)
+    for module in (cech, bundles, deformation):
+        for name in ("stabilize_window", "h1"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for k, tau, j, sigma in [(2, [0], 4, "z^-5*u"), (3, [0, 0], 3, "z^-1"),
+                             (2, [1], 4, "z^-5*u"), (3, [Q(1, 2), 0], 3, "z^-2")]:
+        charge_report(surface(k, tau), ExtensionClass(j, parse_poly(sigma)))
+    for k in range(1, 6):
+        tangent_h1(k)
 
 
 ORACLE_TAUS = {
@@ -128,7 +206,7 @@ def test_line_bundle_h1_matches_windowed_stabilization():
             s = surface(k, draw(rng, k))
             for n in rng.sample(range(-1, 17), 1 if kind == "rational" else 3):
                 window = default_window(s, n)
-                windowed = h1(s, line_transition(-n), window)
+                windowed = h1(s, n, window)
                 proved = h1_line_bundle(s, n)
                 want = 0 if s.is_deformed else h1_dimension_formula(k, n)
                 assert windowed.dimension == proved.dimension == want, (s, n)

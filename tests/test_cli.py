@@ -2,6 +2,7 @@
 
 import io
 import json
+from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,7 +12,11 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from localsurfaces.bundles import ExtensionClass, extension_to_transition
+from localsurfaces.cech import default_window_for_transition
 from localsurfaces.cli import main
+from localsurfaces.laurent import parse_poly
+from localsurfaces.surface import surface, tangent_transition
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "localsurfaces" / "schemas"
 REPO_GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "h1_table.jsonl"
@@ -397,6 +402,65 @@ def test_h1_flags_keep_the_exit_code_contract(argv):
         if flag in flags:
             key = flag[2:].replace("-", "_")
             assert document["window"][key] == int(flags[flag])
+
+
+# charge over splitting types -3..12, the certificate sigmas and the
+# polynomial grammar, and --tau lists whose first entry may be negative;
+# tangent over --k -3..12.  On tau != 0 the charge is the proved 0, and both
+# subcommands echo the default window of their transition.
+charge_taus = st.sampled_from([
+    [], ["--tau", "0"], ["--tau", "1"], ["--tau", "-3/4"], ["--tau", "-1/2,1"],
+    ["--tau", "0,-1"], ["--tau", "1/2,-2/3,3/4"], ["--tau", "-1,0,2/3"],
+])
+
+
+@st.composite
+def charge_argvs(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return ["tangent", "--k", str(draw(st.integers(-3, 12)))]
+    argv = ["charge", "--k", draw(st.sampled_from("123434340")),
+            "--j", str(draw(st.integers(-3, 12)))]
+    certificate_sigmas = st.sampled_from(CERTIFICATE_SIGMAS + ("0", "z^-2"))
+    sigma = draw(certificate_sigmas | certificate_sigmas | poly_texts())
+    return argv + ["--sigma", sigma] + draw(charge_taus)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(charge_argvs())
+def test_charge_and_tangent_flags_keep_the_exit_code_contract(argv):
+    document = assert_exit_code_contract(argv)
+    if document is None:
+        return
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    k = int(flags["--k"])
+    if argv[0] == "tangent":
+        assert document["dim"] == k - 1
+        assert document["basis"] == [["0", f"z^{l}"] for l in range(1 - k, 0)]
+        transition = tangent_transition(surface(k))
+        s = surface(k)
+    else:
+        given = [Fraction(t) for t in flags.get("--tau", "").split(",") if t]
+        s = surface(k, given + [0] * (k - 1 - len(given)))
+        if s.is_deformed:
+            assert document["r1_dim"] == 0
+        e = ExtensionClass(int(flags["--j"]), parse_poly(flags["--sigma"]))
+        transition = extension_to_transition(e)
+    assert document["stabilized"] is True
+    window = default_window_for_transition(s, transition)
+    assert document["window"] == window.to_json_dict()
+
+
+@pytest.mark.parametrize("command,tau", [
+    (["h1", "--k", "2", "--n", "3"], "-3/4"),
+    (["h1", "--k", "3", "--n", "5"], "-1/2,1"),
+    (["charge", "--k", "3", "--j", "3", "--sigma", "z^-1"], "-1/2,1"),
+    (["certify-trivial", "--k", "2", "--n", "3", "--sigma", "z^-1"], "-3/4"),
+])
+def test_negative_first_tau_entry_is_a_value(command, tau):
+    # "--tau -3/4" reads -3/4 as the value, as "--tau=-3/4" does.
+    spaced = run(*command, "--tau", tau)
+    assert spaced == run(*command, f"--tau={tau}")
+    assert spaced[0] == 0
 
 
 def test_window_too_small_is_usage_error():

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from cech_oracle import FullComplex
 from localsurfaces.cech import CechComplex, default_window, h1_line_bundle
 from localsurfaces.deformation import (
     TangentExtensionClass,
@@ -21,7 +22,7 @@ from localsurfaces.deformation import (
 from localsurfaces.errors import BadCocycleSupport
 from localsurfaces.laurent import BiLaurent, parse_poly
 from localsurfaces.params import ParamPoly
-from localsurfaces.surface import glue_matrix, line_transition, surface
+from localsurfaces.surface import glue_matrix, surface
 
 
 def P(text, tag=None):
@@ -159,7 +160,7 @@ def test_not_a_jacobian_class_is_multiple_of_jacobian_class():
     for k in (2, 3):
         s = surface(k)
         window = default_window(s, k + 2)
-        complex_ = CechComplex(s, line_transition(-(k + 2)), window)
+        complex_ = CechComplex(s, k + 2, window)
         shift = P(f"z^{-k}")
         direction = complex_.normal_form(P(f"z^{k-1}*u") * shift)
         jacobian = complex_.normal_form(P(f"{k}*z^{k-1}*u") * shift)
@@ -267,7 +268,7 @@ def test_ks_basis_matrix_is_identity():
     from localsurfaces.cech import default_window_for_transition
 
     transition = tangent_transition(s)
-    complex_ = CechComplex(s, transition, default_window_for_transition(s, transition))
+    complex_ = FullComplex(s, transition, default_window_for_transition(s, transition))
     _, ks = family_and_ks(k)
     basis = tangent_h1(k).basis
     matrix = []

@@ -8,7 +8,7 @@ from dense_oracle import RationalMatrix, nullspace, rref_rank
 from localsurfaces.cech import Window, _solve_in_span, h1_dimension_formula
 from localsurfaces.linalg import ReducedEchelon
 from localsurfaces.linalg import nullspace as sparse_nullspace
-from localsurfaces.surface import line_transition, surface
+from localsurfaces.surface import surface
 
 
 def random_matrix(rng, rows, cols):
@@ -35,7 +35,7 @@ def test_coboundary_rank_matches_closed_form():
     # closed-form dimension
     s = surface(2)
     window = Window(-9, 9, 4)
-    matrix = coboundary_matrix(s, line_transition(-4), window)
+    matrix = coboundary_matrix(s, 4, window)
     rank, _, _ = rref_rank(matrix)
     assert matrix.rows - rank == h1_dimension_formula(2, 4) == 4
 

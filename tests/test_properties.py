@@ -30,7 +30,6 @@ from localsurfaces.errors import NotTrivial, WindowTooSmall
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART, parse_poly
 from localsurfaces.polymatrix import PolyMatrix
 from localsurfaces.surface import (
-    line_transition,
     surface,
     to_U_coords,
     to_V_coords,
@@ -97,7 +96,7 @@ CASES = ((2, (0,), 4), (2, (1,), 4), (3, (1, 0), 5))
 def complex_for(case):
     k, tau, n = case
     s = surface(k, tau)
-    return CechComplex(s, line_transition(-n), default_window(s, n))
+    return CechComplex(s, n, default_window(s, n))
 
 
 @st.composite
@@ -147,11 +146,11 @@ def test_undeformed_window_dimension_counts_normal_forms(w):
     for k in UNDEFORMED_KS:
         for n in UNDEFORMED_NS:
             try:
-                complex_ = CechComplex(surface(k), line_transition(-n), w)
+                complex_ = CechComplex(surface(k), n, w)
             except WindowTooSmall:
                 continue
             inside = {m for m in normal_form_monomials(k, n) if w.contains(m)}
-            basis = [vec[0] for vec in complex_.basis()]
+            basis = complex_.basis()
             assert complex_.dimension == len(inside) == len(basis)
             assert all(len(b.support) == 1 for b in basis)
             assert {m for b in basis for m in b.support} == inside
@@ -194,7 +193,7 @@ def test_triviality_certificate_reverifies(case, pts):
     s, n, sigma = case
     # on tau = 0 the windowed normal form is exact: the oracle for NotTrivial
     w = default_window(s, n).hull([sigma])
-    oracle = CechComplex(s, line_transition(-n), w).normal_form(sigma)
+    oracle = CechComplex(s, n, w).normal_form(sigma)
     try:
         cert = triviality_certificate(sigma, s, n)
     except NotTrivial:
