@@ -26,6 +26,16 @@ the remainders of the relations of levels b <= n - 1 span all of them (the
 cap is proved in triviality_certificate's docstring).  h1_line_bundle
 counts their rank up to the closed-form number, which proves H^1 = 0.
 
+The division runs on Python ints.  With D the least common denominator of
+tau, it works in the coordinates (z, u' = D*u), where v' = D*v =
+z^k u' + D*tau has integer coefficients and the images g'(a, b) =
+z^(-n-a) v'^b = D^b g(a, b) keep their monic tops z^(kb-n-a) u'^b.  A
+relation top enters as the int 1, so its quotient and remainder are ints.
+Since z^l u^i = D^-i z^l u'^i, passing between the two coordinates rescales
+each monomial and each relation by a nonzero constant: an invertible
+diagonal change that keeps every rank, and so the proved cap, and that
+triviality_certificate undoes on the quotient to write f_V in (xi, v).
+
 Window growth is fixed: H^1 enlarges its window by (3, 1) (three z steps on
 each side, one u step) until the dimension is unchanged across two
 consecutive enlargements, and gives up with StepCapExceeded after 8
@@ -42,6 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import lcm
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 )
@@ -56,6 +67,10 @@ from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
 from .linalg import ReducedEchelon, SparseVec, nullspace
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, to_U_coords, to_V_coords
+
+# A polynomial in (z, u') with integer coefficients: {(l, i): c} is the sum
+# of the c z^l u'^i.
+IntPoly = Dict[Tuple[int, int], int]
 
 # Window growth per enlargement (z steps on each side, u steps) and the
 # number of enlargements after which stabilization gives up.
@@ -372,13 +387,19 @@ def h1_line_bundle(
     given (or default) window with stabilized=True.  Falling short at level
     n - 1 raises AssertionError: a positive dimension is never reported on a
     deformed surface.
+
+    The relations are divided on ints in the coordinates (z, u' = D*u) of
+    _integral_glue.  There z^l u^i = D^-i z^l u'^i and g'(a, b) =
+    D^b g(a, b), two invertible diagonal rescalings, so the remainders have
+    the same rank at every level as in (z, u), and reach the count at the
+    same relation, within the same cap.
     """
     if window is None:
         window = default_window(s, n)
     if not s.is_deformed:
         return h1(s, n, window)
     count = h1_dimension_formula(s.k, n)
-    powers = [BiLaurent.const(1), s.v_glue().with_tag(None)]
+    _, powers = _integral_glue(s)
     span = ReducedEchelon()
     if count and not any(
         span.add(vec) and span.rank == count
@@ -428,16 +449,26 @@ def triviality_certificate(
     images of weight e, b0 = ceil((e + n) / d) <= b < b0 + q0, are a basis
     of Q[w]/(w^q0), as w + t_d is a unit there.  Inducting from e = -1 down
     to e = -n + 1 gives b <= max_e (b0 + q0 - 1) <= (e + n) - e - 1 = n - 1.
+
+    The division runs in the coordinates (z, u' = D*u), D the least common
+    denominator of tau, where v' = D*v has integer coefficients and the
+    relations are divided on ints (_integral_glue).  sigma's coefficient
+    on z^l u^i becomes its coefficient on z^l u'^i by the factor D^-i, and
+    the quotient's coefficient on g'(a, b) = D^b g(a, b) becomes the
+    coefficient of xi^a v^b in f_V by the factor D^b.  Both rescalings are
+    invertible and diagonal, so the same relations are independent, the
+    cap is unchanged and f_V is the same; f_U is the rewrite in (z, u).
     """
     if sigma.tag == V_CHART:
         raise SupportOutsideWindow("cocycles must be given in U-coordinates")
-    powers = [BiLaurent.const(1), s.v_glue().with_tag(None)]
-    negative = [(m, c) for m, c in sigma.items() if m.z_exp < 0]
+    scale, powers = _integral_glue(s)
+    negative = [((l, i), c / scale**i) for (l, i), c in sigma.items() if l < 0]
     quotient, remainder = _divide(negative, s.k, n, powers)
     if remainder and not s.is_deformed:
+        # scale is 1 on tau = 0, so u' = u.
         normal = BiLaurent(remainder, U_CHART)
         raise NotTrivial(f"class of {sigma} has the normal form {normal} != 0")
-    terms = list(quotient.items())
+    terms = [((a, b), c * scale**b) for (a, b), c in quotient.items()]
     if remainder:
         # _solve_in_span skips dependent relations, so they never enter it.
         span, relations, quotients = ReducedEchelon(), [], {}
@@ -451,7 +482,10 @@ def triviality_certificate(
         else:
             raise AssertionError(f"relations up to level {n - 1} miss {sigma}")
         for key, x in _solve_in_span(relations, remainder).items():
-            terms += [(m, -x * c) for m, c in quotients[key].items()]
+            terms += [
+                ((a, b), -x * c * scale**b)
+                for (a, b), c in quotients[key].items()
+            ]
     f_V = BiLaurent(terms, V_CHART)
     factor = BiLaurent.term(1, -n, 0)
     f_U = sigma.with_tag(U_CHART) - factor * to_U_coords(f_V, s)
@@ -461,54 +495,90 @@ def triviality_certificate(
     return TrivialityCertificate(f_U, f_V, BiLaurent.zero(), window)
 
 
+def _integral_glue(s: SurfaceSpec) -> Tuple[int, List[IntPoly]]:
+    """D, the least common denominator of tau, and the powers [v'^0, v'^1]
+    of v' = D*v = z^k u' + D*tau, which has integer coefficients in the
+    coordinates (z, u' = D*u).  D = 1 on tau = 0."""
+    scale = lcm(*(t.denominator for t in s.tau))
+    v = {(s.k, 1): 1}
+    for j, t in enumerate(s.tau, start=1):
+        if t:
+            v[j, 0] = t.numerator * (scale // t.denominator)
+    return scale, [{(0, 0): 1}, v]
+
+
 def _relation_levels(
-    s: SurfaceSpec, n: int, powers: List[BiLaurent]
+    s: SurfaceSpec, n: int, powers: List[IntPoly]
 ) -> Iterator[Iterator[Tuple[Tuple[int, int], Dict, Dict]]]:
-    """The relations of O(-n) on Z_k(tau), one lazy level per b = 1 .. n - 1.
+    """The relations of O(-n) on Z_k(tau), one lazy level per b = 1 .. n - 1,
+    in the coordinates (z, u' = D*u) of _integral_glue, whose powers of v'
+    are passed in.
 
     The relation (a, b), 0 <= a <= kb - n, is the division of the
-    U-holomorphic top z^(kb-n-a) u^b by _divide: a coboundary whose
-    remainder lies on the normal-form monomials.  Level b yields
+    U-holomorphic top z^(kb-n-a) u'^b by _divide: a coboundary whose
+    remainder lies on the normal-form monomials.  The top enters as the int
+    1, so quotient and remainder are ints.  Level b yields
     ((a, b), quotient, remainder) in increasing a, dividing each top only
     when it is reached, so a caller may stop inside a level.
     """
     for b in range(1, n):
         yield (
-            ((a, b), *_divide([((s.k * b - n - a, b), Q(1))], s.k, n, powers))
+            ((a, b), *_divide([((s.k * b - n - a, b), 1)], s.k, n, powers))
             for a in range(s.k * b - n + 1)
         )
 
 
 def _divide(
-    terms: Iterable, k: int, n: int, powers: List[BiLaurent]
+    terms: Iterable, k: int, n: int, powers: List[IntPoly]
 ) -> Tuple[Dict[Tuple[int, int], Q], Dict[Tuple[int, int], Q]]:
-    """Divide the terms ((l, i), c) by the images g(a, b) = z^(-n-a) v^b by
-    descending u-degree, dropping the nonnegative-z terms that arise and
-    extending powers (v^0, v^1, ...) as needed; cancelled terms stay in
-    work at 0 until popped.  Returns the quotient {(a, b): c} and the
-    remainder {(l, i): c}, which lies on the normal-form monomials
+    """Divide the terms ((l, i), c), coefficients of z^l u'^i, by the images
+    g'(a, b) = z^(-n-a) v'^b in the coordinates (z, u' = D*u), where
+    v' = z^k u' + D*tau has integer coefficients.
+
+    Each g'(a, b) has the monic top term z^(kb-n-a) u'^b, so the division
+    only multiplies and subtracts: int terms give an int quotient and
+    remainder.  Pending terms sit in one bucket per u-degree, and the
+    degree walks down from the top, since dividing a term of degree i adds
+    terms of degree < i only.  Nonnegative-z terms that arise are dropped,
+    cancelled terms are skipped, and powers (v'^0, v'^1, ...) is extended
+    by dict convolution as needed.  Returns the quotient {(a, b): c} and
+    the remainder {(l, i): c}, which lies on the normal-form monomials
     ki - n < l < 0 when every term that is not divided has l < 0.
     """
-    work = dict(terms)
+    buckets: List[Dict[int, Q]] = []
+    for (l, i), c in terms:
+        buckets += [{} for _ in range(i + 1 - len(buckets))]
+        buckets[i][l] = c
+    while len(powers) < len(buckets):
+        powers.append(_times(powers[-1], powers[1]))
     quotient, remainder = {}, {}
-    while work:
-        i = max(i for _, i in work)
-        while len(powers) <= i:
-            powers.append(powers[-1] * powers[1])
-        for l in [l for l, j in work if j == i]:
-            c = work.pop((l, i))
-            a = k * i - n - l
+    for i in range(len(buckets) - 1, -1, -1):
+        top = k * i
+        for l, c in buckets[i].items():
             if not c:
                 continue
+            a = top - n - l
             if a < 0:
                 remainder[l, i] = c
                 continue
             quotient[a, i] = c
+            shift = l - top
             for (l2, j), x in powers[i].items():
-                l2 -= n + a
+                l2 += shift
                 if l2 < 0 and j < i:
-                    work[l2, j] = work.get((l2, j), 0) - c * x
+                    bucket = buckets[j]
+                    bucket[l2] = bucket.get(l2, 0) - c * x
     return quotient, remainder
+
+
+def _times(p: IntPoly, q: IntPoly) -> IntPoly:
+    """The product of two polynomials in (z, u')."""
+    out: IntPoly = {}
+    for (l1, i1), x1 in p.items():
+        for (l2, i2), x2 in q.items():
+            key = (l1 + l2, i1 + i2)
+            out[key] = out.get(key, 0) + x1 * x2
+    return {key: x for key, x in out.items() if x}
 
 
 def _solve_in_span(

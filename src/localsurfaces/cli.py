@@ -67,15 +67,15 @@ GOLDEN_NS = range(0, 11)
 
 class _Parser(argparse.ArgumentParser):
     """Reports flag errors as "usage error: ..." like every other usage
-    error of the CLI (exit 2), and reads a rational list whose first entry
-    is negative ("-3/4", "-1/2,1") as a value, the way argparse reads
-    "-3"; no flag of the CLI looks like one."""
+    error of the CLI (exit 2), and reads an argument that starts with a
+    minus sign and then a digit, a decimal point or a variable name as a
+    value, the way argparse reads "-3": a negative rational list ("-3/4",
+    "-1/2,1") or polynomial ("-z^-1", "-3*z^-1", "-xi"); no flag of the
+    CLI looks like one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+(/\d+)?|\d*\.\d+)(,|$)"
-        )
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|xi|[zuv])")
 
     def error(self, message):
         self.print_usage(sys.stderr)

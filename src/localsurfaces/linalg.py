@@ -2,8 +2,9 @@
 
 ReducedEchelon maintains the reduced row-echelon form of a span of sparse
 vectors incrementally; its rows are the unique RREF of the span, with
-pivots at each row's minimum key.  nullspace reads the canonical kernel
-basis of a sparse matrix off that echelon.
+pivots at each row's minimum key.  Entries may be ints or Fractions; add
+divides by its lead as a Fraction, so every row is exact.  nullspace reads
+the canonical kernel basis of a sparse matrix off that echelon.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class ReducedEchelon:
             return False
         lead = min(residual)
         lead_val = residual[lead]
+        if type(lead_val) is int:  # int / int would be a float
+            lead_val = Q(lead_val)
         row = {k: v / lead_val for k, v in residual.items()}
         # Maintain full reduction: clear the new lead from existing rows.
         for other in self.pivots.values():

@@ -13,6 +13,10 @@ deformation.tangent_h1), so it is the oracle for both.
 
 coboundary_matrix is the dense matrix of CechComplex's own columns plus the
 inclusion columns it quotients out, for rank checks against the dense RREF.
+
+divide is the u-degree division by BiLaurent powers of v with Fraction
+coefficients in the coordinates (z, u), the form cech._divide had before it
+moved to integer coefficients in (z, u' = D*u).
 """
 
 from fractions import Fraction as Q
@@ -112,3 +116,37 @@ def coboundary_matrix(s, n, window):
         for row_idx, coeff in vec.items():
             matrix[row_idx][col_idx] = coeff
     return RationalMatrix(matrix)
+
+
+def divide(terms, k, n, powers):
+    """The u-degree division in the coordinates (z, u), on BiLaurent powers
+    of v = z^k u + tau and Fraction coefficients: the oracle for
+    cech._divide, which runs on ints in (z, u' = D*u).
+
+    Divide the terms ((l, i), c) by the images g(a, b) = z^(-n-a) v^b by
+    descending u-degree, dropping the nonnegative-z terms that arise and
+    extending powers (v^0, v^1, ...) as needed; cancelled terms stay in
+    work at 0 until popped.  Returns the quotient {(a, b): c} and the
+    remainder {(l, i): c}, which lies on the normal-form monomials
+    ki - n < l < 0 when every term that is not divided has l < 0.
+    """
+    work = dict(terms)
+    quotient, remainder = {}, {}
+    while work:
+        i = max(i for _, i in work)
+        while len(powers) <= i:
+            powers.append(powers[-1] * powers[1])
+        for l in [l for l, j in work if j == i]:
+            c = work.pop((l, i))
+            a = k * i - n - l
+            if not c:
+                continue
+            if a < 0:
+                remainder[l, i] = c
+                continue
+            quotient[a, i] = c
+            for (l2, j), x in powers[i].items():
+                l2 -= n + a
+                if l2 < 0 and j < i:
+                    work[l2, j] = work.get((l2, j), 0) - c * x
+    return quotient, remainder

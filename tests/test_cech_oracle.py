@@ -1,14 +1,19 @@
 """CechComplex against the full-window reference assembly in cech_oracle, the
 extension-sequence H^1 of rank-2 bundles (charge_report, tangent_h1) against
-the same assembly of their transitions, and the windowless line-bundle H^1
-against the windowed computation."""
+the same assembly of their transitions, the windowless line-bundle H^1
+against the windowed computation, and the integer u-degree division against
+the rational one it replaced."""
 
+import itertools
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cech_oracle import FullComplex
+from cech_oracle import FullComplex, divide
 from localsurfaces import bundles, cech, deformation
 from localsurfaces.bundles import (
     ExtensionClass,
@@ -213,3 +218,78 @@ def test_line_bundle_h1_matches_windowed_stabilization():
                 assert windowed.basis == proved.basis
                 assert windowed.window == proved.window == window
                 assert windowed.stabilized and proved.stabilized
+
+
+# -- the integer division against the rational one ------------------------------
+
+DIVISION_SETTINGS = settings(
+    max_examples=80, derandomize=True, deadline=None, database=None
+)
+
+# Rationals with denominators up to 6; most draws are nonzero, so most tau
+# with k >= 3 have several nonzero coefficients.
+small_rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def division_cases(draw):
+    k = draw(st.integers(1, 5))
+    tau = draw(st.lists(small_rationals, min_size=k - 1, max_size=k - 1))
+    n = draw(st.integers(0, 12))
+    # sigma: the negative-z terms the certificate divides.
+    sigma = draw(st.dictionaries(
+        st.tuples(st.integers(-n - 4, -1), st.integers(0, n // k + 2)),
+        small_rationals.filter(bool),
+        min_size=1, max_size=6,
+    ))
+    levels = [b for b in range(1, n) if k * b >= n]
+    tops = draw(st.lists(
+        st.sampled_from(levels).flatmap(
+            lambda b: st.tuples(st.integers(0, k * b - n), st.just(b))
+        ),
+        max_size=3,
+    )) if levels else []
+    return surface(k, tau), n, sigma, tops
+
+
+@DIVISION_SETTINGS
+@given(division_cases())
+def test_integer_division_matches_the_rational_division(case):
+    # In (z, u' = D*u) the coefficient on z^l u'^i is D^-i times the one on
+    # z^l u^i, and the quotient on g'(a, b) = D^b g(a, b) is D^-b times the
+    # one on g(a, b): scaling back, both must equal the Fraction division
+    # in (z, u) exactly.  Relation tops z^l u'^b enter as the int 1, which
+    # is D^b on z^l u^b, and divide on ints alone.
+    s, n, sigma, tops = case
+    scale = lcm(*(t.denominator for t in s.tau))
+    _, powers = cech._integral_glue(s)
+    rational_powers = [BiLaurent.const(1), s.v_glue().with_tag(None)]
+
+    def check(terms, rational_terms):
+        quotient, remainder = cech._divide(terms, s.k, n, powers)
+        want_quotient, want_remainder = divide(
+            rational_terms, s.k, n, rational_powers
+        )
+        assert {
+            key: c * scale**key[1] for key, c in quotient.items()
+        } == want_quotient
+        assert {
+            key: c * scale**key[1] for key, c in remainder.items()
+        } == want_remainder
+        return quotient, remainder
+
+    check(
+        [((l, i), c / scale**i) for (l, i), c in sigma.items()],
+        list(sigma.items()),
+    )
+    for a, b in tops:
+        levels = cech._relation_levels(s, n, powers)
+        level = next(itertools.islice(levels, b - 1, None))
+        key, quotient, remainder = next(itertools.islice(level, a, None))
+        assert key == (a, b)
+        top = (s.k * b - n - a, b)
+        assert (quotient, remainder) == check([(top, 1)], [(top, scale**b)])
+        assert all(
+            type(c) is int
+            for c in itertools.chain(quotient.values(), remainder.values())
+        )

@@ -463,6 +463,25 @@ def test_negative_first_tau_entry_is_a_value(command, tau):
     assert spaced[0] == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["charge", "--k", "2", "--j", "2"],
+    ["certify-trivial", "--k", "2", "--n", "3", "--tau", "1"],
+    ["certify-split", "--k", "2", "--j", "2", "--tau", "1"],
+    ["split-type", "--k", "2", "--j", "2"],
+    ["normal-form", "--k", "2", "--n", "4"],
+    ["integrate", "--k", "2"],
+])
+@pytest.mark.parametrize("sigma,code", [
+    ("-z^-1", 0), ("-3*z^-1", 0), ("-xi^-1", 2),
+])
+def test_negative_polynomial_sigma_is_a_value(command, sigma, code):
+    # "--sigma -z^-1" reads -z^-1 as the value, as "--sigma=-z^-1" does; a
+    # V-chart sigma reaches the polynomial check and is refused there.
+    spaced = run(*command, "--sigma", sigma)
+    assert spaced == run(*command, f"--sigma={sigma}")
+    assert spaced[0] == code
+
+
 def test_window_too_small_is_usage_error():
     # No V-holomorphic generator meets the 1x1 window at the origin; only
     # the window flags can ask for such a window.
@@ -485,6 +504,28 @@ def test_output_is_byte_identical():
     _, first, _ = run("h1", "--k", "3", "--n", "5")
     _, second, _ = run("h1", "--k", "3", "--n", "5")
     assert first == second
+
+
+PINNED = Path(__file__).resolve().parent / "pinned"
+
+
+@pytest.mark.parametrize("argv,name", [
+    # d = 1 with two nonzero tau coefficients: the relation count grows
+    # like k*n^2/2, the slow case of the certificate.
+    (["certify-split", "--k", "3", "--j", "6", "--tau", "1/2,-1",
+      "--sigma", "z^-1"], "certify_split_k3_j6.json"),
+    # tau's least common denominator is D = 12, so the division's
+    # coordinate u' = 12u rescales every u-degree.
+    (["certify-trivial", "--k", "4", "--n", "6", "--tau", "1/2,-2/3,3/4",
+      "--sigma", "z^-1 - 2/5*z^-3*u + z^-2*u^2"],
+     "certify_trivial_k4_n6.json"),
+])
+def test_certificate_stdout_is_pinned(argv, name):
+    # Stdout computed with the Fraction division in (z, u); the division
+    # in (z, u' = D*u) must print the same bytes.
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert out == (PINNED / name).read_text()
 
 
 def test_certify_trivial_former_fallback_is_exact():

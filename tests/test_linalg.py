@@ -88,6 +88,29 @@ def test_incremental_echelon_matches_dense_rank():
         assert sorted(echelon.pivots) == pivots
 
 
+def test_int_vectors_give_the_exact_echelon_of_their_fractions():
+    # The relation remainders reach the echelon as ints; an int lead must
+    # divide exactly, never into a float.
+    rng = random.Random(31)
+    for _ in range(25):
+        rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+        vecs = [
+            {r: x for r in range(rows) if (x := rng.randint(-4, 4))}
+            for _ in range(cols)
+        ]
+        ints, fractions = ReducedEchelon(), ReducedEchelon()
+        for vec in vecs:
+            assert ints.add(vec) == fractions.add(
+                {r: Q(x) for r, x in vec.items()}
+            )
+        assert ints.pivots == fractions.pivots
+        assert all(
+            type(x) is Q for row in ints.pivots.values() for x in row.values()
+        )
+        target = {r: rng.randint(-4, 4) for r in range(rows)}
+        assert ints.reduce(target) == fractions.reduce(target)
+
+
 def test_solve_in_span_solves_random_systems():
     rng = random.Random(29)
     for _ in range(25):
