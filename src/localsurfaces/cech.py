@@ -21,20 +21,18 @@ stabilizes.
 
 Line bundles O(-n) need no window for H^1 on a deformed surface, nor for
 a triviality certificate: dividing by the monic u-degree tops of the
-V-images leaves a remainder on the finitely many normal-form monomials, and
-the remainders of the relations of levels b <= n - 1 span all of them (the
-cap is proved in triviality_certificate's docstring).  h1_line_bundle
-counts their rank up to the closed-form number, which proves H^1 = 0.
+V-images leaves a remainder on the finitely many normal-form monomials,
+which triviality_certificate solves weight by weight with images of
+v-degree b <= n - 1 (proved in its docstring).  So the relations of levels
+b <= n - 1 span those monomials, and h1_line_bundle counts their rank up
+to the closed-form number, which proves H^1 = 0.
 
-The division runs on Python ints.  With D the least common denominator of
-tau, it works in the coordinates (z, u' = D*u), where v' = D*v =
-z^k u' + D*tau has integer coefficients and the images g'(a, b) =
-z^(-n-a) v'^b = D^b g(a, b) keep their monic tops z^(kb-n-a) u'^b.  A
-relation top enters as the int 1, so its quotient and remainder are ints.
-Since z^l u^i = D^-i z^l u'^i, passing between the two coordinates rescales
-each monomial and each relation by a nonzero constant: an invertible
-diagonal change that keeps every rank, and so the proved cap, and that
-triviality_certificate undoes on the quotient to write f_V in (xi, v).
+The division and the weight steps run in the coordinates (z, u' = D*u), D
+the least common denominator of tau, where v' = D*v = z^k u' + D*tau has
+integer coefficients and the images g'(a, b) = D^b g(a, b) keep their monic
+tops z^(kb-n-a) u'^b, so the division runs on Python ints.  The change
+rescales each monomial and each image by a nonzero constant: it keeps every
+rank, and triviality_certificate undoes it to write f_V in (xi, v).
 
 Window growth is fixed: H^1 enlarges its window by (3, 1) (three z steps on
 each side, one u step) until the dimension is unchanged across two
@@ -42,17 +40,16 @@ consecutive enlargements, and gives up with StepCapExceeded after 8
 enlargements.
 
 All linear algebra runs on the sparse ReducedEchelon: ranks and normal forms
-on the complex's own echelon, H^0 sections through linalg.nullspace, the
-relation rank of deformed line-bundle H^1 on one echelon, and the relation
-solve of a triviality certificate through _solve_in_span, which eliminates
-the columns augmented by unit tag coordinates.
+on the complex's own echelon, H^0 sections through linalg.nullspace, and
+the relation rank of deformed line-bundle H^1 on one echelon.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import lcm
+from itertools import chain
+from math import comb, lcm
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 )
@@ -381,18 +378,18 @@ def h1_line_bundle(
     result is the closed form with the normal-form monomial basis.  On
     tau != 0 no window is used: every class divides by u-degree to a
     remainder on the h1_dimension_formula(k, n) normal-form monomials, and
-    the relations of levels b <= n - 1 span all of them, by the cap proved
-    in triviality_certificate.  Their rank is counted level by level until
-    it reaches that number, which proves H^1 = 0; the result echoes the
-    given (or default) window with stabilized=True.  Falling short at level
-    n - 1 raises AssertionError: a positive dimension is never reported on a
-    deformed surface.
+    the relations of levels b <= n - 1 span all of them: the weight steps of
+    triviality_certificate write each as a combination of images g(a, b),
+    b <= n - 1, whose division writes it by their relation remainders.
+    Their rank is counted level by level until it reaches that number,
+    which proves H^1 = 0; the result echoes the given (or default) window
+    with stabilized=True.  Falling short at level n - 1 raises
+    AssertionError: a positive dimension is never reported on a deformed
+    surface.
 
-    The relations are divided on ints in the coordinates (z, u' = D*u) of
-    _integral_glue.  There z^l u^i = D^-i z^l u'^i and g'(a, b) =
-    D^b g(a, b), two invertible diagonal rescalings, so the remainders have
-    the same rank at every level as in (z, u), and reach the count at the
-    same relation, within the same cap.
+    The relations are divided on ints in (z, u' = D*u) (_integral_glue),
+    a diagonal rescaling that keeps the rank at every level, so the count
+    is reached at the same relation, within the same cap.
     """
     if window is None:
         window = default_window(s, n)
@@ -438,26 +435,26 @@ def triviality_certificate(
     (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2) leaves a
     remainder R on the normal-form monomials z^l u^i, ki - n < l < 0
     (Gasparim, Comm. Algebra 25, 1997).  On tau = 0, R is the normal form
-    and NotTrivial is raised when R != 0.  On tau != 0, R is solved over the
-    remainders of the U-holomorphic z^(kb-n-a) u^b, 0 <= a <= kb - n, for
-    levels b = 1, 2, ... up to the first that suffices, at most n - 1.
-    Proof of the cap: let d be tau's lowest degree, weigh z by 1 and u by
-    -(k - d), and put w = z^(k-d) u.  Then v = z^d (w + t_d) + (higher
-    weight), and the division never lowers weight.  At weight e in
-    [-n+1, -1] the non-U-holomorphic normal-form monomials are z^e w^q,
-    q < q0 = ceil(-e / (k - d)), and the leading parts (w + t_d)^b of the
-    images of weight e, b0 = ceil((e + n) / d) <= b < b0 + q0, are a basis
-    of Q[w]/(w^q0), as w + t_d is a unit there.  Inducting from e = -1 down
-    to e = -n + 1 gives b <= max_e (b0 + q0 - 1) <= (e + n) - e - 1 = n - 1.
+    and NotTrivial is raised when R != 0.  On tau != 0, R is solved by
+    leading terms in weight (_weight_solve).  Let d be tau's lowest degree,
+    weigh z by 1 and u by -(k - d), and put w = z^(k-d) u.  Then
+    v = z^d (w + t_d) + (higher weight), so g(a, b) has the leading part
+    z^e (w + t_d)^b at weight e = db - n - a, and subtracting it never
+    lowers weight.  R has weights e > -n, as l > ki - n >= di - n.  At the
+    lowest weight e left, the negative-z monomials are z^e w^q,
+    q < q0 = ceil(-e / (k - d)), and the leading parts of the images of
+    weight e, b0 = ceil((e + n) / d) <= b < b0 + q0, are a basis of
+    Q[w]/(w^q0), as w + t_d is a unit there: the weight-e part z^e p(w)
+    has the coordinates of p (w + t_d)^-b0 mod w^q0 in the basis
+    (w + t_d)^j on the images with b = b0 + j.  Subtracting them leaves
+    z^e w^q, q >= q0, which is U-holomorphic, so the lowest weight rises
+    and the solve ends by weight -1.  Cap: each image has
+    b <= b0 + q0 - 1 <= (e + n) - e - 1 = n - 1.
 
-    The division runs in the coordinates (z, u' = D*u), D the least common
-    denominator of tau, where v' = D*v has integer coefficients and the
-    relations are divided on ints (_integral_glue).  sigma's coefficient
-    on z^l u^i becomes its coefficient on z^l u'^i by the factor D^-i, and
-    the quotient's coefficient on g'(a, b) = D^b g(a, b) becomes the
-    coefficient of xi^a v^b in f_V by the factor D^b.  Both rescalings are
-    invertible and diagonal, so the same relations are independent, the
-    cap is unchanged and f_V is the same; f_U is the rewrite in (z, u).
+    Both run in (z, u' = D*u) of _integral_glue, with t = D*t_d for t_d.
+    sigma's coefficient on z^l u'^i is D^-i times the one on z^l u^i, and
+    f_V's coefficient of xi^a v^b is D^b times the quotient's on
+    g'(a, b) = D^b g(a, b); f_U is the rewrite in (z, u).
     """
     if sigma.tag == V_CHART:
         raise SupportOutsideWindow("cocycles must be given in U-coordinates")
@@ -468,31 +465,59 @@ def triviality_certificate(
         # scale is 1 on tau = 0, so u' = u.
         normal = BiLaurent(remainder, U_CHART)
         raise NotTrivial(f"class of {sigma} has the normal form {normal} != 0")
-    terms = [((a, b), c * scale**b) for (a, b), c in quotient.items()]
-    if remainder:
-        # _solve_in_span skips dependent relations, so they never enter it.
-        span, relations, quotients = ReducedEchelon(), [], {}
-        for level in _relation_levels(s, n, powers):
-            for key, relation_quotient, vec in level:
-                if span.add(vec):
-                    relations.append((key, vec))
-                    quotients[key] = relation_quotient
-            if not span.reduce(remainder):
-                break
-        else:
-            raise AssertionError(f"relations up to level {n - 1} miss {sigma}")
-        for key, x in _solve_in_span(relations, remainder).items():
-            terms += [
-                ((a, b), -x * c * scale**b)
-                for (a, b), c in quotients[key].items()
-            ]
-    f_V = BiLaurent(terms, V_CHART)
+    solved = _weight_solve(remainder, s, n, powers) if remainder else {}
+    # BiLaurent adds the coefficients of a key both quotients carry.
+    terms = chain(quotient.items(), solved.items())
+    f_V = BiLaurent([((a, b), c * scale**b) for (a, b), c in terms], V_CHART)
     factor = BiLaurent.term(1, -n, 0)
     f_U = sigma.with_tag(U_CHART) - factor * to_U_coords(f_V, s)
     if not f_U.is_zero and f_U.min_z_exp() < 0:
         raise AssertionError("exact certificate produced a non-holomorphic f_U")
     window = default_window(s, n).hull([sigma])
     return TrivialityCertificate(f_U, f_V, BiLaurent.zero(), window)
+
+
+def _weight_solve(
+    remainder: Dict[Tuple[int, int], Q], s: SurfaceSpec, n: int,
+    powers: List[IntPoly],
+) -> Dict[Tuple[int, int], Q]:
+    """The quotient {(a, b): c} with remainder == sum c * g'(a, b) up to
+    nonnegative-z terms, for a remainder of _divide on deformed Z_k(tau) in
+    the coordinates (z, u') of _integral_glue; powers (v'^0, v'^1, ...) is
+    extended as needed.  One step per weight, lowest first, as proved in
+    triviality_certificate; a step that leaves the lowest weight where it
+    was raises AssertionError.
+    """
+    d = next(j for j, t in enumerate(s.tau, start=1) if t)
+    slope, t = s.k - d, powers[1][d, 0]
+    work, quotient, floor = dict(remainder), {}, -n
+    while work:
+        e = min(l - slope * i for l, i in work)
+        if e <= floor:
+            raise AssertionError(f"weight step left weight {e} <= {floor}")
+        floor = e
+        q0, b0 = -(e // slope), -(-(e + n) // d)
+        p = [work.get((e + slope * q, q), 0) for q in range(q0)]
+        # (w' + t)^-b0 = sum_j C(b0 + j - 1, j) (-1)^j t^(-b0-j) w'^j.
+        inverse = [Q((-1) ** j * comb(b0 + j - 1, j), t ** (b0 + j))
+                   for j in range(q0)]
+        r = [sum(p[q] * inverse[m - q] for q in range(m + 1))
+             for m in range(q0)]
+        # Taylor shift: r(w') = sum_j c_j (w' + t)^j.
+        for j in range(q0):
+            c = sum(r[m] * comb(m, j) * (-t) ** (m - j) for m in range(j, q0))
+            if not c:
+                continue
+            a, b = d * (b0 + j) - n - e, b0 + j
+            quotient[a, b] = c
+            while len(powers) <= b:
+                powers.append(_times(powers[-1], powers[1]))
+            for (l, i), x in powers[b].items():
+                l -= n + a
+                if l < 0:
+                    work[l, i] = work.get((l, i), 0) - c * x
+        work = {key: c for key, c in work.items() if c}
+    return quotient
 
 
 def _integral_glue(s: SurfaceSpec) -> Tuple[int, List[IntPoly]]:
@@ -579,33 +604,6 @@ def _times(p: IntPoly, q: IntPoly) -> IntPoly:
             key = (l1 + l2, i1 + i2)
             out[key] = out.get(key, 0) + x1 * x2
     return {key: x for key, x in out.items() if x}
-
-
-def _solve_in_span(
-    columns: Iterable[Tuple[tuple, Dict]], target: Dict
-) -> Optional[Dict[tuple, Q]]:
-    """Coefficients x with sum(x[key] * vec) == target over the (key, vec)
-    columns; None when the target is outside their span.
-
-    Eliminates the augmented columns [vec | e_i] in column order, with each
-    tag coordinate (1, i) sorting after every real coordinate (0, c), so a
-    row's tag part records it as a combination of the columns.  A column
-    that leaves no real coordinate (a zero or dependent one) is skipped:
-    inserting it would rewrite the other rows' tag parts.
-    """
-    echelon = ReducedEchelon()
-    keys = []
-    for key, vec in columns:
-        augmented = {(0, c): x for c, x in vec.items()}
-        augmented[1, len(keys)] = Q(1)
-        keys.append(key)
-        residual = echelon.reduce(augmented)
-        if min(residual)[0] == 0:
-            echelon.add(residual)
-    residual = echelon.reduce({(0, c): x for c, x in target.items()})
-    if any(tag == 0 for tag, _ in residual):
-        return None
-    return {keys[i]: -x for (_, i), x in residual.items()}
 
 
 def h0_basis(

@@ -5,8 +5,8 @@ Exit codes separate mathematical negatives from usage problems:
 * 0 -- success, schema-conformant JSON on stdout;
 * 1 -- mathematical failure (NotTrivial, NotApplicable, ...) with a
   machine-readable error object on stdout;
-* 2 -- usage error (bad flags, malformed input, a window too small for
-  any generator), reported on stderr as a "usage error:" line.
+* 2 -- usage error (bad flags, malformed input, a window that misses
+  sigma or every generator), reported on stderr as a "usage error:" line.
 
 Stdout is deterministic: canonical JSON key order and canonical polynomial
 printing, so identical invocations are byte-identical.  The window flags
@@ -56,7 +56,7 @@ from .deformation import (
     integrability_analysis,
     tangent_h1,
 )
-from .errors import LocalSurfacesError, WindowTooSmall
+from .errors import LocalSurfacesError, SupportOutsideWindow, WindowTooSmall
 from .laurent import BiLaurent, Q, V_CHART, parse_poly
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, surface
@@ -624,9 +624,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (argparse.ArgumentTypeError, WindowTooSmall) as exc:
-        # The default windows always meet a generator, so a window too
-        # small for any comes from the window flags.
+    except (argparse.ArgumentTypeError, SupportOutsideWindow,
+            WindowTooSmall) as exc:
+        # Default windows meet a generator and contain sigma, so a window
+        # that misses either comes from the window flags.
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except LocalSurfacesError as exc:

@@ -17,13 +17,31 @@ inclusion columns it quotients out, for rank checks against the dense RREF.
 divide is the u-degree division by BiLaurent powers of v with Fraction
 coefficients in the coordinates (z, u), the form cech._divide had before it
 moved to integer coefficients in (z, u' = D*u).
+
+relation_certificate is the triviality certificate by the relation solve
+that cech.triviality_certificate used before it solved the remainder by
+weights: the remainder is solved over the remainders of the relations of
+levels b <= n - 1 by elimination with unit tag columns (_solve_in_span).
+Its f_V may differ from the weight-graded one when tau has several nonzero
+coefficients, since f_V is not unique; both re-check exactly.
 """
 
 from fractions import Fraction as Q
+from typing import Dict, Iterable, Optional
 
 from dense_oracle import RationalMatrix, rref_rank
-from localsurfaces.cech import CechComplex
-from localsurfaces.laurent import BiLaurent, U_CHART
+from localsurfaces.cech import (
+    CechComplex,
+    TrivialityCertificate,
+    _divide,
+    _integral_glue,
+    _relation_levels,
+    default_window,
+)
+from localsurfaces.errors import NotTrivial, SupportOutsideWindow
+from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART
+from localsurfaces.linalg import ReducedEchelon
+from localsurfaces.surface import to_U_coords
 
 
 class FullComplex:
@@ -150,3 +168,76 @@ def divide(terms, k, n, powers):
                 if l2 < 0 and j < i:
                     work[l2, j] = work.get((l2, j), 0) - c * x
     return quotient, remainder
+
+
+def relation_certificate(sigma, s, n):
+    """Explicit f_U, f_V with sigma = f_U + z^-n * (f_V in U-coords) exactly,
+    for the line bundle O(-n), by the relation solve.
+
+    sigma is divided by u-degree as in cech.triviality_certificate.  On
+    tau != 0 the remainder is solved over the remainders of the
+    U-holomorphic relation tops z^(kb-n-a) u'^b, 0 <= a <= kb - n, for
+    levels b = 1, 2, ... up to the first that suffices, at most n - 1 (the
+    cap proved in cech.triviality_certificate).
+    """
+    if sigma.tag == V_CHART:
+        raise SupportOutsideWindow("cocycles must be given in U-coordinates")
+    scale, powers = _integral_glue(s)
+    negative = [((l, i), c / scale**i) for (l, i), c in sigma.items() if l < 0]
+    quotient, remainder = _divide(negative, s.k, n, powers)
+    if remainder and not s.is_deformed:
+        # scale is 1 on tau = 0, so u' = u.
+        normal = BiLaurent(remainder, U_CHART)
+        raise NotTrivial(f"class of {sigma} has the normal form {normal} != 0")
+    terms = [((a, b), c * scale**b) for (a, b), c in quotient.items()]
+    if remainder:
+        # _solve_in_span skips dependent relations, so they never enter it.
+        span, relations, quotients = ReducedEchelon(), [], {}
+        for level in _relation_levels(s, n, powers):
+            for key, relation_quotient, vec in level:
+                if span.add(vec):
+                    relations.append((key, vec))
+                    quotients[key] = relation_quotient
+            if not span.reduce(remainder):
+                break
+        else:
+            raise AssertionError(f"relations up to level {n - 1} miss {sigma}")
+        for key, x in _solve_in_span(relations, remainder).items():
+            terms += [
+                ((a, b), -x * c * scale**b)
+                for (a, b), c in quotients[key].items()
+            ]
+    f_V = BiLaurent(terms, V_CHART)
+    factor = BiLaurent.term(1, -n, 0)
+    f_U = sigma.with_tag(U_CHART) - factor * to_U_coords(f_V, s)
+    if not f_U.is_zero and f_U.min_z_exp() < 0:
+        raise AssertionError("exact certificate produced a non-holomorphic f_U")
+    window = default_window(s, n).hull([sigma])
+    return TrivialityCertificate(f_U, f_V, BiLaurent.zero(), window)
+
+
+def _solve_in_span(
+    columns: Iterable, target: Dict
+) -> Optional[Dict[tuple, Q]]:
+    """Coefficients x with sum(x[key] * vec) == target over the (key, vec)
+    columns; None when the target is outside their span.
+
+    Eliminates the augmented columns [vec | e_i] in column order, with each
+    tag coordinate (1, i) sorting after every real coordinate (0, c), so a
+    row's tag part records it as a combination of the columns.  A column
+    that leaves no real coordinate (a zero or dependent one) is skipped:
+    inserting it would rewrite the other rows' tag parts.
+    """
+    echelon = ReducedEchelon()
+    keys = []
+    for key, vec in columns:
+        augmented = {(0, c): x for c, x in vec.items()}
+        augmented[1, len(keys)] = Q(1)
+        keys.append(key)
+        residual = echelon.reduce(augmented)
+        if min(residual)[0] == 0:
+            echelon.add(residual)
+    residual = echelon.reduce({(0, c): x for c, x in target.items()})
+    if any(tag == 0 for tag, _ in residual):
+        return None
+    return {keys[i]: -x for (_, i), x in residual.items()}

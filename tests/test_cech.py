@@ -277,11 +277,12 @@ def cap_surfaces(rng):
 
 
 def test_certificate_reaches_every_normal_form_within_the_proved_cap():
-    # The relation levels b <= n - 1 span every class; with tau = t_1 z the
-    # last level is needed, so a cap of n - 2 fails here.  sigma combines
-    # every normal-form monomial.
+    # The weight steps solve every class with images of v-degree
+    # b <= n - 1, the cap proved in triviality_certificate.  sigma combines
+    # every normal-form monomial.  With tau = t_1 z, z^-1 (weight -1) needs
+    # b = b0 = n - 1, so the cap is reached.
     rng = random.Random(47)
-    for _, s in cap_surfaces(rng):
+    for d, s in cap_surfaces(rng):
         k = s.k
         for n in range(2, 13):
             sigma = BiLaurent({
@@ -296,6 +297,10 @@ def test_certificate_reaches_every_normal_form_within_the_proved_cap():
             assert cert.f_V.is_zero or cert.f_V.min_z_exp() >= 0
             twist = BiLaurent.term(1, -n, 0)
             assert sigma == cert.f_U + twist * to_U_coords(cert.f_V, s)
+            assert cert.f_V.max_u_exp() <= n - 1
+            if d == 1 and not any(s.tau[1:]):
+                f_V = triviality_certificate(P("z^-1"), s, n).f_V
+                assert f_V.max_u_exp() == n - 1
 
 
 def test_h1_relation_rank_reaches_the_count_within_the_proved_cap(monkeypatch):

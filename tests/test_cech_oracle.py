@@ -1,19 +1,22 @@
 """CechComplex against the full-window reference assembly in cech_oracle, the
 extension-sequence H^1 of rank-2 bundles (charge_report, tangent_h1) against
 the same assembly of their transitions, the windowless line-bundle H^1
-against the windowed computation, and the integer u-degree division against
-the rational one it replaced."""
+against the windowed computation, the integer u-degree division against
+the rational one it replaced, and the weight-graded triviality certificate
+against the relation solve it replaced."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as Q
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cech_oracle import FullComplex, divide
+from cech_oracle import FullComplex, divide, relation_certificate
 from localsurfaces import bundles, cech, deformation
 from localsurfaces.bundles import (
     ExtensionClass,
@@ -28,10 +31,16 @@ from localsurfaces.cech import (
     h1,
     h1_dimension_formula,
     h1_line_bundle,
+    triviality_certificate,
 )
 from localsurfaces.deformation import tangent_h1
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, parse_poly
-from localsurfaces.surface import line_transition, surface, tangent_transition
+from localsurfaces.surface import (
+    line_transition,
+    surface,
+    tangent_transition,
+    to_U_coords,
+)
 
 TAU_KINDS = {
     "zero": lambda k: [Q(0)] * (k - 1),
@@ -293,3 +302,59 @@ def test_integer_division_matches_the_rational_division(case):
             type(c) is int
             for c in itertools.chain(quotient.values(), remainder.values())
         )
+
+
+# -- triviality certificates: weight-graded solve against the relation solve
+
+PINNED = Path(__file__).resolve().parent / "pinned"
+
+
+def assert_certifies(cert, sigma, s, n):
+    assert cert.exact
+    assert cert.f_U.is_zero or cert.f_U.min_z_exp() >= 0
+    assert cert.f_V.is_zero or cert.f_V.min_z_exp() >= 0
+    twist = BiLaurent.term(1, -n, 0)
+    assert sigma == cert.f_U + twist * to_U_coords(cert.f_V, s)
+
+
+def test_weight_solve_matches_the_relation_solve_on_seeded_classes():
+    # f_V is not unique, so the two solves may differ when tau has several
+    # nonzero coefficients; both must re-check exactly.  With one nonzero
+    # coefficient t_d z^d every image is homogeneous in weight, and both
+    # solves pick the same f_V: certificate stdout there is unchanged.
+    rng = random.Random(53)
+    single = 0
+    for _ in range(300):
+        k, n = rng.randint(2, 5), rng.randint(1, 12)
+        degrees = rng.sample(range(1, k), rng.randint(1, min(4, k - 1)))
+        tau = [Q(0)] * (k - 1)
+        for degree in degrees:
+            tau[degree - 1] = Q(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                rng.randint(1, 4))
+        s = surface(k, tau)
+        sigma = BiLaurent({
+            (rng.randint(-n - 3, -1), rng.randint(0, 3)):
+                Q(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+            for _ in range(rng.randint(1, 5))
+        }, U_CHART)
+        cert = triviality_certificate(sigma, s, n)
+        oracle = relation_certificate(sigma, s, n)
+        assert_certifies(cert, sigma, s, n)
+        if len(degrees) == 1:
+            # Then f_U is the same too, so the oracle re-checks as well.
+            single += 1
+            assert cert.f_V == oracle.f_V
+        else:
+            assert_certifies(oracle, sigma, s, n)
+    assert 100 < single < 200
+
+
+def test_relation_solve_prints_the_pinned_certificate():
+    # The certificate certify-trivial printed with the relation solve.
+    pinned = json.loads(
+        (PINNED / "certify_trivial_k4_n6.relation_solve.json").read_text()
+    )
+    s = surface(4, [Q(1, 2), Q(-2, 3), Q(3, 4)])
+    sigma = parse_poly(pinned["sigma"])
+    cert = relation_certificate(sigma, s, 6)
+    assert (str(cert.f_U), str(cert.f_V)) == (pinned["f_U"], pinned["f_V"])

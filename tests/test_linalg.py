@@ -3,9 +3,9 @@
 import random
 from fractions import Fraction as Q
 
-from cech_oracle import coboundary_matrix
+from cech_oracle import _solve_in_span, coboundary_matrix
 from dense_oracle import RationalMatrix, nullspace, rref_rank
-from localsurfaces.cech import Window, _solve_in_span, h1_dimension_formula
+from localsurfaces.cech import Window, h1_dimension_formula
 from localsurfaces.linalg import ReducedEchelon
 from localsurfaces.linalg import nullspace as sparse_nullspace
 from localsurfaces.surface import surface
