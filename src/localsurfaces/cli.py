@@ -16,12 +16,16 @@ tau != 0, echoing the window (see cech); charge and tangent compute h^1
 exactly from an extension sequence of line bundles and echo the default
 window of their transition (see bundles.charge_report and
 deformation.tangent_h1); and certify-trivial solves exactly with no window,
-so nothing in the environment changes a result.
+so nothing in the environment changes a result.  The parser is built on the
+first main call and reused by every later call in the process; parsing
+keeps no state between calls, so every call parses its argv as a first call
+would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -615,10 +619,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use rather than at import (a
+    process that only imports the CLI builds none)."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from localsurfaces.bundles import ExtensionClass, extension_to_transition
 from localsurfaces.cech import default_window_for_transition
+from localsurfaces import cli
 from localsurfaces.cli import main
 from localsurfaces.laurent import parse_poly
 from localsurfaces.surface import surface, tangent_transition
@@ -314,11 +315,15 @@ def polynomial_argvs(draw):
     return argv
 
 
-def assert_exit_code_contract(argv):
-    """Run argv and check the exit-code contract; returns the payload of a
-    success, else None.  Only the window flags can make a window too small
-    or make it miss sigma, so those errors are usage errors, never exit 1."""
+def assert_exit_code_contract(argv, runs=1):
+    """Run argv `runs` times in this process and check the exit-code
+    contract; returns the payload of a success, else None.  Every run must
+    give the same code, stdout and stderr, since main reuses one parser.
+    Only the window flags can make a window too small or make it miss
+    sigma, so those errors are usage errors, never exit 1."""
     code, out, err = run(*argv)
+    for _ in range(runs - 1):
+        assert run(*argv) == (code, out, err)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
@@ -535,8 +540,10 @@ def whole_argvs(draw):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(whole_argvs())
 def test_whole_argv_keeps_the_exit_code_contract(golden_tables, argv):
+    # Each argv runs twice on main's shared parser, so this is also a
+    # statelessness check over every subcommand.
     assert_exit_code_contract(
-        [str(golden_tables.get(arg, arg)) for arg in argv]
+        [str(golden_tables.get(arg, arg)) for arg in argv], runs=2
     )
 
 
@@ -594,6 +601,61 @@ def test_output_is_byte_identical():
     _, first, _ = run("h1", "--k", "3", "--n", "5")
     _, second, _ = run("h1", "--k", "3", "--n", "5")
     assert first == second
+
+
+# -- one parser per process: main reuses it, and parsing keeps no state ----------------
+
+def fresh_run(*argv):
+    """run(*argv) on a newly built parser, like the first call of a process."""
+    cli._shared_parser.cache_clear()
+    return run(*argv)
+
+
+VALID_ARGV = ("certify-trivial", "--k", "2", "--n", "3", "--tau", "1",
+              "--sigma", "z^-1")
+
+
+@pytest.mark.parametrize("before,code", [
+    (VALID_ARGV, 0),                                   # the same argv twice
+    (("h1", "--k", "0"), 2),                           # usage error
+    (("certify-trivial", "--k", "2", "--n", "4", "--sigma", "z^-1"), 1),
+    (("--version",), 0),                               # SystemExit
+    (("--help",), 0),
+    (("certify-trivial", "--help"), 0),
+])
+def test_parsing_keeps_no_state_between_calls(before, code):
+    fresh = {argv: fresh_run(*argv) for argv in (before, VALID_ARGV)}
+    assert fresh[before][0] == code
+    assert fresh[VALID_ARGV][0] == 0
+    # One shared parser: each call prints what a first call prints.
+    for argv in (VALID_ARGV, before, VALID_ARGV, before):
+        assert run(*argv) == fresh[argv]
+
+
+def test_window_flags_do_not_leak_into_later_calls():
+    argv = ("h1", "--k", "3", "--n", "5")
+    default = fresh_run(*argv)
+    assert json.loads(default[1])["window"] == {
+        "min_z": -11, "max_z": 11, "max_u": 4,
+    }
+    assert payload(*argv, "--max-z", "9")["window"]["max_z"] == 9
+    assert run(*argv) == default
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    real_build_parser = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(real_build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._shared_parser.cache_clear()
+    for _ in range(3):
+        assert run(*VALID_ARGV)[0] == 0
+    assert len(built) == 1
+    assert real_build_parser() is not real_build_parser()
 
 
 PINNED = Path(__file__).resolve().parent / "pinned"
