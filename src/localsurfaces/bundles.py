@@ -21,6 +21,7 @@ from .cech import (
     default_window_for_transition,
     h1_dimension_formula,
     h1_line_bundle,
+    normal_form,
     triviality_certificate,
 )
 from .errors import CertificateNotFound, NoZeroSection, NotApplicable, NotTrivial
@@ -206,7 +207,7 @@ def charge_report(s: SurfaceSpec, e: ExtensionClass) -> ChargeReport:
     if s.is_deformed:
         r1_dim = h1_line_bundle(s, e.j).dimension
     else:
-        r1_dim = h1_dimension_formula(s.k, e.j) - _connecting_rank(s.k, e)
+        r1_dim = h1_dimension_formula(s.k, e.j) - _connecting_rank(s, e)
     return ChargeReport(
         r1_dim=r1_dim,
         q_dim=_UNSUPPORTED,
@@ -216,28 +217,24 @@ def charge_report(s: SurfaceSpec, e: ExtensionClass) -> ChargeReport:
     )
 
 
-def _connecting_rank(k: int, e: ExtensionClass) -> int:
-    """Rank of delta(t) = [sigma * t] from H^0(Z_k, O(j)) to H^1(Z_k, O(-j)).
+def _connecting_rank(s: SurfaceSpec, e: ExtensionClass) -> int:
+    """Rank of delta(t) = [sigma * t] from H^0(Z_k, O(j)) to H^1(Z_k, O(-j)),
+    on the undeformed s = Z_k.
 
     H^0(O(j)) is spanned by the z^a u^b with z^-j z^a u^b = xi^(j+kb-a) v^b
-    V-holomorphic, 0 <= a <= j + kb.  On Z_k every V-image z^(-j-a) v^b is
-    the monomial z^(kb-j-a) u^b, so the normal form of a cocycle keeps
-    exactly its terms z^l u^i with ki - j < l < 0 (the remainder of
-    cech._divide).  Only finitely many sections can have a nonzero image:
-    sigma z^a u^b is U-holomorphic once a >= -min_z(sigma), and for
-    b > m = floor((j - 2) / k) every term has ki - j >= k(m + 1) - j >= -1,
-    so no normal-form monomial.
+    V-holomorphic, 0 <= a <= j + kb, and delta maps each to the normal form
+    of sigma z^a u^b (cech.normal_form), which lies on the monomials
+    z^l u^i, ki - j < l < 0.  Only finitely many sections can have a
+    nonzero image: sigma z^a u^b is U-holomorphic once a >= -min_z(sigma),
+    and for b > m = floor((j - 2) / k) every term has
+    ki - j >= k(m + 1) - j >= -1, so no normal-form monomial.
     """
-    j, sigma = e.j, e.sigma
+    j, sigma = e.j, e.sigma.with_tag(None)
     reach = 0 if sigma.is_zero else -sigma.min_z_exp()
     span = ReducedEchelon()
-    for b in range((j - 2) // k + 1):
-        for a in range(min(j + k * b + 1, reach)):
-            span.add({
-                (l + a, i + b): c
-                for (l, i), c in sigma.items()
-                if k * (i + b) - j < l + a < 0
-            })
+    for b in range((j - 2) // s.k + 1):
+        for a in range(min(j + s.k * b + 1, reach)):
+            span.add(normal_form(BiLaurent.term(1, a, b) * sigma, s, j).terms)
     return span.rank
 
 

@@ -10,22 +10,23 @@ A 1-cocycle is an overlap function in U-coordinates.  Its class is
 unchanged by adding: (i) any U-holomorphic function, and (ii) z^-n * f for
 any f holomorphic on V, rewritten to U-coordinates.
 
-The infinite cochain spaces are truncated to a finite monomial window.
-Quotienting by (i) is done analytically: the nonnegative-z window monomials
-are exactly the U-holomorphic ones, so the complex keeps only the negative-z
-window monomials as coordinates, and its columns are the images (ii) of the
-V-holomorphic monomials, restricted to those coordinates.  A dimension the
-complex computes is therefore an in-window statement.  On the undeformed
-surface the monomial normal form makes the answer exact once the window
-stabilizes.
+The infinite cochain spaces are truncated to a finite monomial window only
+where the window is part of the answer: H^0, whose space of sections is
+infinite-dimensional, and the undeformed H^1, which stabilizes to the
+closed form.  Quotienting by (i) is done analytically: the nonnegative-z
+window monomials are exactly the U-holomorphic ones, so CechComplex keeps
+only the negative-z window monomials as coordinates, and its columns are
+the images (ii) of the V-holomorphic monomials, restricted to those
+coordinates.
 
-Line bundles O(-n) need no window for H^1 on a deformed surface, nor for
-a triviality certificate: dividing by the monic u-degree tops of the
-V-images leaves a remainder on the finitely many normal-form monomials,
-which triviality_certificate solves weight by weight with images of
-v-degree b <= n - 1 (proved in its docstring).  So the relations of levels
-b <= n - 1 span those monomials, and h1_line_bundle counts their rank up
-to the closed-form number, which proves H^1 = 0.
+Normal forms, triviality certificates and the deformed H^1 of O(-n) need
+no window: dividing by the monic u-degree tops of the V-images leaves a
+remainder on the finitely many normal-form monomials z^l u^i,
+ki - n < l < 0.  On tau = 0 the remainder is the normal form.  On tau != 0
+triviality_certificate solves it weight by weight with images of v-degree
+b <= n - 1 (proved in its docstring), so every normal form is 0, the
+relations of levels b <= n - 1 span those monomials, and h1_line_bundle
+counts their rank up to the closed-form number, which proves H^1 = 0.
 
 The division and the weight steps run in the coordinates (z, u' = D*u), D
 the least common denominator of tau, where v' = D*v = z^k u' + D*tau has
@@ -39,9 +40,9 @@ each side, one u step) until the dimension is unchanged across two
 consecutive enlargements, and gives up with StepCapExceeded after 8
 enlargements.
 
-All linear algebra runs on the sparse ReducedEchelon: ranks and normal forms
-on the complex's own echelon, H^0 sections through linalg.nullspace, and
-the relation rank of deformed line-bundle H^1 on one echelon.
+All linear algebra runs on the sparse ReducedEchelon: the rank of the
+complex's columns, H^0 sections through linalg.nullspace, and the relation
+rank of deformed line-bundle H^1 on one echelon.
 """
 
 from __future__ import annotations
@@ -170,22 +171,19 @@ class CohomologyResult:
 
 @dataclass(frozen=True)
 class TrivialityCertificate:
-    """Explicit coboundary data: sigma = f_U + z^-n * (f_V in U-coords)
-    + residual.  triviality_certificate solves exactly, so the residual is
-    always zero; residual, exact and window stay for the output schema."""
+    """Explicit coboundary data: sigma = f_U + z^-n * (f_V in U-coords)."""
 
     f_U: BiLaurent
     f_V: BiLaurent
-    residual: BiLaurent
-    window: Window
 
     @property
     def exact(self) -> bool:
-        return self.residual.is_zero
+        """Always True: triviality_certificate solves exactly or raises."""
+        return True
 
 
 class CechComplex:
-    """Coboundary space of O(-n) over a fixed window, with normal forms.
+    """Coboundary space of O(-n) over a fixed window.
 
     Every nonnegative-z window monomial is U-holomorphic, hence already a
     coboundary, so the complex works modulo those: its coordinates are the
@@ -270,35 +268,6 @@ class CechComplex:
             if index not in pivot
         )
 
-    # -- cocycle reduction ---------------------------------------------------
-
-    def encode(self, sigma: BiLaurent) -> Dict[int, Q]:
-        """Coordinates of an in-window cocycle; its nonnegative-z terms are
-        U-holomorphic and drop out."""
-        if sigma.tag == V_CHART:
-            raise SupportOutsideWindow("cocycles must be given in U-coordinates")
-        out: Dict[int, Q] = {}
-        for mono, coeff in sigma.items():
-            if not self.window.contains(mono):
-                raise SupportOutsideWindow(
-                    f"monomial z^{mono.z_exp} u^{mono.u_exp} outside "
-                    f"window {self.window}"
-                )
-            if mono.z_exp < 0:
-                out[self.window.local_index(mono)] = coeff
-        return out
-
-    def decode(self, vec: Dict[int, Q]) -> BiLaurent:
-        return BiLaurent(
-            {self._coords(index): coeff for index, coeff in vec.items()},
-            U_CHART,
-        )
-
-    def normal_form(self, sigma: BiLaurent) -> BiLaurent:
-        """Unique window representative of [sigma] supported on the
-        non-pivot basis monomials."""
-        return self.decode(self._echelon.reduce(self.encode(sigma)))
-
 
 def h1_dimension_formula(k: int, n: int) -> int:
     """Closed form for dim H^1(Z_k, O(-n)): (m+1)(2n-km-2)/2 with
@@ -369,21 +338,19 @@ def h1(s: SurfaceSpec, n: int, window: Optional[Window] = None) -> CohomologyRes
     )
 
 
-def h1_line_bundle(
-    s: SurfaceSpec, n: int, window: Optional[Window] = None
-) -> CohomologyResult:
+def h1_line_bundle(s: SurfaceSpec, n: int) -> CohomologyResult:
     """H^1(Z_k(tau), O(-n)); n is the positive twist, so n = 4 means O(-4).
 
-    On tau = 0 the window grows until the dimension settles (see h1); the
-    result is the closed form with the normal-form monomial basis.  On
-    tau != 0 no window is used: every class divides by u-degree to a
+    On tau = 0 the default window grows until the dimension settles (see
+    h1); the result is the closed form with the normal-form monomial basis.
+    On tau != 0 no window is used: every class divides by u-degree to a
     remainder on the h1_dimension_formula(k, n) normal-form monomials, and
     the relations of levels b <= n - 1 span all of them: the weight steps of
     triviality_certificate write each as a combination of images g(a, b),
     b <= n - 1, whose division writes it by their relation remainders.
     Their rank is counted level by level until it reaches that number,
-    which proves H^1 = 0; the result echoes the given (or default) window
-    with stabilized=True.  Falling short at level n - 1 raises
+    which proves H^1 = 0; the result echoes the default window with
+    stabilized=True.  Falling short at level n - 1 raises
     AssertionError: a positive dimension is never reported on a deformed
     surface.
 
@@ -391,10 +358,8 @@ def h1_line_bundle(
     a diagonal rescaling that keeps the rank at every level, so the count
     is reached at the same relation, within the same cap.
     """
-    if window is None:
-        window = default_window(s, n)
     if not s.is_deformed:
-        return h1(s, n, window)
+        return h1(s, n)
     count = h1_dimension_formula(s.k, n)
     _, powers = _integral_glue(s)
     span = ReducedEchelon()
@@ -410,18 +375,27 @@ def h1_line_bundle(
         dimension=0,
         basis=(),
         m_row=(n - 2) // s.k if n >= 2 else None,
-        window=window,
+        window=default_window(s, n),
         stabilized=True,
         rank=1,
     )
 
 
-def normal_form(
-    sigma: BiLaurent, s: SurfaceSpec, n: int, window: Window
-) -> BiLaurent:
-    """Project a cocycle of O(-n) onto the non-pivot monomial basis of its
-    window."""
-    return CechComplex(s, n, window).normal_form(sigma)
+def normal_form(sigma: BiLaurent, s: SurfaceSpec, n: int) -> BiLaurent:
+    """The unique representative of [sigma] in H^1(O(-n)) on the
+    normal-form monomials z^l u^i, ki - n < l < 0 (Gasparim, Comm.
+    Algebra 25, 1997).
+
+    On tau = 0 it is the remainder of the u-degree division, the one
+    triviality_certificate names in NotTrivial.  On tau != 0 it is 0, once
+    the weight steps of triviality_certificate have solved the remainder.
+    """
+    _, powers, _, remainder = _reduce(sigma, s, n)
+    if not s.is_deformed:
+        return BiLaurent(remainder, U_CHART)
+    if remainder:
+        _weight_solve(remainder, s, n, powers)
+    return BiLaurent.zero(U_CHART)
 
 
 def triviality_certificate(
@@ -456,11 +430,7 @@ def triviality_certificate(
     f_V's coefficient of xi^a v^b is D^b times the quotient's on
     g'(a, b) = D^b g(a, b); f_U is the rewrite in (z, u).
     """
-    if sigma.tag == V_CHART:
-        raise SupportOutsideWindow("cocycles must be given in U-coordinates")
-    scale, powers = _integral_glue(s)
-    negative = [((l, i), c / scale**i) for (l, i), c in sigma.items() if l < 0]
-    quotient, remainder = _divide(negative, s.k, n, powers)
+    scale, powers, quotient, remainder = _reduce(sigma, s, n)
     if remainder and not s.is_deformed:
         # scale is 1 on tau = 0, so u' = u.
         normal = BiLaurent(remainder, U_CHART)
@@ -473,8 +443,20 @@ def triviality_certificate(
     f_U = sigma.with_tag(U_CHART) - factor * to_U_coords(f_V, s)
     if not f_U.is_zero and f_U.min_z_exp() < 0:
         raise AssertionError("exact certificate produced a non-holomorphic f_U")
-    window = default_window(s, n).hull([sigma])
-    return TrivialityCertificate(f_U, f_V, BiLaurent.zero(), window)
+    return TrivialityCertificate(f_U, f_V)
+
+
+def _reduce(sigma: BiLaurent, s: SurfaceSpec, n: int) -> Tuple[
+    int, List[IntPoly], Dict[Tuple[int, int], Q], Dict[Tuple[int, int], Q]
+]:
+    """D and the powers of v' from _integral_glue, and the quotient and
+    remainder of _divide on the negative-z terms of sigma in (z, u' = D*u);
+    its nonnegative-z terms are U-holomorphic and drop out."""
+    if sigma.tag == V_CHART:
+        raise SupportOutsideWindow("cocycles must be given in U-coordinates")
+    scale, powers = _integral_glue(s)
+    negative = [((l, i), c / scale**i) for (l, i), c in sigma.items() if l < 0]
+    return (scale, powers, *_divide(negative, s.k, n, powers))
 
 
 def _weight_solve(

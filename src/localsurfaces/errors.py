@@ -36,7 +36,8 @@ class WindowTooSmall(LocalSurfacesError):
 
 
 class SupportOutsideWindow(LocalSurfacesError):
-    """A cocycle has monomials outside the window it is being reduced in."""
+    """A cocycle is not an overlap function in U-coordinates: it was given
+    in the V-chart variables xi, v."""
 
 
 class NotTrivial(LocalSurfacesError):

@@ -9,7 +9,8 @@ window.  Dimension and normal forms come from the dense RREF of that matrix.
 It shares no code with CechComplex, which assembles line bundles only and
 quotients the U-holomorphic coordinates out analytically, nor with the
 extension-sequence H^1 of rank-2 bundles (bundles.charge_report,
-deformation.tangent_h1), so it is the oracle for both.
+deformation.tangent_h1), nor with the windowless normal form of line
+bundles (cech.normal_form), so it is the oracle for all three.
 
 coboundary_matrix is the dense matrix of CechComplex's own columns plus the
 inclusion columns it quotients out, for rank checks against the dense RREF.
@@ -33,12 +34,10 @@ from dense_oracle import RationalMatrix, rref_rank
 from localsurfaces.cech import (
     CechComplex,
     TrivialityCertificate,
-    _divide,
-    _integral_glue,
+    _reduce,
     _relation_levels,
-    default_window,
 )
-from localsurfaces.errors import NotTrivial, SupportOutsideWindow
+from localsurfaces.errors import NotTrivial
 from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART
 from localsurfaces.linalg import ReducedEchelon
 from localsurfaces.surface import to_U_coords
@@ -180,11 +179,7 @@ def relation_certificate(sigma, s, n):
     levels b = 1, 2, ... up to the first that suffices, at most n - 1 (the
     cap proved in cech.triviality_certificate).
     """
-    if sigma.tag == V_CHART:
-        raise SupportOutsideWindow("cocycles must be given in U-coordinates")
-    scale, powers = _integral_glue(s)
-    negative = [((l, i), c / scale**i) for (l, i), c in sigma.items() if l < 0]
-    quotient, remainder = _divide(negative, s.k, n, powers)
+    scale, powers, quotient, remainder = _reduce(sigma, s, n)
     if remainder and not s.is_deformed:
         # scale is 1 on tau = 0, so u' = u.
         normal = BiLaurent(remainder, U_CHART)
@@ -212,8 +207,7 @@ def relation_certificate(sigma, s, n):
     f_U = sigma.with_tag(U_CHART) - factor * to_U_coords(f_V, s)
     if not f_U.is_zero and f_U.min_z_exp() < 0:
         raise AssertionError("exact certificate produced a non-holomorphic f_U")
-    window = default_window(s, n).hull([sigma])
-    return TrivialityCertificate(f_U, f_V, BiLaurent.zero(), window)
+    return TrivialityCertificate(f_U, f_V)
 
 
 def _solve_in_span(

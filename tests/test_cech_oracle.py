@@ -1,7 +1,8 @@
-"""CechComplex against the full-window reference assembly in cech_oracle, the
-extension-sequence H^1 of rank-2 bundles (charge_report, tangent_h1) against
-the same assembly of their transitions, the windowless line-bundle H^1
-against the windowed computation, the integer u-degree division against
+"""CechComplex and the windowless normal form against the full-window
+reference assembly in cech_oracle, the extension-sequence H^1 of rank-2
+bundles (charge_report, tangent_h1) against the same assembly of their
+transitions, the windowless line-bundle H^1 against the windowed
+computation, the integer u-degree division against
 the rational one it replaced, and the weight-graded triviality certificate
 against the relation solve it replaced."""
 
@@ -31,6 +32,7 @@ from localsurfaces.cech import (
     h1,
     h1_dimension_formula,
     h1_line_bundle,
+    normal_form,
     triviality_certificate,
 )
 from localsurfaces.deformation import tangent_h1
@@ -66,6 +68,7 @@ def random_cocycle(rng, window):
 
 
 def assert_matches_full_assembly(s, n, window, rng):
+    # The windowed normal form of an in-window cocycle is the exact one.
     complex_ = CechComplex(s, n, window)
     full = FullComplex(s, line_transition(-n), window)
     assert complex_.dimension == full.dimension
@@ -73,7 +76,7 @@ def assert_matches_full_assembly(s, n, window, rng):
     assert basis == full.basis_monomials()
     for _ in range(4):
         sigma = random_cocycle(rng, window)
-        assert complex_.normal_form(sigma) == full.normal_form((sigma,))[0]
+        assert normal_form(sigma, s, n) == full.normal_form((sigma,))[0]
 
 
 @pytest.mark.parametrize("k,tau_kind", SURFACES)
@@ -177,9 +180,9 @@ def test_tangent_transition_matches_full_assembly(k):
     assert basis == full.basis_monomials()
 
 
-def test_rank_two_h1_builds_no_complex_and_tries_no_window(monkeypatch):
-    # The extension-sequence H^1 uses no windowed computation: every
-    # binding of CechComplex.__init__, stabilize_window and h1 raises.
+def refuse_windowed_computation(monkeypatch):
+    """Make every binding of CechComplex.__init__, stabilize_window and h1
+    raise."""
     def refuse(*args, **kwargs):
         raise AssertionError("windowed computation used")
 
@@ -188,11 +191,28 @@ def test_rank_two_h1_builds_no_complex_and_tries_no_window(monkeypatch):
         for name in ("stabilize_window", "h1"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+
+
+def test_rank_two_h1_builds_no_complex_and_tries_no_window(monkeypatch):
+    # The extension-sequence H^1 uses no windowed computation.
+    refuse_windowed_computation(monkeypatch)
     for k, tau, j, sigma in [(2, [0], 4, "z^-5*u"), (3, [0, 0], 3, "z^-1"),
                              (2, [1], 4, "z^-5*u"), (3, [Q(1, 2), 0], 3, "z^-2")]:
         charge_report(surface(k, tau), ExtensionClass(j, parse_poly(sigma)))
     for k in range(1, 6):
         tangent_h1(k)
+
+
+def test_normal_form_builds_no_complex_and_tries_no_window(monkeypatch):
+    # The normal form is the division remainder, or 0 once the weight
+    # steps solve it, on zero, unit and rational tau; sigma reaches far
+    # below the default window.
+    refuse_windowed_computation(monkeypatch)
+    sigma = parse_poly("z^-40*u^3 - 1/2*z^-3*u + 2*z^-1 + z^2")
+    for k, tau, n, want in [(2, [0], 6, "-1/2*z^-3*u + 2*z^-1"),
+                            (3, [0, 0], 5, "2*z^-1"),
+                            (2, [1], 4, "0"), (3, [Q(1, 2), -1], 6, "0")]:
+        assert str(normal_form(sigma, surface(k, tau), n)) == want
 
 
 ORACLE_TAUS = {

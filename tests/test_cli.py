@@ -1,5 +1,6 @@
 """CLI behaviour: JSON payloads, exit codes, determinism, schemas, goldens."""
 
+import argparse
 import io
 import json
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 jsonschema = pytest.importorskip("jsonschema")
 
 from localsurfaces.bundles import ExtensionClass, extension_to_transition
-from localsurfaces.cech import default_window_for_transition
+from localsurfaces.cech import default_window, default_window_for_transition
 from localsurfaces import cli
 from localsurfaces.cli import main
 from localsurfaces.laurent import parse_poly
@@ -199,10 +200,9 @@ def test_growth_cap_variable_is_ignored(monkeypatch, value):
 
 
 # Flag values the library would reject with ValueError, window flags on
-# subcommands that take none or that leave sigma outside the window (the
-# default window of normal-form contains it), polynomials written in the
-# V-chart alphabet (xi, v) or with a zero denominator, and golden files
-# whose rows are not JSON or not row objects: each is a usage error,
+# subcommands that take none (every subcommand but h0), polynomials written
+# in the V-chart alphabet (xi, v) or with a zero denominator, and golden
+# files whose rows are not JSON or not row objects: each is a usage error,
 # reported without a traceback.
 USAGE_ERRORS = [
     ["h1", "--k", "2", "--n", "4", "--min-z", "1"],
@@ -263,6 +263,43 @@ def test_invalid_values_are_usage_errors(argv, tmp_path):
         assert "row 1" in usage[0]
 
 
+WINDOW_FLAGS = ("--min-z", "--max-z", "--max-u")
+
+
+def test_window_flags_exist_on_h0_only():
+    # h0 counts sections in a window; every other subcommand is exact
+    # without one.
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    with_flags = {
+        command for command, parser in subparsers.choices.items()
+        if any(flag in parser._option_string_actions for flag in WINDOW_FLAGS)
+    }
+    assert with_flags == {"h0"}
+    assert all(
+        flag in subparsers.choices["h0"]._option_string_actions
+        for flag in WINDOW_FLAGS
+    )
+
+
+@pytest.mark.parametrize("command", [
+    ("h1", "--k", "2", "--n", "4"),
+    ("normal-form", "--k", "2", "--n", "4", "--sigma", "3*z^-1*u"),
+])
+@pytest.mark.parametrize("flag,value", [
+    ("--min-z", "-12"), ("--max-z", "12"), ("--max-u", "5"),
+])
+def test_removed_window_flags_are_usage_errors(command, flag, value):
+    # h1 and normal-form took the window flags until they became exact;
+    # an in-range value is refused like any unknown flag.
+    code, out, err = run(*command, flag, value)
+    assert code == 2
+    assert out == ""
+    assert any(line.startswith("usage error:") for line in err.splitlines())
+
+
 # Polynomial flags drawn from a grammar: one to three terms (coefficients
 # with zero denominators, powers of both chart alphabets, negative or
 # missing u-exponents), joined by operators that may be doubled or missing,
@@ -319,8 +356,10 @@ def assert_exit_code_contract(argv, runs=1):
     """Run argv `runs` times in this process and check the exit-code
     contract; returns the payload of a success, else None.  Every run must
     give the same code, stdout and stderr, since main reuses one parser.
-    Only the window flags can make a window too small or make it miss
-    sigma, so those errors are usage errors, never exit 1."""
+    No subcommand can hit a window too small or one that misses sigma:
+    only h0 takes window flags and it assembles no complex, and the rest
+    use default windows or none.  So SupportOutsideWindow and
+    WindowTooSmall never surface, not even as exit 1."""
     code, out, err = run(*argv)
     for _ in range(runs - 1):
         assert run(*argv) == (code, out, err)
@@ -378,43 +417,29 @@ def test_certificate_flags_keep_the_exit_code_contract(argv):
     assert_exit_code_contract(argv)
 
 
-# h1 over twists -3..16, zero, unit and rational tau, and each window flag
-# absent or set to a tiny, a wide or an out-of-range value.  On tau != 0 the
-# answer is the proved dim 0 whatever the window, and the window is echoed.
+# h1 over twists -3..16 and zero, unit and rational tau.  On tau != 0 the
+# answer is the proved dim 0 and the default window is echoed.
 h1_taus = st.sampled_from([
     [], ["--tau", "0"], ["--tau", "1"], ["--tau", "0,-1"], ["--tau", "3/4"],
     ["--tau", "1/2,-1"], ["--tau", "1/2,-2/3,3/4"],
 ])
-H1_WINDOW_VALUES = {
-    "--min-z": ("0", "-1", "-3", "-12", "1"),
-    "--max-z": ("0", "1", "12", "-1"),
-    "--max-u": ("0", "1", "5", "-1"),
-}
-
-
-@st.composite
-def h1_argvs(draw):
-    argv = ["h1", "--k", draw(st.sampled_from("12343420")),
-            "--n", str(draw(st.integers(-3, 16)))] + draw(h1_taus)
-    for flag, values in H1_WINDOW_VALUES.items():
-        if draw(st.booleans()):
-            argv += [flag, draw(st.sampled_from(values))]
-    return argv
+h1_argvs = st.builds(
+    lambda k, n, tau: ["h1", "--k", k, "--n", str(n)] + tau,
+    st.sampled_from("12343420"), st.integers(-3, 16), h1_taus,
+)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(h1_argvs())
+@given(h1_argvs)
 def test_h1_flags_keep_the_exit_code_contract(argv):
     document = assert_exit_code_contract(argv)
     if document is None or not any(t != "0" for t in document["tau"]):
         return
     assert (document["dim"], document["basis"]) == (0, [])
     assert document["stabilized"] is True
-    flags = dict(zip(argv[1::2], argv[2::2]))
-    for flag in H1_WINDOW_VALUES:
-        if flag in flags:
-            key = flag[2:].replace("-", "_")
-            assert document["window"][key] == int(flags[flag])
+    s = surface(document["k"], [Fraction(t) for t in document["tau"]])
+    window = default_window(s, document["n"])
+    assert document["window"] == window.to_json_dict()
 
 
 # charge over splitting types -3..12, the certificate sigmas and the
@@ -465,9 +490,9 @@ def test_charge_and_tangent_flags_keep_the_exit_code_contract(argv):
 
 # Whole argv over every subcommand: its own flags with valid and invalid
 # values, --tau lists or --tau-poly (more often where the subcommand takes
-# them), and any of the window flags, which only h1, h0 and normal-form
-# take.  golden verify reads a table with a valid row, a corrupt row
-# (exit 1) or a row that is not JSON (exit 2).
+# them), and any of the window flags, which only h0 takes.  golden verify
+# reads a table with a valid row, a corrupt row (exit 1) or a row that is
+# not JSON (exit 2).
 SUBCOMMAND_FLAGS = {
     "h1": ("--k", "--n"),
     "h0": ("--k", "--n"),
@@ -489,7 +514,11 @@ TAU_SUBCOMMANDS = {
     "h1", "h0", "normal-form", "certify-trivial", "deform", "split-type",
     "certify-split", "charge",
 }
-WINDOW_SUBCOMMANDS = {"h1", "h0", "normal-form"}
+WINDOW_VALUES = {
+    "--min-z": ("0", "-1", "-3", "-12", "1"),
+    "--max-z": ("0", "1", "12", "-1"),
+    "--max-u": ("0", "1", "5", "-1"),
+}
 whole_argv_sigmas = st.sampled_from(CERTIFICATE_SIGMAS + ("z^-1", "z^-2*u"))
 FLAG_VALUES = {
     "--k": st.sampled_from("12342343") | st.sampled_from(["0", "-1", "x"]),
@@ -529,11 +558,10 @@ def whole_argvs(draw):
         argv.append("--deformed")
     if draw(st.integers(0, 3)) < (2 if command in TAU_SUBCOMMANDS else 1):
         argv += draw(tau_flags | certificate_taus)
-    if draw(st.integers(0, 3)) < (2 if command in WINDOW_SUBCOMMANDS else 1):
-        flags = draw(st.sets(st.sampled_from(sorted(H1_WINDOW_VALUES)),
-                             min_size=1))
+    if draw(st.integers(0, 3)) < (2 if command == "h0" else 1):
+        flags = draw(st.sets(st.sampled_from(WINDOW_FLAGS), min_size=1))
         for flag in sorted(flags):
-            argv += [flag, draw(st.sampled_from(H1_WINDOW_VALUES[flag]))]
+            argv += [flag, draw(st.sampled_from(WINDOW_VALUES[flag]))]
     return argv
 
 
@@ -580,13 +608,13 @@ def test_negative_polynomial_sigma_is_a_value(command, sigma, code):
 
 
 def test_window_too_small_is_usage_error():
-    # No V-holomorphic generator meets the 1x1 window at the origin; only
-    # the window flags can ask for such a window.
+    # No V-holomorphic generator meets the 1x1 window at the origin; h1
+    # takes no window flags, so it cannot be asked for that window.
     code, out, err = run("h1", "--k", "2", "--n", "4", "--min-z", "0",
                          "--max-z", "0", "--max-u", "0")
     assert code == 2
     assert out == ""
-    assert err.startswith("usage error:") and "meets window" in err
+    assert "usage error:" in err and "unrecognized arguments" in err
 
 
 def test_bad_extension_class_is_mathematical_error():
@@ -633,7 +661,7 @@ def test_parsing_keeps_no_state_between_calls(before, code):
 
 
 def test_window_flags_do_not_leak_into_later_calls():
-    argv = ("h1", "--k", "3", "--n", "5")
+    argv = ("h0", "--k", "3", "--n", "5")
     default = fresh_run(*argv)
     assert json.loads(default[1])["window"] == {
         "min_z": -11, "max_z": 11, "max_u": 4,
@@ -728,21 +756,10 @@ def test_h0_deformed_basis_stdout():
 
 
 def test_window_override_is_echoed():
-    override = ("--min-z", "-12", "--max-z", "12", "--max-u", "5")
-    docs = {
-        argv[0]: payload(*argv, *override)
-        for argv in (
-            ("h1", "--k", "2", "--n", "4"),
-            ("h0", "--k", "2", "--n", "4"),
-            ("normal-form", "--k", "2", "--n", "4", "--sigma", "3*z^-1*u"),
-        )
-    }
-    # h1 stabilizes from the override; since the value is already stable
-    # there, every subcommand echoes the override itself
-    for command, doc in docs.items():
-        validate(command.replace("-", "_"), doc)
-        assert doc["window"] == {"min_z": -12, "max_z": 12, "max_u": 5}
-    assert docs["h1"]["dim"] == 4
+    doc = payload("h0", "--k", "2", "--n", "4",
+                  "--min-z", "-12", "--max-z", "12", "--max-u", "5")
+    validate("h0", doc)
+    assert doc["window"] == {"min_z": -12, "max_z": 12, "max_u": 5}
 
 
 # -- golden table -----------------------------------------------------------------------
