@@ -599,6 +599,13 @@ def h0_basis(
     n here is the first Chern class, so h0_basis(s, 2) computes window
     sections of O(2).  The dimension is an in-window count (the full space
     of sections is infinite-dimensional on these noncompact surfaces).
+    Sections are U-holomorphic, so only window.max_z and window.max_u
+    bound them; window.min_z is echoed in the result and changes nothing.
+
+    The columns are the monomials z^a u^b, 0 <= a <= max_z, 0 <= b <= max_u.
+    z^-n u^b is rewritten to V-coordinates once per b; z^a = xi^-a, so the
+    rewrite of column (a, b) is that one shifted by xi^-a, and its terms
+    with negative xi-exponent are the constraints on the column.
     """
     if window is None:
         window = default_window(s, abs(n))
@@ -607,13 +614,14 @@ def h0_basis(
         for a in range(0, window.max_z + 1)
         for b in range(0, window.max_u + 1)
     ]
+    width = window.max_u + 1
     constraint_rows: Dict[Monomial, SparseVec] = {}
-    for idx, mono in enumerate(cols):
-        twisted = BiLaurent.term(1, mono.z_exp - n, mono.u_exp, U_CHART)
-        rewritten = to_V_coords(twisted, s)
-        for vm, coeff in rewritten.items():
-            if vm.z_exp < 0:
-                constraint_rows.setdefault(vm, {})[idx] = coeff
+    for b in range(width):
+        rewritten = to_V_coords(BiLaurent.term(1, -n, b, U_CHART), s)
+        for (l, i), coeff in rewritten.items():
+            for a in range(max(0, l + 1), window.max_z + 1):
+                row = constraint_rows.setdefault(Monomial(l - a, i), {})
+                row[a * width + b] = coeff
     basis = []
     for vec in nullspace(constraint_rows.values(), len(cols)):
         poly = BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)

@@ -11,16 +11,17 @@ Exit codes separate mathematical negatives from usage problems:
 Stdout is deterministic: canonical JSON key order and canonical polynomial
 printing, so identical invocations are byte-identical.  The window flags
 --min-z/--max-z/--max-u exist only on h0, whose sections are counted in a
-window.  h1 grows the default window by a fixed policy on tau = 0 and
-proves H^1 = 0 without one on tau != 0, echoing the window (see cech);
-normal-form and certify-trivial divide exactly with no window and echo the
-default window around sigma; charge and tangent compute h^1 exactly from an
-extension sequence of line bundles and echo the default window of their
-transition (see bundles.charge_report and deformation.tangent_h1); so
-nothing in the environment changes a result.  The parser is built on the
-first main call and reused by every later call in the process; parsing
-keeps no state between calls, so every call parses its argv as a first call
-would.
+window; sections are U-holomorphic, so --max-z/--max-u bound them and
+--min-z is only echoed.  h1 grows the default window by a fixed policy on
+tau = 0 and proves H^1 = 0 without one on tau != 0, echoing the window (see
+cech); normal-form and certify-trivial divide exactly with no window and
+echo the default window around sigma; charge and tangent compute h^1
+exactly from an extension sequence of line bundles and echo the default
+window of their transition (see bundles.charge_report and
+deformation.tangent_h1); so nothing in the environment changes a result.
+The parser is built on the first main call and reused by every later call
+in the process; parsing keeps no state between calls, so every call parses
+its argv as a first call would.
 """
 
 from __future__ import annotations
@@ -517,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first Chern class of the bundle")
     _add_tau_flags(p)
     p.add_argument("--min-z", type=_int_in(high=0), default=None,
-                   help="window floor for z exponents (<= 0)")
+                   help="window floor for z exponents (<= 0); only echoed, "
+                        "as sections have no negative z exponent")
     p.add_argument("--max-z", type=_nonnegative_int, default=None,
                    help="window ceiling for z exponents (>= 0)")
     p.add_argument("--max-u", type=_nonnegative_int, default=None,

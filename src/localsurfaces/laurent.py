@@ -238,29 +238,42 @@ class BiLaurent:
         A slot left as None keeps its variable.  When the polynomial has
         negative z-exponents the z image must be a unit monomial c*z^a so
         that negative powers substitute exactly.
+
+        Each image is raised only to the exponents that occur, and each of
+        those powers is built from the next lower one (_chained_powers), so
+        dense u-degrees cost one multiplication by the image each and a lone
+        high degree one binary powering.  The terms coeff * z-power *
+        u-power are summed into a single dict.
         """
         z_img = z if z is not None else BiLaurent.term(1, 1, 0)
         u_img = u if u is not None else BiLaurent.term(1, 0, 1)
-        if self._terms and min(m.z_exp for m in self._terms) < 0:
+        z_exps = {ze for ze, _ in self._terms}
+        u_exps = {ue for _, ue in self._terms}
+        if z_exps and min(z_exps) < 0:
             unit = z_img.as_unit_monomial()
             if unit is None or unit[2] != 0:
                 raise NonInvertibleSubstitution(
                     f"z-image {z_img} is not a unit monomial but negative "
                     f"powers of z occur"
                 )
-        z_pows: dict[int, BiLaurent] = {0: BiLaurent.const(1)}
-        u_pows: dict[int, BiLaurent] = {0: BiLaurent.const(1)}
-
-        def power(img: BiLaurent, n: int, cache: dict) -> BiLaurent:
-            if n not in cache:
-                cache[n] = img ** n
-            return cache[n]
-
-        total = BiLaurent.zero()
+        # A power of an image carries its tag unless the exponent is 0.
+        _merge_tags(z_img.tag if z_exps - {0} else None,
+                    u_img.tag if u_exps - {0} else None)
+        z_pows = _chained_powers(z_img, z_exps)
+        u_pows = _chained_powers(u_img, u_exps)
+        out: dict[Monomial, Q] = {}
         for (ze, ue), coeff in self._terms.items():
-            term = power(z_img, ze, z_pows) * power(u_img, ue, u_pows)
-            total = total + term * coeff
-        return total.with_tag(tag)
+            u_terms = u_pows[ue].items()
+            for (za, ua), ca in z_pows[ze].items():
+                c = coeff * ca
+                for (zb, ub), cb in u_terms:
+                    mono = Monomial(za + zb, ua + ub)
+                    acc = out.get(mono, 0) + c * cb
+                    if acc:
+                        out[mono] = acc
+                    else:
+                        out.pop(mono, None)
+        return _raw(out, tag)
 
     def evaluate(self, z_value, u_value) -> Q:
         """Evaluate at rational point (z != 0 required if negative powers)."""
@@ -318,6 +331,25 @@ def _raw(terms: dict[Monomial, Q], tag: Optional[str]) -> BiLaurent:
     object.__setattr__(p, "_terms", terms)
     object.__setattr__(p, "tag", tag)
     return p
+
+
+def _chained_powers(
+    img: BiLaurent, exponents: set[int]
+) -> dict[int, BiLaurent]:
+    """img ** e for every e in exponents.  Walking up the positive exponents
+    in order, img^e = img^e' * img^(e - e') for the next lower e', and the
+    power of each gap e - e' is computed once.  A negative e needs img to
+    be a unit monomial, whose powers are single terms."""
+    pows = {e: img ** e for e in exponents if e <= 0}
+    gap_pows: dict[int, BiLaurent] = {}
+    below = 0
+    for e in sorted(e for e in exponents if e > 0):
+        gap = e - below
+        if gap not in gap_pows:
+            gap_pows[gap] = img ** gap
+        pows[e] = gap_pows[gap] if e == gap else pows[below] * gap_pows[gap]
+        below = e
+    return pows
 
 
 # -- parsing ---------------------------------------------------------------

@@ -7,7 +7,12 @@ The inverse rewrite uses u = xi^k v - sum_i t_i xi^{k-i}.
 
 Chart rewrites are exact substitutions on BiLaurent values; the chart tag on
 a polynomial says which coordinate pair its two slots mean, and the rewrite
-operations enforce it.
+operations enforce it.  A rewrite raises the glue image of u (or v) only to
+the degrees that occur, each power built from the next lower one
+(BiLaurent.substitute), so a polynomial of dense u-degree costs one
+multiplication by the glue per degree.  Callers that rewrite many shifts of
+one monomial rewrite it once and shift: cech.h0_basis rewrites z^-n u^b
+once per u-degree b, since z^a = xi^-a.
 """
 
 from __future__ import annotations

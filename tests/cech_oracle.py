@@ -25,6 +25,10 @@ weights: the remainder is solved over the remainders of the relations of
 levels b <= n - 1 by elimination with unit tag columns (_solve_in_span).
 Its f_V may differ from the weight-graded one when tau has several nonzero
 coefficients, since f_V is not unique; both re-check exactly.
+
+h0_by_columns is cech.h0_basis as it was before it shared one V-rewrite
+per u-degree: every window column z^a u^b is twisted and rewritten to
+V-coordinates on its own.
 """
 
 from fractions import Fraction as Q
@@ -33,14 +37,16 @@ from typing import Dict, Iterable, Optional
 from dense_oracle import RationalMatrix, rref_rank
 from localsurfaces.cech import (
     CechComplex,
+    CohomologyResult,
     TrivialityCertificate,
     _reduce,
     _relation_levels,
+    default_window,
 )
 from localsurfaces.errors import NotTrivial
-from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART
-from localsurfaces.linalg import ReducedEchelon
-from localsurfaces.surface import to_U_coords
+from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART
+from localsurfaces.linalg import ReducedEchelon, nullspace
+from localsurfaces.surface import to_U_coords, to_V_coords
 
 
 class FullComplex:
@@ -235,3 +241,34 @@ def _solve_in_span(
     if any(tag == 0 for tag, _ in residual):
         return None
     return {keys[i]: -x for (_, i), x in residual.items()}
+
+
+def h0_by_columns(s, n, window=None):
+    """Window basis of the sections of O(n), one V-rewrite per column: the
+    oracle for cech.h0_basis."""
+    if window is None:
+        window = default_window(s, abs(n))
+    cols = [
+        Monomial(a, b)
+        for a in range(0, window.max_z + 1)
+        for b in range(0, window.max_u + 1)
+    ]
+    constraint_rows = {}
+    for idx, mono in enumerate(cols):
+        twisted = BiLaurent.term(1, mono.z_exp - n, mono.u_exp, U_CHART)
+        rewritten = to_V_coords(twisted, s)
+        for vm, coeff in rewritten.items():
+            if vm.z_exp < 0:
+                constraint_rows.setdefault(vm, {})[idx] = coeff
+    basis = []
+    for vec in nullspace(constraint_rows.values(), len(cols)):
+        poly = BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)
+        basis.append((poly,))
+    return CohomologyResult(
+        dimension=len(basis),
+        basis=tuple(basis),
+        m_row=None,
+        window=window,
+        stabilized=False,
+        rank=1,
+    )

@@ -3,8 +3,9 @@ reference assembly in cech_oracle, the extension-sequence H^1 of rank-2
 bundles (charge_report, tangent_h1) against the same assembly of their
 transitions, the windowless line-bundle H^1 against the windowed
 computation, the integer u-degree division against
-the rational one it replaced, and the weight-graded triviality certificate
-against the relation solve it replaced."""
+the rational one it replaced, the weight-graded triviality certificate
+against the relation solve it replaced, and the H^0 basis from one
+V-rewrite per u-degree against one V-rewrite per window column."""
 
 import itertools
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cech_oracle import FullComplex, divide, relation_certificate
+from cech_oracle import FullComplex, divide, h0_by_columns, relation_certificate
 from localsurfaces import bundles, cech, deformation
 from localsurfaces.bundles import (
     ExtensionClass,
@@ -29,6 +30,7 @@ from localsurfaces.cech import (
     Window,
     default_window,
     default_window_for_transition,
+    h0_basis,
     h1,
     h1_dimension_formula,
     h1_line_bundle,
@@ -247,6 +249,45 @@ def test_line_bundle_h1_matches_windowed_stabilization():
                 assert windowed.basis == proved.basis
                 assert windowed.window == proved.window == window
                 assert windowed.stabilized and proved.stabilized
+
+
+# -- H^0: one V-rewrite per u-degree against one per column --------------------
+
+def test_h0_basis_matches_per_column_rewrites():
+    # Equal CohomologyResults, so the same kernel basis in the same order,
+    # on k <= 5 with zero, unit and rational tau, twists -3 <= n <= 7, in
+    # the default window and in a seeded custom one with max_u <= 4.
+    rng = random.Random(14)
+    for kind, draw in ORACLE_TAUS.items():
+        for k in range(1 if kind == "zero" else 2, 6):
+            s = surface(k, draw(rng, k))
+            for n in range(-3, 8):
+                custom = Window(-rng.randint(0, 6), rng.randint(0, 9),
+                                rng.randint(0, 4))
+                for window in (None, custom):
+                    got = h0_basis(s, n, window)
+                    assert got == h0_by_columns(s, n, window), (s, n, window)
+                    assert all(p.tag == U_CHART for p in got.scalar_basis)
+
+
+def test_h0_basis_rewrites_once_per_u_degree(monkeypatch):
+    # Column (a, b) is z^a times z^-n u^b, so h0_basis rewrites z^-n u^b
+    # once per u-degree b and shifts it along xi for every a.
+    rewritten = []
+    to_V_coords = cech.to_V_coords
+
+    def counting(p, s):
+        rewritten.append(p)
+        return to_V_coords(p, s)
+
+    monkeypatch.setattr(cech, "to_V_coords", counting)
+    for k, tau, n, window in [(1, [], 0, None), (2, [1], 3, None),
+                              (3, [Q(1, 2), -1], 2, Window(-1, 12, 4)),
+                              (4, [0, 0, 0], -2, Window(0, 0, 0))]:
+        rewritten.clear()
+        result = h0_basis(surface(k, tau), n, window)
+        assert len(rewritten) == result.window.max_u + 1
+        assert [p.max_u_exp() for p in rewritten] == list(range(len(rewritten)))
 
 
 # -- the integer division against the rational one ------------------------------

@@ -755,6 +755,25 @@ def test_h0_deformed_basis_stdout():
     }, indent=2, sort_keys=True) + "\n"
 
 
+def test_deformed_h0_stdout_is_pinned():
+    # Sections of O(2) on Z_3(z/2 - z^2): the order and the coefficients of
+    # the combinations in the canonical kernel basis, byte for byte.
+    code, out, _ = run("h0", "--k", "3", "--n", "2", "--tau", "1/2,-1")
+    assert code == 0
+    assert out == (PINNED / "h0_k3_n2_tau.json").read_text()
+
+
+@pytest.mark.parametrize("tau", ["0", "1", "1/2"])
+def test_h0_min_z_is_only_echoed(tau):
+    # Sections are U-holomorphic, so only --max-z and --max-u bound them.
+    docs = [payload("h0", "--k", "2", "--n", "1", "--tau", tau, *flag)
+            for flag in ([], ["--min-z", "-1"], ["--min-z", "-9"],
+                         ["--min-z", "0"])]
+    assert len({(doc["dim"], tuple(doc["basis"])) for doc in docs}) == 1
+    assert docs[0]["dim"] == 19
+    assert [doc["window"]["min_z"] for doc in docs] == [-6, -1, -9, 0]
+
+
 def test_window_override_is_echoed():
     doc = payload("h0", "--k", "2", "--n", "4",
                   "--min-z", "-12", "--max-z", "12", "--max-u", "5")

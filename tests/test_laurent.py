@@ -4,7 +4,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from laurent_oracle import substitute_by_term
 from localsurfaces.errors import NonInvertibleSubstitution, TagMismatch
 from localsurfaces.laurent import (
     BiLaurent,
@@ -120,6 +123,70 @@ def test_substitute_composition_random():
 def test_substitute_negative_power_needs_unit():
     with pytest.raises(NonInvertibleSubstitution):
         P("z^-1").substitute(z=P("z + 1"))
+
+
+# -- substitution against the term-by-term oracle ------------------------------
+
+ORACLE_SETTINGS = settings(
+    max_examples=150, derandomize=True, deadline=None, database=None
+)
+nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+tags = st.sampled_from([None, U_CHART, V_CHART])
+
+
+def laurent(z_range, u_range, min_size=0, max_size=6, tag=st.none()):
+    terms = st.dictionaries(
+        st.tuples(st.integers(*z_range), st.integers(*u_range)),
+        nonzero, min_size=min_size, max_size=max_size,
+    )
+    return st.builds(BiLaurent, terms, tag)
+
+
+# Unit monomials c*z^a admit negative z exponents; c*z^a*u^b (b > 0) and
+# polynomials of two or more terms do not.
+z_images = st.one_of(
+    st.none(),
+    laurent((-3, 3), (0, 0), min_size=1, max_size=1, tag=tags),
+    laurent((-3, 3), (0, 2), min_size=1, max_size=3, tag=tags),
+)
+u_images = st.one_of(st.none(), laurent((-2, 3), (0, 2), max_size=3, tag=tags))
+
+
+def substitution_outcome(substitute, p, z, u, tag):
+    """(result, its tag), or the class of the error raised."""
+    try:
+        out = substitute(p, z, u, tag)
+    except (NonInvertibleSubstitution, TagMismatch) as exc:
+        return type(exc)
+    return out, out.tag
+
+
+@ORACLE_SETTINGS
+@example(BiLaurent.zero(), P("z + 1"), P("u"), U_CHART)
+@example(P("3*z^-2*u^15"), P("-2*z^-1"), P("z^3*u + 1/2*z - z^2"), None)
+@example(P("z^-1 - u^3 + z*u^11 + 2*u^12"), P("z^-1"), P("z^2*u + z"), V_CHART)
+@example(P("z^-1"), P("z*u"), None, None)
+@example(P("z + u^2"), P("z").with_tag(U_CHART), P("u").with_tag(V_CHART), None)
+@example(P("z^2 + 1"), P("z").with_tag(U_CHART), P("u").with_tag(V_CHART), None)
+@given(laurent((-4, 4), (0, 12)), z_images, u_images, tags)
+def test_substitute_matches_term_by_term_oracle(p, z, u, tag):
+    # Negative z exponents, gaps in the u-degrees, a single high power and
+    # the zero polynomial, with tagged and untagged images: the same
+    # polynomial and tag, or the same error.
+    assert substitution_outcome(BiLaurent.substitute, p, z, u, tag) == (
+        substitution_outcome(substitute_by_term, p, z, u, tag)
+    )
+
+
+@ORACLE_SETTINGS
+@given(laurent((0, 4), (0, 6), min_size=1),
+       laurent((-2, 3), (0, 2), min_size=2, max_size=3),
+       u_images)
+def test_substitute_non_monomial_z_image_matches_oracle(p, z, u):
+    # Without negative z exponents any z image substitutes.
+    out = p.substitute(z, u, V_CHART)
+    assert out == substitute_by_term(p, z, u, V_CHART)
+    assert out.tag == V_CHART
 
 
 def test_negative_power_of_unit():

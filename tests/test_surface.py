@@ -4,7 +4,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from laurent_oracle import substitute_by_term
 from localsurfaces.errors import TagMismatch, UnsupportedForDeformed
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART, parse_poly
 from localsurfaces.surface import (
@@ -80,6 +83,38 @@ def test_round_trip_is_identity():
             assert to_U_coords(to_V_coords(p, s), s) == p
             q = BiLaurent(terms, V_CHART)
             assert to_V_coords(to_U_coords(q, s), s) == q
+
+
+@st.composite
+def rational_surfaces(draw):
+    k = draw(st.integers(1, 5))
+    tau = draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                        min_size=k - 1, max_size=k - 1))
+    return surface(k, tau)
+
+
+u_polys = st.builds(
+    BiLaurent,
+    st.dictionaries(
+        st.tuples(st.integers(-6, 6), st.integers(0, 5)),
+        st.fractions(-5, 5, max_denominator=4).filter(bool),
+        max_size=6,
+    ),
+    st.just(U_CHART),
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(rational_surfaces(), u_polys)
+def test_chart_rewrites_match_term_by_term_oracle(s, p):
+    # Z_k(tau), k <= 5, with rational tau: each rewrite is the
+    # term-by-term substitution, and the two rewrites are inverse.
+    xi = BiLaurent.term(1, -1, 0)
+    q = to_V_coords(p, s)
+    assert q == substitute_by_term(p, xi, s.u_glue().with_tag(None), V_CHART)
+    back = to_U_coords(q, s)
+    assert back == substitute_by_term(q, xi, s.v_glue().with_tag(None), U_CHART)
+    assert back == p and back.tag == U_CHART
 
 
 def test_v_holomorphy_monomial_criterion():
