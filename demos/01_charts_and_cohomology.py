@@ -50,15 +50,15 @@ print()
 print("=== monomial bases of H^1 (the window normal form) ===")
 for k, n in [(2, 4), (3, 5), (1, 3)]:
     result = h1_line_bundle(surface(k), n)
-    basis = ", ".join(str(p) for p in result.scalar_basis)
+    basis = ", ".join(str(p) for p in result.basis)
     print(f"  H^1(Z_{k}, O(-{n})) = span {{ {basis} }}")
 
 print()
 print("=== window sections of O(n) (H^0) ===")
 result = h0_basis(surface(1), 0)
 print("  global functions on Z_1 (window cut):",
-      ", ".join(str(p) for p in result.scalar_basis[:8]), "...")
+      ", ".join(str(p) for p in result.basis[:8]), "...")
 result = h0_basis(surface(2, [1]), 0)
-names = [str(p) for p in result.scalar_basis]
+names = [str(p) for p in result.basis]
 print("  on Z_2(z) the fibre coordinate u is globally defined:",
       "u" in names)

@@ -46,7 +46,7 @@ print(f"  {T} has splitting type {splitting_type_p1(T)}")
 print()
 print("=== split certificates on the deformed surface Z_2(z) ===")
 s = surface(2, [1])
-for sigma in h1_line_bundle(surface(2), 4).scalar_basis:
+for sigma in h1_line_bundle(surface(2), 4).basis:
     e = ExtensionClass(2, sigma)
     cert = split_certificate(s, e)
     a_v_u = cert.a_v.map_entries(lambda p: to_U_coords(p, s))
@@ -67,7 +67,7 @@ for sigma_text in ("0", "z^-1", "z^-1*u"):
     rep = charge_report(surface(2), ExtensionClass(2, P(sigma_text)))
     print(f"  Z_2, j=2, sigma={sigma_text:7s}: r1_dim = {rep.r1_dim} "
           f"(h^1(O(-2)) = 1 minus the rank of t -> [sigma * t])")
-for sigma in h1_line_bundle(surface(2), 4).scalar_basis:
+for sigma in h1_line_bundle(surface(2), 4).basis:
     e = ExtensionClass(2, sigma)
     rep = charge_report(s, e)
     assert rep.r1_dim == 0

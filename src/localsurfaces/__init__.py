@@ -78,11 +78,9 @@ from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART, parse_poly
 from .params import ParamPoly
 from .polymatrix import PolyMatrix
 from .surface import (
-    LineBundleSpec,
     SurfaceSpec,
     glue_matrix,
     is_V_holomorphic,
-    line_transition,
     surface,
     tangent_transition,
     to_U_coords,

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .cech import (
-    Window,
-    default_window_for_transition,
     h1_dimension_formula,
     h1_line_bundle,
     normal_form,
@@ -180,14 +178,11 @@ class ChargeReport:
     the local holomorphic Euler characteristic is never fabricated and is
     reported as unsupported; splitting_ok records the divisibility
     criterion j = 0 mod k for the bundle to correspond to an instanton.
-    window echoes the default window of E's transition, with
-    stabilized=True."""
+    No window enters."""
 
     r1_dim: int
     q_dim: str
     splitting_ok: bool
-    window: Window
-    stabilized: bool
 
 
 def charge_report(s: SurfaceSpec, e: ExtensionClass) -> ChargeReport:
@@ -212,8 +207,6 @@ def charge_report(s: SurfaceSpec, e: ExtensionClass) -> ChargeReport:
         r1_dim=r1_dim,
         q_dim=_UNSUPPORTED,
         splitting_ok=(e.j % s.k == 0),
-        window=default_window_for_transition(s, extension_to_transition(e)),
-        stabilized=True,
     )
 
 
@@ -265,6 +258,8 @@ def moduli_dimension(j: int, k: int, deformed: bool = False) -> ModuliDimension:
 
     Raises NotApplicable when 2j - k - 2 < 0 on the undeformed surface.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if deformed:
         return DISCRETE_ZERO_DIMENSIONAL
     value = 2 * j - k - 2
@@ -280,6 +275,8 @@ def extension_parameter_count(k: int, j: int) -> int:
     basis classes of H^1(Z_k, O(-2j)) with u-exponent >= 1 (those with
     sigma vanishing on the zero section).  Exposed for comparison with the
     moduli dimension; no relation between the two is asserted."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     n = 2 * j
     if n < 2:
         return 0

@@ -63,7 +63,6 @@ from .errors import (
 )
 from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
 from .linalg import ReducedEchelon, SparseVec, nullspace
-from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, to_U_coords, to_V_coords
 
 # A polynomial in (z, u') with integer coefficients: {(l, i): c} is the sum
@@ -133,40 +132,21 @@ def default_window(s: SurfaceSpec, n: int) -> Window:
     return Window(-reach, reach, max(0, floor_m + 3))
 
 
-def default_window_for_transition(s: SurfaceSpec, transition: PolyMatrix) -> Window:
-    """Window sized from the exponent span of a transition matrix; the
-    rank-2 H^1 results of charge_report and tangent_h1 echo it."""
-    span_z = 0
-    span_u = 0
-    for row in transition.entries:
-        for p in row:
-            if not p.is_zero:
-                span_z = max(span_z, abs(p.min_z_exp()), abs(p.max_z_exp()))
-                span_u = max(span_u, p.max_u_exp())
-    reach = span_z + s.k + 3
-    floor_m = (span_z - 2) // s.k if span_z >= 2 else 0
-    return Window(-reach, reach, max(0, floor_m + 3) + span_u)
-
-
-VectorCocycle = Tuple[BiLaurent, ...]
-
-
 @dataclass(frozen=True)
 class CohomologyResult:
-    """Outcome of a truncated H^0/H^1 computation."""
+    """Outcome of an H^0/H^1 computation.
+
+    basis holds BiLaurent elements for a line bundle (h1, h1_line_bundle,
+    h0_basis) and pairs of them for the tangent bundle
+    (deformation.tangent_h1).  window is the one the result is counted or
+    echoed in, None where no window enters (tangent_h1); stabilized is
+    False only for the in-window count of h0_basis.
+    """
 
     dimension: int
-    basis: Tuple[VectorCocycle, ...]
-    m_row: Optional[int]
-    window: Window
+    basis: tuple
+    window: Optional[Window]
     stabilized: bool
-    rank: int
-
-    @property
-    def scalar_basis(self) -> Tuple[BiLaurent, ...]:
-        if self.rank != 1:
-            raise ValueError("scalar basis only for rank-1 coefficients")
-        return tuple(vec[0] for vec in self.basis)
 
 
 @dataclass(frozen=True)
@@ -330,11 +310,9 @@ def h1(s: SurfaceSpec, n: int, window: Optional[Window] = None) -> CohomologyRes
     complex_ = cache[stable.window]
     return CohomologyResult(
         dimension=complex_.dimension,
-        basis=tuple((p,) for p in complex_.basis()),
-        m_row=(n - 2) // s.k if n >= 2 else None,
+        basis=complex_.basis(),
         window=stable.window,
         stabilized=True,
-        rank=1,
     )
 
 
@@ -374,10 +352,8 @@ def h1_line_bundle(s: SurfaceSpec, n: int) -> CohomologyResult:
     return CohomologyResult(
         dimension=0,
         basis=(),
-        m_row=(n - 2) // s.k if n >= 2 else None,
         window=default_window(s, n),
         stabilized=True,
-        rank=1,
     )
 
 
@@ -622,15 +598,10 @@ def h0_basis(
             for a in range(max(0, l + 1), window.max_z + 1):
                 row = constraint_rows.setdefault(Monomial(l - a, i), {})
                 row[a * width + b] = coeff
-    basis = []
-    for vec in nullspace(constraint_rows.values(), len(cols)):
-        poly = BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)
-        basis.append((poly,))
+    basis = tuple(
+        BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)
+        for vec in nullspace(constraint_rows.values(), len(cols))
+    )
     return CohomologyResult(
-        dimension=len(basis),
-        basis=tuple(basis),
-        m_row=None,
-        window=window,
-        stabilized=False,
-        rank=1,
+        dimension=len(basis), basis=basis, window=window, stabilized=False
     )

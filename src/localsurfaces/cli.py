@@ -10,15 +10,15 @@ Exit codes separate mathematical negatives from usage problems:
 
 Stdout is deterministic: canonical JSON key order and canonical polynomial
 printing, so identical invocations are byte-identical.  The window flags
---min-z/--max-z/--max-u exist only on h0, whose sections are counted in a
-window; sections are U-holomorphic, so --max-z/--max-u bound them and
---min-z is only echoed.  h1 grows the default window by a fixed policy on
+--max-z/--max-u exist only on h0, whose sections are counted in a window;
+sections are U-holomorphic, so those two bound them, and the echoed min_z
+is the default window's.  h1 grows the default window by a fixed policy on
 tau = 0 and proves H^1 = 0 without one on tau != 0, echoing the window (see
 cech); normal-form and certify-trivial divide exactly with no window and
 echo the default window around sigma; charge and tangent compute h^1
-exactly from an extension sequence of line bundles and echo the default
-window of their transition (see bundles.charge_report and
-deformation.tangent_h1); so nothing in the environment changes a result.
+exactly from an extension sequence of line bundles and echo no window (see
+bundles.charge_report and deformation.tangent_h1); so nothing in the
+environment changes a result.
 The parser is built on the first main call and reused by every later call
 in the process; parsing keeps no state between calls, so every call parses
 its argv as a first call would.
@@ -88,24 +88,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"usage error: {message}\n")
 
 
-def _int_in(low: Optional[int] = None, high: Optional[int] = None):
-    """argparse type: an integer in [low, high] (either bound optional)."""
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if low is not None and value < low:
+        if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its messages
     return parse
 
 
-_positive_int = _int_in(low=1)
-_nonnegative_int = _int_in(low=0)
-_family_k = _int_in(low=2)
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+_family_k = _int_at_least(2)
 
 
 def _rational(text: str) -> Fraction:
@@ -192,11 +190,11 @@ def _cmd_h1(args) -> int:
     result = h1_line_bundle(s, args.n)
     _emit({
         "dim": result.dimension,
-        "basis": [str(vec[0]) for vec in result.basis],
+        "basis": [str(p) for p in result.basis],
         "k": s.k,
         "n": args.n,
         "tau": [str(t) for t in s.tau],
-        "m_row": result.m_row,
+        "m_row": (args.n - 2) // s.k if args.n >= 2 else None,
         "window": result.window.to_json_dict(),
         "stabilized": result.stabilized,
     })
@@ -207,14 +205,14 @@ def _cmd_h0(args) -> int:
     s = _surface_from_args(args)
     base = default_window(s, abs(args.n))
     window = Window(
-        base.min_z if args.min_z is None else args.min_z,
+        base.min_z,
         base.max_z if args.max_z is None else args.max_z,
         base.max_u if args.max_u is None else args.max_u,
     )
     result = h0_basis(s, args.n, window)
     _emit({
         "dim": result.dimension,
-        "basis": [str(vec[0]) for vec in result.basis],
+        "basis": [str(p) for p in result.basis],
         "k": s.k,
         "n": args.n,
         "tau": [str(t) for t in s.tau],
@@ -267,7 +265,6 @@ def _cmd_tangent(args) -> int:
         "dim": result.dimension,
         "basis": [_vector_strings(vec) for vec in result.basis],
         "k": args.k,
-        "window": result.window.to_json_dict(),
         "stabilized": result.stabilized,
     })
     return 0
@@ -376,8 +373,8 @@ def _cmd_charge(args) -> int:
         "splitting_ok": report.splitting_ok,
         "j": args.j,
         "k": s.k,
-        "window": report.window.to_json_dict(),
-        "stabilized": report.stabilized,
+        # r1_dim is exact: no window is grown.
+        "stabilized": True,
     })
     return 0
 
@@ -517,9 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True,
                    help="first Chern class of the bundle")
     _add_tau_flags(p)
-    p.add_argument("--min-z", type=_int_in(high=0), default=None,
-                   help="window floor for z exponents (<= 0); only echoed, "
-                        "as sections have no negative z exponent")
     p.add_argument("--max-z", type=_nonnegative_int, default=None,
                    help="window ceiling for z exponents (>= 0)")
     p.add_argument("--max-u", type=_nonnegative_int, default=None,

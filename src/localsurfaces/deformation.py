@@ -18,12 +18,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
-from .cech import CohomologyResult, VectorCocycle, default_window_for_transition
+from .cech import CohomologyResult
 from .errors import BadCocycleSupport, VerificationFailed
 from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
 from .params import ParamPoly
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, glue_matrix, surface, tangent_transition
+
+# A tangent cocycle: the two components of a vector field in the U-frame.
+VectorCocycle = Tuple[BiLaurent, ...]
 
 
 def tangent_h1(k: int) -> CohomologyResult:
@@ -37,21 +40,15 @@ def tangent_h1(k: int) -> CohomologyResult:
     U-frame of O(-k).  That has u-degree >= 1 > m = floor((k-2)/k), so its
     class vanishes, and as H^1(O(2)) = 0 and the cover has no H^2,
     H^1(T) = H^1(O(-k)), whose normal-form basis is z^l, -k < l < 0, in
-    slot 2.  The window of the tangent transition is echoed with
-    stabilized=True.
+    slot 2.  The basis is of VectorCocycle pairs; no window enters, so the
+    result has window None and stabilized=True.
     """
-    s = surface(k)
     zero = BiLaurent.zero(U_CHART)
     basis = tuple(
         (zero, BiLaurent.term(1, l, 0, U_CHART)) for l in range(1 - k, 0)
     )
     return CohomologyResult(
-        dimension=len(basis),
-        basis=basis,
-        m_row=None,
-        window=default_window_for_transition(s, tangent_transition(s)),
-        stabilized=True,
-        rank=2,
+        dimension=len(basis), basis=basis, window=None, stabilized=True
     )
 
 

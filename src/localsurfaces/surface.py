@@ -17,7 +17,6 @@ once per u-degree b, since z^a = xi^-a.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -70,14 +69,6 @@ class SurfaceSpec:
     def to_json_dict(self) -> dict:
         return {"k": self.k, "tau": [str(t) for t in self.tau]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SurfaceSpec":
-        return cls(int(data["k"]), tuple(Q(t) for t in data.get("tau", [])))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SurfaceSpec":
-        return cls.from_json_dict(json.loads(text))
-
     def __str__(self):
         if self.is_deformed:
             return f"Z_{self.k}({self.tau_poly()})"
@@ -89,21 +80,6 @@ def surface(k: int, tau: Optional[Iterable] = None) -> SurfaceSpec:
     if tau is None:
         tau = [Q(0)] * (k - 1)
     return SurfaceSpec(k, tuple(Q(t) for t in tau))
-
-
-@dataclass(frozen=True)
-class LineBundleSpec:
-    """Line bundle O(n) on Z_k(tau), determined by its first Chern class."""
-
-    n: int
-
-    def transition(self) -> PolyMatrix:
-        return line_transition(self.n)
-
-
-def line_transition(chern: int) -> PolyMatrix:
-    """Transition matrix (z^-n) of the line bundle O(n)."""
-    return PolyMatrix([[BiLaurent.term(1, -chern, 0, U_CHART)]])
 
 
 def _require_chart(p: BiLaurent, wanted: str) -> None:

@@ -29,6 +29,10 @@ coefficients, since f_V is not unique; both re-check exactly.
 h0_by_columns is cech.h0_basis as it was before it shared one V-rewrite
 per u-degree: every window column z^a u^b is twisted and rewritten to
 V-coordinates on its own.
+
+default_window_for_transition sizes a FullComplex window from a transition
+matrix, and line_transition is the 1x1 transition of a line bundle: the
+windows and transitions the rank-2 oracle comparisons assemble.
 """
 
 from fractions import Fraction as Q
@@ -39,6 +43,7 @@ from localsurfaces.cech import (
     CechComplex,
     CohomologyResult,
     TrivialityCertificate,
+    Window,
     _reduce,
     _relation_levels,
     default_window,
@@ -46,7 +51,28 @@ from localsurfaces.cech import (
 from localsurfaces.errors import NotTrivial
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART
 from localsurfaces.linalg import ReducedEchelon, nullspace
+from localsurfaces.polymatrix import PolyMatrix
 from localsurfaces.surface import to_U_coords, to_V_coords
+
+
+def line_transition(chern):
+    """Transition matrix (z^-n) of the line bundle O(n)."""
+    return PolyMatrix([[BiLaurent.term(1, -chern, 0, U_CHART)]])
+
+
+def default_window_for_transition(s, transition):
+    """Window sized from the exponent span of a transition matrix, in
+    which FullComplex assembles the bundle's H^1."""
+    span_z = 0
+    span_u = 0
+    for row in transition.entries:
+        for p in row:
+            if not p.is_zero:
+                span_z = max(span_z, abs(p.min_z_exp()), abs(p.max_z_exp()))
+                span_u = max(span_u, p.max_u_exp())
+    reach = span_z + s.k + 3
+    floor_m = (span_z - 2) // s.k if span_z >= 2 else 0
+    return Window(-reach, reach, max(0, floor_m + 3) + span_u)
 
 
 class FullComplex:
@@ -260,15 +286,10 @@ def h0_by_columns(s, n, window=None):
         for vm, coeff in rewritten.items():
             if vm.z_exp < 0:
                 constraint_rows.setdefault(vm, {})[idx] = coeff
-    basis = []
-    for vec in nullspace(constraint_rows.values(), len(cols)):
-        poly = BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)
-        basis.append((poly,))
+    basis = tuple(
+        BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)
+        for vec in nullspace(constraint_rows.values(), len(cols))
+    )
     return CohomologyResult(
-        dimension=len(basis),
-        basis=tuple(basis),
-        m_row=None,
-        window=window,
-        stabilized=False,
-        rank=1,
+        dimension=len(basis), basis=basis, window=window, stabilized=False
     )

@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cech_oracle import FullComplex
+from cech_oracle import FullComplex, default_window_for_transition
 from localsurfaces.bundles import (
     DISCRETE_ZERO_DIMENSIONAL,
     ExtensionClass,
@@ -25,7 +25,6 @@ from localsurfaces.bundles import (
     splitting_type_p1,
 )
 from localsurfaces.cech import (
-    default_window_for_transition,
     h1_dimension_formula,
     h1_line_bundle,
 )
@@ -202,7 +201,7 @@ def _deformed_certificate_samples():
     for k in (2, 3):
         s = surface(k, [Q(1)] + [Q(0)] * (k - 2))
         for j in (1, 2, 3):
-            for sigma in h1_line_bundle(surface(k), 2 * j).scalar_basis:
+            for sigma in h1_line_bundle(surface(k), 2 * j).basis:
                 yield s, ExtensionClass(j, sigma)
 
 
@@ -228,7 +227,6 @@ def test_criterion_09_instanton_emptiness_shadow():
     for s, e in _deformed_certificate_samples():
         report = charge_report(s, e)
         assert report.r1_dim == 0, (s, e.j, str(e.sigma))
-        assert report.stabilized
     # while on the undeformed Z_1 the split bundle O(-2) + O(2) has charge
     # component h^0(R^1 pi_* E) = 1
     report = charge_report(surface(1), ExtensionClass(2, BiLaurent.zero()))

@@ -298,7 +298,7 @@ def test_split_certificate_error_on_undeformed_nontrivial_class():
 def test_split_certificates_over_h1_basis():
     # smaller version of the acceptance sweep (k = 2, j = 2)
     s = surface(2, [1])
-    for sigma in h1_line_bundle(surface(2), 4).scalar_basis:
+    for sigma in h1_line_bundle(surface(2), 4).basis:
         e = ExtensionClass(2, sigma)
         cert = split_certificate(s, e)
         assert cert.exact
@@ -337,6 +337,12 @@ def test_moduli_dimension_values():
     assert moduli_dimension(3, 2) == 2
     assert moduli_dimension(2, 2) == 0
     assert moduli_dimension(2, 2, deformed=True) is DISCRETE_ZERO_DIMENSIONAL
+    # k >= 1, as for h1_dimension_formula: 2j - k - 2 is no dimension at
+    # k = 0 or k = -1, on either surface.
+    for k in (0, -1):
+        for deformed in (False, True):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                moduli_dimension(3, k, deformed=deformed)
 
 
 def test_moduli_dimension_not_applicable():
@@ -348,8 +354,13 @@ def test_extension_parameter_count():
     # count of H^1 basis classes with u-exponent >= 1, cross-checked
     # against the computed basis
     for k, j in [(1, 2), (2, 2), (2, 3), (3, 3)]:
-        basis = h1_line_bundle(surface(k), 2 * j).scalar_basis
+        basis = h1_line_bundle(surface(k), 2 * j).basis
         expected = sum(
             1 for p in basis if all(m.u_exp >= 1 for m in p.support)
         )
         assert extension_parameter_count(k, j) == expected
+    # k >= 1 for every j, as for h1_dimension_formula.
+    for k in (0, -1):
+        for j in (0, 2):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                extension_parameter_count(k, j)

@@ -63,8 +63,7 @@ def test_formula_counts_normal_form_monomials():
 def test_h1_z2_o_minus4():
     result = h1_line_bundle(surface(2), 4)
     assert result.dimension == 4
-    assert result.scalar_basis == (P("z^-3"), P("z^-2"), P("z^-1"), P("z^-1*u"))
-    assert result.m_row == 1
+    assert result.basis == (P("z^-3"), P("z^-2"), P("z^-1"), P("z^-1*u"))
     assert result.stabilized
 
 
@@ -94,11 +93,7 @@ def test_basis_shape_matches_normal_form_range():
             for i in range(0, m + 1)
             for l in range(i * k - n + 1, 0)
         }
-        got = {
-            mono
-            for vec in result.basis
-            for mono in vec[0].support
-        }
+        got = {mono for p in result.basis for mono in p.support}
         assert got == expected
         assert result.dimension == h1_dimension_formula(k, n)
 
@@ -346,14 +341,14 @@ def test_h0_z1_trivial_bundle():
         for i in range(0, window.max_u + 1)
         if l <= i
     }
-    assert set(result.scalar_basis) == expected
+    assert set(result.basis) == expected
     assert result.dimension == len(expected)
 
 
 def test_h0_deformed_contains_u():
     result = h0_basis(surface(2, [1]), 0, Window(-3, 3, 2))
-    assert P("u") in result.scalar_basis
-    assert BiLaurent.const(1) in result.scalar_basis
+    assert P("u") in result.basis
+    assert BiLaurent.const(1) in result.basis
 
 
 def test_h0_sections_of_twists_restrict_correctly():
@@ -361,7 +356,7 @@ def test_h0_sections_of_twists_restrict_correctly():
     # elements that survive u = 0
     result = h0_basis(surface(1), 2, Window(-4, 4, 2))
     constants = [
-        p for (p,) in result.basis
+        p for p in result.basis
         if all(m.u_exp == 0 for m in p.support)
     ]
     assert len(constants) == 3
@@ -372,7 +367,7 @@ def test_h0_solutions_are_v_holomorphic():
 
     s = surface(2, [1])
     result = h0_basis(s, -1, Window(-4, 4, 2))
-    for (p,) in result.basis:
+    for p in result.basis:
         assert is_V_holomorphic(p * P("z"), s)
 
 

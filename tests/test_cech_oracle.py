@@ -18,7 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cech_oracle import FullComplex, divide, h0_by_columns, relation_certificate
+from cech_oracle import (
+    FullComplex,
+    default_window_for_transition,
+    divide,
+    h0_by_columns,
+    line_transition,
+    relation_certificate,
+)
 from localsurfaces import bundles, cech, deformation
 from localsurfaces.bundles import (
     ExtensionClass,
@@ -29,7 +36,6 @@ from localsurfaces.cech import (
     CechComplex,
     Window,
     default_window,
-    default_window_for_transition,
     h0_basis,
     h1,
     h1_dimension_formula,
@@ -39,12 +45,7 @@ from localsurfaces.cech import (
 )
 from localsurfaces.deformation import tangent_h1
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, parse_poly
-from localsurfaces.surface import (
-    line_transition,
-    surface,
-    tangent_transition,
-    to_U_coords,
-)
+from localsurfaces.surface import surface, tangent_transition, to_U_coords
 
 TAU_KINDS = {
     "zero": lambda k: [Q(0)] * (k - 1),
@@ -102,12 +103,10 @@ def test_undeformed_default_windows_match_full_assembly():
 
 def assert_charge_matches_full_assembly(s, e):
     """charge_report's r1_dim is the dimension the full assembly of E's
-    transition finds in the echoed window."""
+    transition finds in the default window of that transition."""
     report = charge_report(s, e)
     transition = extension_to_transition(e)
-    assert report.window == default_window_for_transition(s, transition)
-    assert report.stabilized
-    full = FullComplex(s, transition, report.window)
+    full = FullComplex(s, transition, default_window_for_transition(s, transition))
     assert report.r1_dim == full.dimension, (s, e.j, str(e.sigma))
     return report.r1_dim
 
@@ -169,9 +168,9 @@ def test_tangent_transition_matches_full_assembly(k):
     result = tangent_h1(k)
     s = surface(k)
     transition = tangent_transition(s)
-    assert result.window == default_window_for_transition(s, transition)
+    assert result.window is None
     assert result.stabilized
-    full = FullComplex(s, transition, result.window)
+    full = FullComplex(s, transition, default_window_for_transition(s, transition))
     assert result.dimension == full.dimension == k - 1
     basis = [
         (slot, mono)
@@ -267,7 +266,7 @@ def test_h0_basis_matches_per_column_rewrites():
                 for window in (None, custom):
                     got = h0_basis(s, n, window)
                     assert got == h0_by_columns(s, n, window), (s, n, window)
-                    assert all(p.tag == U_CHART for p in got.scalar_basis)
+                    assert all(p.tag == U_CHART for p in got.basis)
 
 
 def test_h0_basis_rewrites_once_per_u_degree(monkeypatch):

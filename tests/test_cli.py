@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from localsurfaces.bundles import ExtensionClass, extension_to_transition
-from localsurfaces.cech import default_window, default_window_for_transition
+from localsurfaces.cech import default_window
 from localsurfaces import cli
 from localsurfaces.cli import main
-from localsurfaces.laurent import parse_poly
-from localsurfaces.surface import surface, tangent_transition
+from localsurfaces.surface import surface
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "localsurfaces" / "schemas"
 REPO_GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "h1_table.jsonl"
@@ -52,6 +50,22 @@ def test_h1_subcommand():
     validate("h1", doc)
     assert doc["dim"] == 4
     assert doc["basis"] == ["z^-3", "z^-2", "z^-1", "z^-1*u"]
+
+
+@pytest.mark.parametrize("k,n,tau,m_row", [
+    ("2", "4", [], 1),
+    ("2", "4", ["--tau", "1"], 1),
+    ("1", "1", [], None),
+    ("2", "0", [], None),
+    ("3", "2", [], 0),
+    ("3", "7", [], 1),
+    ("3", "8", ["--tau", "1/2,-1"], 2),
+])
+def test_h1_m_row(k, n, tau, m_row):
+    # The top row m of the normal-form monomials z^l u^i, ki - n < l < 0:
+    # row i is nonempty iff ki <= n - 2, so m = (n - 2) // k for n >= 2 and
+    # there is no row below n = 2, on every tau.
+    assert payload("h1", "--k", k, "--n", n, *tau)["m_row"] == m_row
 
 
 def test_h1_deformed():
@@ -267,8 +281,9 @@ WINDOW_FLAGS = ("--min-z", "--max-z", "--max-u")
 
 
 def test_window_flags_exist_on_h0_only():
-    # h0 counts sections in a window; every other subcommand is exact
-    # without one.
+    # h0 counts sections in a window, bounded by --max-z and --max-u; every
+    # other subcommand is exact without one, and no subcommand takes
+    # --min-z.
     subparsers = next(
         action for action in cli.build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
@@ -278,22 +293,31 @@ def test_window_flags_exist_on_h0_only():
         if any(flag in parser._option_string_actions for flag in WINDOW_FLAGS)
     }
     assert with_flags == {"h0"}
-    assert all(
-        flag in subparsers.choices["h0"]._option_string_actions
-        for flag in WINDOW_FLAGS
-    )
+    assert {
+        flag for flag in WINDOW_FLAGS
+        if flag in subparsers.choices["h0"]._option_string_actions
+    } == {"--max-z", "--max-u"}
 
 
-@pytest.mark.parametrize("command", [
+REMOVED_WINDOW_COMMANDS = [
     ("h1", "--k", "2", "--n", "4"),
     ("normal-form", "--k", "2", "--n", "4", "--sigma", "3*z^-1*u"),
-])
-@pytest.mark.parametrize("flag,value", [
-    ("--min-z", "-12"), ("--max-z", "12"), ("--max-u", "5"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param(command, flag, value, id=f"{flag}-{value}-command{index}")
+    for flag, value in (("--min-z", "-12"), ("--max-z", "12"), ("--max-u", "5"))
+    for index, command in enumerate(REMOVED_WINDOW_COMMANDS)
+] + [
+    pytest.param(("h0", "--k", "2", "--n", "1", "--tau", tau), "--min-z",
+                 "-1", id=f"--min-z--1-h0-tau={tau}")
+    for tau in ("0", "1", "1/2")
 ])
 def test_removed_window_flags_are_usage_errors(command, flag, value):
-    # h1 and normal-form took the window flags until they became exact;
-    # an in-range value is refused like any unknown flag.
+    # h1 and normal-form are exact without a window, and no section of h0
+    # has a negative z exponent, so --min-z would bound nothing: an
+    # in-range value is refused like any unknown flag.
     code, out, err = run(*command, flag, value)
     assert code == 2
     assert out == ""
@@ -444,8 +468,8 @@ def test_h1_flags_keep_the_exit_code_contract(argv):
 
 # charge over splitting types -3..12, the certificate sigmas and the
 # polynomial grammar, and --tau lists whose first entry may be negative;
-# tangent over --k -3..12.  On tau != 0 the charge is the proved 0, and both
-# subcommands echo the default window of their transition.
+# tangent over --k -3..12.  On tau != 0 the charge is the proved 0, and
+# neither subcommand echoes a window.
 charge_taus = st.sampled_from([
     [], ["--tau", "0"], ["--tau", "1"], ["--tau", "-3/4"], ["--tau", "-1/2,1"],
     ["--tau", "0,-1"], ["--tau", "1/2,-2/3,3/4"], ["--tau", "-1,0,2/3"],
@@ -474,23 +498,19 @@ def test_charge_and_tangent_flags_keep_the_exit_code_contract(argv):
     if argv[0] == "tangent":
         assert document["dim"] == k - 1
         assert document["basis"] == [["0", f"z^{l}"] for l in range(1 - k, 0)]
-        transition = tangent_transition(surface(k))
-        s = surface(k)
     else:
         given = [Fraction(t) for t in flags.get("--tau", "").split(",") if t]
         s = surface(k, given + [0] * (k - 1 - len(given)))
         if s.is_deformed:
             assert document["r1_dim"] == 0
-        e = ExtensionClass(int(flags["--j"]), parse_poly(flags["--sigma"]))
-        transition = extension_to_transition(e)
     assert document["stabilized"] is True
-    window = default_window_for_transition(s, transition)
-    assert document["window"] == window.to_json_dict()
+    assert "window" not in document
 
 
 # Whole argv over every subcommand: its own flags with valid and invalid
 # values, --tau lists or --tau-poly (more often where the subcommand takes
-# them), and any of the window flags, which only h0 takes.  golden verify
+# them), and any of the window flags: only h0 takes --max-z and --max-u,
+# and --min-z is an unknown flag everywhere.  golden verify
 # reads a table with a valid row, a corrupt row (exit 1) or a row that is
 # not JSON (exit 2).
 SUBCOMMAND_FLAGS = {
@@ -570,9 +590,10 @@ def whole_argvs(draw):
 def test_whole_argv_keeps_the_exit_code_contract(golden_tables, argv):
     # Each argv runs twice on main's shared parser, so this is also a
     # statelessness check over every subcommand.
-    assert_exit_code_contract(
-        [str(golden_tables.get(arg, arg)) for arg in argv], runs=2
-    )
+    argv = [str(golden_tables.get(arg, arg)) for arg in argv]
+    assert_exit_code_contract(argv, runs=2)
+    if "--min-z" in argv:
+        assert run(*argv)[0] == 2
 
 
 @pytest.mark.parametrize("command,tau", [
@@ -711,6 +732,24 @@ def test_certificate_stdout_is_pinned(argv, name):
     assert out == (PINNED / name).read_text()
 
 
+@pytest.mark.parametrize("argv,name", [
+    # Undeformed: sigma = z^-1 leaves r1_dim = 1 of h^1(O(-3)) = 2.
+    (["charge", "--k", "3", "--j", "3", "--sigma", "z^-1"],
+     "charge_k3_j3.json"),
+    (["charge", "--k", "3", "--j", "2", "--tau", "1/2,-1",
+      "--sigma", "z^-1 + z^-3*u"], "charge_k3_j2_tau.json"),
+    (["tangent", "--k", "4"], "tangent_k4.json"),
+])
+def test_charge_and_tangent_stdout_drop_only_the_window(argv, name):
+    # Each pinned file is the stdout these commands printed with the
+    # default window of the bundle's transition, minus "window" (the
+    # dropped windows are listed in CHANGES.md).
+    code, out, _ = run(*argv)
+    assert code == 0
+    assert out == (PINNED / name).read_text()
+    assert "window" not in json.loads(out)
+
+
 def test_certify_trivial_former_fallback_is_exact():
     # A windowed solve once certified this class only up to a residual
     # -z^-8 outside the window; the division by u-degree cancels that term
@@ -763,22 +802,12 @@ def test_deformed_h0_stdout_is_pinned():
     assert out == (PINNED / "h0_k3_n2_tau.json").read_text()
 
 
-@pytest.mark.parametrize("tau", ["0", "1", "1/2"])
-def test_h0_min_z_is_only_echoed(tau):
-    # Sections are U-holomorphic, so only --max-z and --max-u bound them.
-    docs = [payload("h0", "--k", "2", "--n", "1", "--tau", tau, *flag)
-            for flag in ([], ["--min-z", "-1"], ["--min-z", "-9"],
-                         ["--min-z", "0"])]
-    assert len({(doc["dim"], tuple(doc["basis"])) for doc in docs}) == 1
-    assert docs[0]["dim"] == 19
-    assert [doc["window"]["min_z"] for doc in docs] == [-6, -1, -9, 0]
-
-
 def test_window_override_is_echoed():
-    doc = payload("h0", "--k", "2", "--n", "4",
-                  "--min-z", "-12", "--max-z", "12", "--max-u", "5")
+    # The echoed min_z is the default window's: sections are U-holomorphic,
+    # so only --max-z and --max-u bound them.
+    doc = payload("h0", "--k", "2", "--n", "4", "--max-z", "12", "--max-u", "5")
     validate("h0", doc)
-    assert doc["window"] == {"min_z": -12, "max_z": 12, "max_u": 5}
+    assert doc["window"] == {"min_z": -9, "max_z": 12, "max_u": 5}
 
 
 # -- golden table -----------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_h1_basis_agrees_with_engine():
     for k in (2, 3):
         _, h1b = ext_basis_tangent(k)
         computed = h1_line_bundle(surface(k), k + 2)
-        assert set(h1b) == set(computed.scalar_basis)
+        assert set(h1b) == set(computed.basis)
 
 
 # -- integrability ------------------------------------------------------------------
@@ -263,7 +263,7 @@ def test_ks_basis_matrix_is_identity():
     k = 4
     s = surface(k)
     from localsurfaces.surface import tangent_transition
-    from localsurfaces.cech import default_window_for_transition
+    from cech_oracle import default_window_for_transition
 
     transition = tangent_transition(s)
     complex_ = FullComplex(s, transition, default_window_for_transition(s, transition))
