@@ -391,7 +391,7 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
     z_exp = u_exp = 0
     charts_seen = set()
     in_term = False
-    pending_mul = False
+    pending_mul = pending_sign = False
 
     def flush():
         nonlocal coeff, z_exp, u_exp, in_term
@@ -409,9 +409,12 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
                     raise ValueError(f"misplaced '*' in {text!r}")
                 pending_mul = True
                 continue
+            if pending_sign:
+                raise ValueError(f"dangling operator in {text!r}")
             if in_term:
                 flush()
             sign = Q(-1) if op == "-" else Q(1)
+            pending_sign = True
         elif kind == "rat":
             try:
                 value = Q(token.group("rat"))
@@ -419,7 +422,7 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
                 raise ValueError(f"zero denominator in {text!r}") from None
             coeff = value if coeff is None else coeff * value
             in_term = True
-            pending_mul = False
+            pending_mul = pending_sign = False
         else:
             name = token.group("var")
             exp = int(token.group("exp") or 1)
@@ -434,7 +437,7 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
                     raise ValueError(f"negative {name}-exponent in {text!r}")
                 u_exp += exp
             in_term = True
-            pending_mul = False
+            pending_mul = pending_sign = False
     flush()
 
     if len(charts_seen) > 1:

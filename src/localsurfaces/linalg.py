@@ -3,17 +3,22 @@
 ReducedEchelon maintains the reduced row-echelon form of a span of sparse
 vectors incrementally; its rows are the unique RREF of the span, with
 pivots at each row's minimum key.  Entries may be ints or Fractions; add
-divides by its lead as a Fraction, so every row is exact.  nullspace reads
-the canonical kernel basis of a sparse matrix off that echelon.
+scales the new row to a lead of 1 as Fractions (negating a -1 lead, dividing
+by any other), so every row is exact.  A private column index maps each key
+to the pivot rows that hold it, so add back-reduces only the rows holding
+the new lead.  nullspace reads the canonical kernel basis of a sparse
+matrix off that echelon.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List
+from typing import Dict, Hashable, Iterable, List, Set
 
 Q = Fraction
 SparseVec = Dict[Hashable, Q]
+
+_ONE = Q(1)
 
 
 class ReducedEchelon:
@@ -23,11 +28,17 @@ class ReducedEchelon:
     a vector is its minimum key.  Rows are kept fully reduced: a pivot row
     has a 1 at its lead and zeros at every other pivot lead, so the pivot
     set equals the canonical (order-determined) pivot set of the spanned
-    subspace.
+    subspace.  pivots is read-only for callers.
+
+    _holders maps each key that occurs in a row other than as its lead to
+    the leads of the rows holding it.  A row without the new lead would be
+    back-reduced by a factor of 0, so add visits only _holders[lead], and
+    pivots stays the same unique RREF, entry for entry.
     """
 
     def __init__(self):
         self.pivots: Dict[Hashable, SparseVec] = {}
+        self._holders: Dict[Hashable, Set[Hashable]] = {}
 
     @property
     def rank(self) -> int:
@@ -55,21 +66,37 @@ class ReducedEchelon:
         if not residual:
             return False
         lead = min(residual)
-        lead_val = residual[lead]
-        if type(lead_val) is int:  # int / int would be a float
-            lead_val = Q(lead_val)
-        row = {k: v / lead_val for k, v in residual.items()}
-        # Maintain full reduction: clear the new lead from existing rows.
-        for other in self.pivots.values():
-            factor = other.get(lead)
-            if not factor:
-                continue
-            for key, val in row.items():
-                acc = other.get(key, Q(0)) - factor * val
+        lead_val = residual.pop(lead)
+        # Untouched int entries become Fractions; int / int would be a float.
+        if lead_val == 1:
+            tail = {k: v if type(v) is Q else Q(v) for k, v in residual.items()}
+        elif lead_val == -1:
+            tail = {k: -v if type(v) is Q else Q(-v) for k, v in residual.items()}
+        else:
+            if type(lead_val) is int:
+                lead_val = Q(lead_val)
+            tail = {k: v / lead_val for k, v in residual.items()}
+        holders = self._holders
+        for key in tail:
+            holders.setdefault(key, set()).add(lead)
+        # Maintain full reduction: clear the new lead from the rows holding it.
+        for other_lead in holders.pop(lead, ()):
+            other = self.pivots[other_lead]
+            factor = other.pop(lead)
+            for key, val in tail.items():
+                old = other.get(key)
+                if old is None:
+                    other[key] = -factor * val
+                    holders[key].add(other_lead)
+                    continue
+                acc = old - factor * val
                 if acc:
                     other[key] = acc
                 else:
-                    other.pop(key, None)
+                    del other[key]
+                    holders[key].discard(other_lead)
+        row = {lead: _ONE}
+        row.update(tail)
         self.pivots[lead] = row
         return True
 

@@ -224,7 +224,9 @@ def test_parse_rejects_mixed_charts():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "z^", "1//2", "z**2", "w"]:
+    # a sign must be followed by a term, not by another sign
+    for bad in ["", "z^", "1//2", "z**2", "w", "-+z", "--z", "z - -u",
+                "z + +u", "z +- 1"]:
         with pytest.raises(ValueError):
             parse_poly(bad)
 

@@ -5,7 +5,13 @@ from fractions import Fraction as Q
 
 from cech_oracle import _solve_in_span, coboundary_matrix
 from dense_oracle import RationalMatrix, nullspace, rref_rank
-from localsurfaces.cech import Window, h1_dimension_formula
+from echelon_oracle import FullScanEchelon
+from localsurfaces.cech import (
+    CechComplex,
+    Window,
+    default_window,
+    h1_dimension_formula,
+)
 from localsurfaces.linalg import ReducedEchelon
 from localsurfaces.linalg import nullspace as sparse_nullspace
 from localsurfaces.surface import surface
@@ -189,3 +195,78 @@ def test_sparse_nullspace_matches_dense_oracle():
         for vec in got:
             for row in rows:
                 assert sum(x * vec[c] for c, x in row.items()) == 0
+
+
+def holder_map(pivots):
+    holders = {}
+    for lead, row in pivots.items():
+        for key in row:
+            if key != lead:
+                holders.setdefault(key, set()).add(lead)
+    return holders
+
+
+def random_echelon_inputs(rng, cols, count):
+    """Sparse int or Fraction vectors: random ones with leads of +-1 or
+    other values, and dependent ones combined from earlier draws."""
+    vecs = []
+    for _ in range(count):
+        if vecs and rng.random() < 0.3:
+            vec = {}
+            for src in rng.sample(vecs, min(len(vecs), rng.randint(1, 3))):
+                x = rng.choice((-2, -1, 1, Q(1, 2), Q(-3, 2)))
+                for key, val in src.items():
+                    vec[key] = vec.get(key, 0) + x * val
+            vec = {key: val for key, val in vec.items() if val}
+        else:
+            density = rng.choice((0.15, 0.4, 0.8))
+            vec = {}
+            for c in range(cols):
+                if rng.random() < density:
+                    x = rng.choice((-1, 1, 1, -1, 2, -3, 5))
+                    vec[c] = x if rng.random() < 0.5 else Q(x, rng.randint(1, 3))
+        vecs.append(vec)
+    return vecs
+
+
+def test_indexed_echelon_matches_the_full_scan_oracle():
+    rng = random.Random(37)
+    for _ in range(120):
+        cols = rng.randint(1, 12)
+        echelon, oracle = ReducedEchelon(), FullScanEchelon()
+        for vec in random_echelon_inputs(rng, cols, rng.randint(1, 16)):
+            assert echelon.add(vec) == oracle.add(vec)
+            assert echelon.pivots == oracle.pivots
+            assert echelon.rank == oracle.rank
+            assert all(
+                type(x) is Q
+                for row in echelon.pivots.values() for x in row.values()
+            )
+            assert echelon._holders == holder_map(echelon.pivots)
+            target = {c: rng.randint(-3, 3) for c in range(cols)}
+            assert echelon.reduce(target) == oracle.reduce(target)
+
+
+def holder_counts(complex_):
+    """len(_holders) after each insert of the complex's columns, replayed
+    into a fresh echelon."""
+    echelon, counts = ReducedEchelon(), []
+    for _, vec in complex_.columns:
+        echelon.add(vec)
+        counts.append(len(echelon._holders))
+    assert echelon.pivots == complex_._echelon.pivots
+    return counts
+
+
+def test_back_reduction_visits_only_rows_holding_the_lead():
+    # tau = 0: every column is a single -1 entry, so no row ever holds a
+    # key besides its lead and no insert back-reduces a row.
+    s = surface(1)
+    undeformed = CechComplex(s, 10, default_window(s, 10))
+    assert undeformed._echelon.rank
+    assert not any(holder_counts(undeformed))
+    # tau != 0: the columns overlap, so rows hold other keys on the way;
+    # the finished span is the whole window, whose RREF rows are units.
+    s = surface(2, [Q(1)])
+    deformed = CechComplex(s, 4, default_window(s, 4))
+    assert any(holder_counts(deformed))
