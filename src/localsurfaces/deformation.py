@@ -291,6 +291,14 @@ def deform_by_cocycle(k: int, tau: BiLaurent) -> SurfaceSpec:
     return target
 
 
+def _param_values(params: Tuple[str, ...], tvals: Sequence) -> Dict[str, Q]:
+    """tvals as rationals keyed by the parameter names, one value each."""
+    if len(tvals) != len(params):
+        raise ValueError(f"wrong number of parameter values: {len(tvals)} "
+                         f"for {len(params)} parameters")
+    return {name: Q(v) for name, v in zip(params, tvals)}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """The (k-1)-parameter family over C^{k-1} whose fibre at t is Z_k(tau),
@@ -308,14 +316,12 @@ class FamilySpec:
 
     def fiber(self, tvals: Sequence) -> Tuple[SurfaceSpec, PolyMatrix]:
         """Surface and 2x2 glue matrix of the fibre at rational t."""
-        values = {name: Q(v) for name, v in zip(self.params, tvals)}
-        if len(values) != len(self.params):
-            raise ValueError("wrong number of parameter values")
+        values = _param_values(self.params, tvals)
         corner = [
             [self.transition[i][j].substitute_params(values) for j in range(2)]
             for i in range(2)
         ]
-        return surface(self.k, tuple(Q(v) for v in tvals)), PolyMatrix(corner)
+        return surface(self.k, tuple(values.values())), PolyMatrix(corner)
 
 
 def family_and_ks(k: int) -> Tuple[FamilySpec, Dict[int, VectorCocycle]]:
@@ -402,11 +408,11 @@ class HirzebruchReport:
         return all(r.is_zero for r in self.residuals_u + self.residuals_v)
 
     def x_at(self, tvals: Sequence) -> Tuple[BiLaurent, ...]:
-        values = {f"t{i}": Q(v) for i, v in enumerate(tvals, start=1)}
+        values = _param_values(self.x[0].params, tvals)
         return tuple(p.substitute_params(values) for p in self.x)
 
     def y_at(self, tvals: Sequence) -> Tuple[BiLaurent, ...]:
-        values = {f"t{i}": Q(v) for i, v in enumerate(tvals, start=1)}
+        values = _param_values(self.y[0].params, tvals)
         return tuple(p.substitute_params(values) for p in self.y)
 
 

@@ -12,9 +12,9 @@ on the V chart -- and arithmetic refuses to mix differently tagged values.
 Tags are safety bookkeeping only: equality and hashing compare terms.
 
 Text syntax (used by the CLI and golden files): terms like ``3/2*z^-4*u^2``
-joined by ``+`` / ``-``, whitespace-insensitive.  Canonical printing orders
-terms by (z exponent asc, u exponent asc).  V-tagged values print and parse
-with the variable names ``xi`` and ``v``.
+joined by ``+`` / ``-``; whitespace may separate tokens but not split one.
+Canonical printing orders terms by (z exponent asc, u exponent asc).
+V-tagged values print and parse with the variable names ``xi`` and ``v``.
 """
 
 from __future__ import annotations
@@ -201,29 +201,25 @@ class BiLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        """self ** exponent.  A unit monomial c*z^a*u^b gives the single term
+        c^e*z^(ae)*u^(be) with its tag, for any sign of e (a negative e
+        needs b = 0); any other polynomial is powered by _power, e >= 0."""
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            unit = self.as_unit_monomial()
-            if unit is None:
-                raise NonInvertibleSubstitution(
-                    f"negative power of non-unit polynomial {self}"
-                )
+        unit = self.as_unit_monomial()
+        if unit is not None:
             coeff, z_exp, u_exp = unit
-            if u_exp != 0:
+            if exponent < 0 and u_exp != 0:
                 raise NonInvertibleSubstitution(
                     f"negative power would need u^{-u_exp}: {self}"
                 )
-            return BiLaurent.term(Q(1) / coeff, -z_exp, 0, self.tag) ** (-exponent)
-        result = BiLaurent.const(1, self.tag)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+            mono = Monomial(z_exp * exponent, u_exp * exponent)
+            return _raw({mono: coeff ** exponent}, self.tag)
+        if exponent < 0:
+            raise NonInvertibleSubstitution(
+                f"negative power of non-unit polynomial {self}"
+            )
+        return _power(self, exponent, BiLaurent.const(1, self.tag))
 
     # -- substitution ------------------------------------------------------
 
@@ -333,13 +329,26 @@ def _raw(terms: dict[Monomial, Q], tag: Optional[str]) -> BiLaurent:
     return p
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by binary powering, starting from the unit one.
+    BiLaurent and ParamPoly both power through this routine."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
 def _chained_powers(
     img: BiLaurent, exponents: set[int]
 ) -> dict[int, BiLaurent]:
     """img ** e for every e in exponents.  Walking up the positive exponents
     in order, img^e = img^e' * img^(e - e') for the next lower e', and the
     power of each gap e - e' is computed once.  A negative e needs img to
-    be a unit monomial, whose powers are single terms."""
+    be a unit monomial, whose powers are single terms.  Only ** and * are
+    used: BiLaurent.substitute and ParamPoly.substitute_vars share it."""
     pows = {e: img ** e for e in exponents if e <= 0}
     gap_pows: dict[int, BiLaurent] = {}
     below = 0
@@ -356,7 +365,8 @@ def _chained_powers(
 
 _TOKEN = re.compile(
     r"""
-    (?P<rat>\d+(?:/\d+)?)
+    (?P<space>[\ \t]+)
+    | (?P<rat>\d+(?:/\d+)?)
     | (?P<var>xi|z|u|v)(?:\^(?P<exp>-?\d+))?
     | (?P<op>[+\-*])
     """,
@@ -371,19 +381,21 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
     alphabets is an error.  When the (xi, v) alphabet is used the result is
     tagged V-coords unless an explicit tag is given.
     """
-    stripped = text.replace(" ", "").replace("\t", "")
-    if not stripped:
-        raise ValueError("empty polynomial string")
-    if stripped == "0":
-        return BiLaurent.zero(tag)
     pos = 0
     tokens = []
-    while pos < len(stripped):
-        match = _TOKEN.match(stripped, pos)
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
         if not match:
-            raise ValueError(f"bad polynomial syntax near {stripped[pos:]!r}")
-        tokens.append(match)
+            rest = text[pos:].replace(" ", "").replace("\t", "")
+            raise ValueError(f"bad polynomial syntax near {rest!r}")
+        if match.lastgroup != "space":
+            tokens.append(match)
+        elif text[pos - 1:pos].isdigit() and text[match.end():][:1].isdigit():
+            # Deleting this space would join two numbers into one.
+            raise ValueError(f"whitespace inside a number or exponent in {text!r}")
         pos = match.end()
+    if not tokens:
+        raise ValueError("empty polynomial string")
 
     terms: list[tuple[Q, int, int]] = []
     sign = Q(1)

@@ -5,15 +5,21 @@ A ParamPoly is a finitely supported map from parameter-exponent tuples
 used only for identity checks that must hold for all parameter values at
 once: the semiuniversal family transition, Kodaira-Spencer images, the chart
 normalization isomorphism, and the Hirzebruch-embedding relations.
+
+Only the parameter names, exponent tuples, derivative, substitute_params
+and printing are ParamPoly's own.  Its constructor takes (exponents,
+coefficient) pairs like BiLaurent's and alone merges keys; powers go through
+laurent._power (a parameter-free term is powered as a BiLaurent), and
+substitute_vars raises its images by laurent._chained_powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NonInvertibleSubstitution
-from .laurent import BiLaurent, Q
+from .laurent import BiLaurent, Q, _chained_powers, _power
 
 
 class ParamPoly:
@@ -24,12 +30,13 @@ class ParamPoly:
     def __init__(
         self,
         params: Sequence[str],
-        terms: Optional[Mapping[Tuple[int, ...], BiLaurent]] = None,
+        terms: Union[Mapping[Tuple[int, ...], BiLaurent], Iterable, None] = None,
     ):
         params = tuple(params)
         clean: dict[Tuple[int, ...], BiLaurent] = {}
         if terms:
-            for exps, coeff in terms.items():
+            items = terms.items() if isinstance(terms, Mapping) else terms
+            for exps, coeff in items:
                 exps = tuple(exps)
                 if len(exps) != len(params):
                     raise ValueError("exponent tuple length != number of parameters")
@@ -76,22 +83,6 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def terms(self) -> dict[Tuple[int, ...], BiLaurent]:
-        return dict(self._terms)
-
-    def coefficient(self, exps: Tuple[int, ...]) -> BiLaurent:
-        return self._terms.get(tuple(exps), BiLaurent.zero())
-
-    def as_unit_monomial(self):
-        """Parameter-free single-term content, or None."""
-        if len(self._terms) != 1:
-            return None
-        (exps, coeff), = self._terms.items()
-        if any(exps):
-            return None
-        return coeff.as_unit_monomial()
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> Optional["ParamPoly"]:
@@ -109,15 +100,7 @@ class ParamPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in rhs._terms.items():
-            acc = out.get(exps)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return ParamPoly(self.params, out)
+        return ParamPoly(self.params, [*self._terms.items(), *rhs._terms.items()])
 
     __radd__ = __add__
 
@@ -140,44 +123,26 @@ class ParamPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[Tuple[int, ...], BiLaurent] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in rhs._terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                acc = out.get(exps)
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = acc
-        return ParamPoly(self.params, out)
+        return ParamPoly(self.params, [
+            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            for ea, ca in self._terms.items()
+            for eb, cb in rhs._terms.items()
+        ])
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
+        if len(self._terms) == 1:
+            (exps, coeff), = self._terms.items()
+            if not any(exps):
+                return ParamPoly.from_poly(coeff ** exponent, self.params)
         if exponent < 0:
-            unit = self.as_unit_monomial()
-            if unit is None or unit[2] != 0:
-                raise NonInvertibleSubstitution(
-                    f"negative power of non-unit ParamPoly {self}"
-                )
-            coeff, z_exp, _ = unit
-            inv = ParamPoly.from_poly(
-                BiLaurent.term(Q(1) / coeff, -z_exp, 0), self.params
+            raise NonInvertibleSubstitution(
+                f"negative power of non-unit ParamPoly {self}"
             )
-            return inv ** (-exponent)
-        result = ParamPoly.const(1, self.params)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, exponent, ParamPoly.const(1, self.params))
 
     # -- substitution ------------------------------------------------------
 
@@ -207,30 +172,26 @@ class ParamPoly:
         self, z: Optional["ParamPoly"] = None, u: Optional["ParamPoly"] = None,
         tag: Optional[str] = None,
     ) -> "ParamPoly":
-        """Substitute ParamPoly images for the two BiLaurent variable slots."""
+        """Substitute ParamPoly images for the two BiLaurent variable slots;
+        each image is raised only to the exponents that occur."""
         z_img = z if z is not None else ParamPoly.from_poly(
             BiLaurent.term(1, 1, 0), self.params
         )
         u_img = u if u is not None else ParamPoly.from_poly(
             BiLaurent.term(1, 0, 1), self.params
         )
-        z_pows: dict[int, ParamPoly] = {}
-        u_pows: dict[int, ParamPoly] = {}
-
-        def power(img: "ParamPoly", n: int, cache: dict) -> "ParamPoly":
-            if n not in cache:
-                cache[n] = img ** n
-            return cache[n]
-
-        total = ParamPoly.zero(self.params)
-        for exps, coeff in self._terms.items():
-            part = ParamPoly.zero(self.params)
-            for (ze, ue), scalar in coeff.items():
-                term = power(z_img, ze, z_pows) * power(u_img, ue, u_pows)
-                part = part + term * scalar
-            total = total + part * ParamPoly(
-                self.params, {exps: BiLaurent.const(1)}
-            )
+        monos = [
+            (exps, mono, scalar)
+            for exps, coeff in self._terms.items()
+            for mono, scalar in coeff.items()
+        ]
+        z_pows = _chained_powers(z_img, {ze for _, (ze, _), _ in monos})
+        u_pows = _chained_powers(u_img, {ue for _, (_, ue), _ in monos})
+        total = ParamPoly(self.params, [
+            (tuple(x + y for x, y in zip(exps, ea)), ca * scalar)
+            for exps, (ze, ue), scalar in monos
+            for ea, ca in (z_pows[ze] * u_pows[ue])._terms.items()
+        ])
         if tag is not None:
             total = ParamPoly(
                 total.params,
@@ -241,6 +202,8 @@ class ParamPoly:
     # -- comparison / printing ----------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, ParamPoly) and other.params != self.params:
+            return False
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented

@@ -1,11 +1,12 @@
 """Term-by-term substitution, for oracle tests.
 
 substitute_by_term is the form BiLaurent.substitute had before it chained
-its powers: every exponent that occurs gets its own binary powering of the
-image (cached per exponent), and the terms coeff * z-power * u-power are
-added one by one through BiLaurent arithmetic, so tags merge as the sum
-goes.  It shares no power with another exponent, which makes it the
-reference for the chained powers of BiLaurent.substitute.
+its powers: every exponent that occurs gets its own power of the image
+(cached per exponent), and the terms coeff * z-power * u-power are added
+one by one through BiLaurent arithmetic, so tags merge as the sum goes.  It
+shares no power with another exponent and builds each one by repeated
+multiplication, not BiLaurent.__pow__, which makes it the reference for the
+chained powers of BiLaurent.substitute.
 """
 
 from localsurfaces.errors import NonInvertibleSubstitution
@@ -28,7 +29,7 @@ def substitute_by_term(p, z=None, u=None, tag=None):
 
     def power(img, n, cache):
         if n not in cache:
-            cache[n] = img ** n
+            cache[n] = _repeated_product(img, n)
         return cache[n]
 
     total = BiLaurent.zero()
@@ -36,3 +37,15 @@ def substitute_by_term(p, z=None, u=None, tag=None):
         term = power(z_img, ze, z_pows) * power(u_img, ue, u_pows)
         total = total + term * coeff
     return total.with_tag(tag)
+
+
+def _repeated_product(img, n):
+    """img ** n by |n| multiplications; a negative n multiplies the inverse
+    of the unit monomial img, so this never calls BiLaurent.__pow__."""
+    if n < 0:
+        coeff, z_exp, _ = img.as_unit_monomial()
+        img, n = BiLaurent.term(1 / coeff, -z_exp, 0, img.tag), -n
+    out = BiLaurent.const(1, img.tag)
+    for _ in range(n):
+        out = out * img
+    return out

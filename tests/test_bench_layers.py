@@ -1,14 +1,19 @@
-"""Every library name the benchmark's span tracer wraps still exists.
+"""Every library name the benchmark calls or its span tracer wraps exists.
 
 bench/tracer.py wraps library functions and methods by module and name
 (LAYERS) and reads work counters off their arguments and results
 (COUNTERS); a rename or deletion in the library would drop a per-layer
-metric silently.  The tracer's source is read with ast, not imported.
+metric silently.  bench/workloads.py calls the library as ls.<name>; a
+deletion there would fail every op of a workload.  Both files are read
+with ast, not imported.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import localsurfaces as ls
+import localsurfaces.cli  # noqa: F401  (binds ls.cli, as bench/workloads.py does)
 
 from localsurfaces.cech import (
     CechComplex,
@@ -19,7 +24,8 @@ from localsurfaces.cech import (
 from localsurfaces.laurent import parse_poly
 from localsurfaces.surface import surface
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def tracer_assignments():
@@ -76,3 +82,16 @@ def test_every_counted_attribute_exists():
     for layer, attrs in read.items():
         for attr in attrs:
             assert hasattr(samples[layer], attr), (layer, attr)
+
+
+def test_every_library_name_the_workloads_use_exists():
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ls"
+    }
+    assert "hirzebruch_embed_check" in used and "parse_poly" in used
+    assert sorted(name for name in used if not hasattr(ls, name)) == []

@@ -310,6 +310,18 @@ def test_hirzebruch_reduces_to_plain_embedding_at_zero():
         ]
 
 
+def test_parameter_values_must_match_the_parameters():
+    # Too few values used to raise a bare KeyError in x_at/y_at and too
+    # many were dropped; fiber, x_at and y_at now all raise ValueError.
+    fam, _ = family_and_ks(3)
+    report = hirzebruch_embed_check(3)
+    for at in (fam.fiber, report.x_at, report.y_at):
+        for tvals in ([], [1], [1, 2, 3]):
+            with pytest.raises(ValueError, match="wrong number of parameter values"):
+                at(tvals)
+        at([1, 2])
+
+
 def test_hirzebruch_numeric_spot_check():
     # both sides of the defining relation agree at (z, u) = (1, 1),
     # k = 3, t = (1, 0)

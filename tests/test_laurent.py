@@ -193,6 +193,29 @@ def test_negative_power_of_unit():
     assert P("2*z^3") ** -2 == P("1/4*z^-6")
     with pytest.raises(NonInvertibleSubstitution):
         P("z + 1") ** -1
+    with pytest.raises(NonInvertibleSubstitution):
+        P("2*z^-1*u") ** -1
+    with pytest.raises(NonInvertibleSubstitution):
+        BiLaurent.zero() ** -2
+
+
+def test_unit_monomial_power_is_repeated_multiplication():
+    # c*z^a*u^b ** e is one term: coefficients other than +-1, b > 0,
+    # negative e on u-free terms, and the tag kept for every e.
+    rng = random.Random(19)
+    for _ in range(60):
+        coeff = Q(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
+        b = rng.choice([0, 0, 1, 3])
+        tag = rng.choice([None, U_CHART, V_CHART])
+        base = BiLaurent.term(coeff, rng.randint(-4, 4), b, tag)
+        inverse = BiLaurent.term(1 / coeff, -base.min_z_exp(), 0, tag)
+        for e in range(-5 if b == 0 else 0, 7):
+            expected = BiLaurent.const(1, tag)
+            for _ in range(abs(e)):
+                expected = expected * (base if e > 0 else inverse)
+            power = base ** e
+            assert power == expected and str(power) == str(expected)
+            assert power.tag == tag
 
 
 def test_evaluate():
@@ -210,6 +233,9 @@ def test_parse_examples():
         {Monomial(0, 2): Q(-1), Monomial(1, 0): Q(1), Monomial(0, 0): Q(-1)}
     )
     assert P("0").is_zero
+    # whitespace between tokens is free, also between juxtaposed factors
+    assert P("z^-1 + 2*z^-3*u") == P(" z^-1\t+2 * z^-3 * u ")
+    assert P("3 z") == P("3*z") and P("z u") == P("z*u")
 
 
 def test_parse_v_chart_names():
@@ -225,8 +251,10 @@ def test_parse_rejects_mixed_charts():
 
 def test_parse_rejects_garbage():
     # a sign must be followed by a term, not by another sign
+    # whitespace may separate tokens but not split a number or exponent
     for bad in ["", "z^", "1//2", "z**2", "w", "-+z", "--z", "z - -u",
-                "z + +u", "z +- 1"]:
+                "z + +u", "z +- 1", "3 4*z^-1", "z^-1 2", "1/ 2", "1 /2",
+                "x i", "z ^2", "z^- 1", " \t "]:
         with pytest.raises(ValueError):
             parse_poly(bad)
 
