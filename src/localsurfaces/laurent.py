@@ -13,6 +13,8 @@ Tags are safety bookkeeping only: equality and hashing compare terms.
 
 Text syntax (used by the CLI and golden files): terms like ``3/2*z^-4*u^2``
 joined by ``+`` / ``-``; whitespace may separate tokens but not split one.
+A number may follow a variable only after ``*``: ``z2`` is an error, not
+``2*z``.
 Canonical printing orders terms by (z exponent asc, u exponent asc).
 V-tagged values print and parse with the variable names ``xi`` and ``v``.
 """
@@ -412,7 +414,7 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
         terms.append((sign * (coeff if coeff is not None else Q(1)), z_exp, u_exp))
         coeff, z_exp, u_exp, in_term = None, 0, 0, False
 
-    for token in tokens:
+    for index, token in enumerate(tokens):
         kind = token.lastgroup
         if kind == "op":
             op = token.group("op")
@@ -428,6 +430,9 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
             sign = Q(-1) if op == "-" else Q(1)
             pending_sign = True
         elif kind == "rat":
+            if index and tokens[index - 1].lastgroup == "var":
+                # z2 is a mistyped z^2, not 2*z.
+                raise ValueError(f"number right after a variable in {text!r}")
             try:
                 value = Q(token.group("rat"))
             except ZeroDivisionError:

@@ -92,17 +92,6 @@ class PolyMatrix:
     def map_entries(self, fn: Callable[[BiLaurent], BiLaurent]) -> "PolyMatrix":
         return PolyMatrix([[fn(p) for p in row] for row in self.entries])
 
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return PolyMatrix([
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ])
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero for row in self.entries for p in row)
-
     def det(self) -> BiLaurent:
         n = self.size
         if n == 1:

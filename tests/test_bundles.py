@@ -263,31 +263,32 @@ def test_splitting_type_rank_one():
 # -- split certificates ---------------------------------------------------------------------
 
 def check_certificate(s, e, cert):
+    # exact splitting: A_V T A_U^-1 equals the diagonal target, with
+    # unipotent A_U and A_V
     T = extension_to_transition(e)
     a_v_u = cert.a_v.map_entries(lambda p: to_U_coords(p, s))
-    assert (a_v_u @ T) - (cert.target @ cert.a_u) == cert.residual
-    det_u, det_v = cert.dets()
-    assert det_u == det_v != 0
-    # exact splitting: A_V T A_U^-1 equals the diagonal target
-    if cert.exact:
-        assert (a_v_u @ T) @ cert.a_u.inverse() == cert.target
+    assert (a_v_u @ T) @ cert.a_u.inverse() == cert.target
+    assert cert.target == PolyMatrix.diagonal(
+        [BiLaurent.term(1, e.j, 0), BiLaurent.term(1, -e.j, 0)]
+    )
+    assert cert.a_u.det() == cert.a_v.det() == BiLaurent.const(1)
 
 
 def test_split_certificate_explicit_example():
     s = surface(2, [1])
     e = ExtensionClass(1, P("z^-1"))
     cert = split_certificate(s, e)
-    assert cert.exact
     assert cert.a_u == PolyMatrix([[P("1"), P("-u")], [P("0"), P("1")]])
     assert cert.a_v.entries[0][1] == P("-v")
     check_certificate(s, e, cert)
 
 
 def test_split_certificate_identity_for_zero_class():
-    cert = split_certificate(surface(2, [1]), ExtensionClass(2, BiLaurent.zero()))
+    s, e = surface(2, [1]), ExtensionClass(2, BiLaurent.zero())
+    cert = split_certificate(s, e)
     assert cert.a_u == PolyMatrix.identity(2)
     assert cert.a_v == PolyMatrix.identity(2)
-    assert cert.exact
+    check_certificate(s, e, cert)
 
 
 def test_split_certificate_error_on_undeformed_nontrivial_class():
@@ -300,9 +301,7 @@ def test_split_certificates_over_h1_basis():
     s = surface(2, [1])
     for sigma in h1_line_bundle(surface(2), 4).basis:
         e = ExtensionClass(2, sigma)
-        cert = split_certificate(s, e)
-        assert cert.exact
-        check_certificate(s, e, cert)
+        check_certificate(s, e, split_certificate(s, e))
 
 
 # -- charge reports ----------------------------------------------------------------------

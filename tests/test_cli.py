@@ -249,6 +249,7 @@ USAGE_ERRORS = [
      "2/0*z^-1"],
     ["certify-trivial", "--k", "2", "--n", "3", "--sigma", "z - -u"],
     ["certify-trivial", "--k", "2", "--n", "3", "--sigma", "3 4*z^-1"],
+    ["normal-form", "--k", "2", "--n", "3", "--sigma", "z2"],
     ["integrate", "--k", "2", "--sigma", "1/0*z"],
     ["deform", "--k", "2", "--tau-poly", "1/0*z"],
     ["golden", "verify", "--path", "{malformed}"],

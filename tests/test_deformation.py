@@ -9,6 +9,7 @@ from cech_oracle import FullComplex
 from localsurfaces.cech import h1_line_bundle, normal_form
 from localsurfaces.deformation import (
     TangentExtensionClass,
+    _integrate_z,
     Verdict,
     deform_by_cocycle,
     ext_basis_tangent,
@@ -84,6 +85,16 @@ def test_h1_basis_agrees_with_engine():
 
 
 # -- integrability ------------------------------------------------------------------
+
+def test_integrate_z_splits_off_the_logarithm():
+    # row 2 of the candidate transition: -z^-2 integrates to z^-1 exactly
+    assert _integrate_z(P("-z^-2")) == (P("z^-1"), BiLaurent.zero())
+    # a z^-1*u term has no antiderivative on the punctured plane: its
+    # coefficient goes to the logarithmic part, at u^1
+    assert _integrate_z(P("3*z^-1*u + z^2*u - 4")) == (
+        P("1/3*z^3*u - 4*z"), P("3*u")
+    )
+
 
 def test_integrability_nontrivial_direction():
     rep = integrability_analysis(3, TangentExtensionClass(3, s0={1: Q(1)}))

@@ -236,6 +236,8 @@ def test_parse_examples():
     # whitespace between tokens is free, also between juxtaposed factors
     assert P("z^-1 + 2*z^-3*u") == P(" z^-1\t+2 * z^-3 * u ")
     assert P("3 z") == P("3*z") and P("z u") == P("z*u")
+    # a coefficient may open a term or follow '*'
+    assert P("3z") == P("3*z") and P("z*2") == P("2*z") and P("zz") == P("z^2")
 
 
 def test_parse_v_chart_names():
@@ -252,9 +254,10 @@ def test_parse_rejects_mixed_charts():
 def test_parse_rejects_garbage():
     # a sign must be followed by a term, not by another sign
     # whitespace may separate tokens but not split a number or exponent
+    # a number right after a variable is a mistyped power, not a coefficient
     for bad in ["", "z^", "1//2", "z**2", "w", "-+z", "--z", "z - -u",
                 "z + +u", "z +- 1", "3 4*z^-1", "z^-1 2", "1/ 2", "1 /2",
-                "x i", "z ^2", "z^- 1", " \t "]:
+                "x i", "z ^2", "z^- 1", " \t ", "z2", "u3", "xi2", "z 2"]:
         with pytest.raises(ValueError):
             parse_poly(bad)
 
