@@ -127,9 +127,13 @@ class SplitCertificate:
     of A_V are constants, which the chart rewrite leaves alone.  At (1, 2)
     the difference is z^j * (sigma - f_U - z^-2j * f_V(U)), where
     f_V(U) = to_U_coords(f_V, s).  triviality_certificate(sigma, s, 2j)
-    defines f_U as sigma - z^-2j * to_U_coords(f_V, s), the same rewrite,
-    and raises unless f_U is U-holomorphic.  So the difference is 0, and
-    A_U and A_V, being unipotent, have determinant 1."""
+    divides sigma by the images z^-2j * g(U) of V-holomorphic monomials g,
+    and f_V is the quotient's combination of those g.  The division leaves
+    sigma - z^-2j * f_V(U) no negative-z term, and its nonnegative-z
+    terms, the ones the division drops, are what triviality_certificate
+    sums as f_U, U-holomorphic by construction.  So the difference is 0,
+    and A_U and A_V, being unipotent, have determinant 1.  The tests and
+    the bench oracle re-check the product by the chart rewrite."""
 
     a_u: PolyMatrix
     a_v: PolyMatrix

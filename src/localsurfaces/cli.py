@@ -87,11 +87,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"usage error: {message}\n")
 
 
+def _int(text: str) -> int:
+    """argparse type: an integer in ASCII digits.  int() alone also reads
+    the digits of other scripts and underscores ("1_0" is 10)."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in its messages
+
+
 def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
+    """argparse type: an integer >= low, in ASCII digits."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = _int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
@@ -107,6 +118,9 @@ _family_k = _int_at_least(2)
 
 def _rational(text: str) -> Fraction:
     try:
+        # Fraction() also reads other scripts' digits and underscores.
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
@@ -498,14 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("h1", help="dim/basis of H^1(Z_k(tau), O(-n))")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_int, required=True,
                    help="twist: n=4 computes H^1 of O(-4)")
     _add_tau_flags(p)
     p.set_defaults(handler=_cmd_h1)
 
     p = sub.add_parser("h0", help="window basis of H^0(Z_k(tau), O(n))")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_int, required=True,
                    help="first Chern class of the bundle")
     _add_tau_flags(p)
     p.add_argument("--max-z", type=_nonnegative_int, default=None,
@@ -517,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normal-form",
                        help="normal form of a 1-cocycle in O(-n)")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--sigma", type=_poly, required=True)
     _add_tau_flags(p)
     p.set_defaults(handler=_cmd_normal_form)
@@ -525,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-trivial",
                        help="explicit coboundary certificate for a cocycle")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--sigma", type=_poly, required=True)
     _add_tau_flags(p)
     p.set_defaults(handler=_cmd_certify_trivial)
@@ -592,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moduli-dim",
                        help="documented moduli dimension 2j-k-2 / marker")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=_int, required=True)
     p.add_argument("--deformed", action="store_true")
     p.set_defaults(handler=_cmd_moduli_dim)
 

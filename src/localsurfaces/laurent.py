@@ -372,7 +372,7 @@ _TOKEN = re.compile(
     | (?P<var>xi|z|u|v)(?:\^(?P<exp>-?\d+))?
     | (?P<op>[+\-*])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # \d is 0-9 only, not every script's digits
 )
 
 

@@ -19,12 +19,19 @@ divide is the u-degree division by BiLaurent powers of v with Fraction
 coefficients in the coordinates (z, u), the form cech._divide had before it
 moved to integer coefficients in (z, u' = D*u).
 
+rewrite_f_U is f_U = sigma - z^-n * to_U_coords(f_V, s), the chart rewrite
+cech.triviality_certificate made before it summed the terms its division
+drops, with the check that f_U is U-holomorphic.  rewrite_certificate is
+that certificate: the same division and weight steps give f_V, and
+rewrite_f_U gives f_U.
+
 relation_certificate is the triviality certificate by the relation solve
 that cech.triviality_certificate used before it solved the remainder by
 weights: the remainder is solved over the remainders of the relations of
-levels b <= n - 1 by elimination with unit tag columns (_solve_in_span).
-Its f_V may differ from the weight-graded one when tau has several nonzero
-coefficients, since f_V is not unique; both re-check exactly.
+levels b <= n - 1 by elimination with unit tag columns (_solve_in_span),
+and f_U is rewrite_f_U.  Its f_V may differ from the weight-graded one
+when tau has several nonzero coefficients, since f_V is not unique; both
+re-check exactly.
 
 h0_by_columns is cech.h0_basis as it was before it shared one V-rewrite
 per u-degree: every window column z^a u^b is twisted and rewritten to
@@ -36,6 +43,7 @@ windows and transitions the rank-2 oracle comparisons assemble.
 """
 
 from fractions import Fraction as Q
+from itertools import chain
 from typing import Dict, Iterable, Optional
 
 from dense_oracle import RationalMatrix, rref_rank
@@ -46,6 +54,7 @@ from localsurfaces.cech import (
     Window,
     _reduce,
     _relation_levels,
+    _weight_solve,
     default_window,
 )
 from localsurfaces.errors import NotTrivial
@@ -201,6 +210,37 @@ def divide(terms, k, n, powers):
     return quotient, remainder
 
 
+def rewrite_f_U(sigma, s, n, f_V):
+    """f_U = sigma - z^-n * to_U_coords(f_V, s) for the line bundle O(-n);
+    raises AssertionError unless f_U is U-holomorphic."""
+    twist = BiLaurent.term(1, -n, 0)
+    f_U = sigma.with_tag(U_CHART) - twist * to_U_coords(f_V, s)
+    if not f_U.is_zero and f_U.min_z_exp() < 0:
+        raise AssertionError("exact certificate produced a non-holomorphic f_U")
+    return f_U
+
+
+def _divided(sigma, s, n):
+    """_reduce of sigma, raising NotTrivial as cech.triviality_certificate
+    does when the remainder on tau = 0 is not 0."""
+    scale, powers, quotient, remainder = _reduce(sigma, s, n)
+    if remainder and not s.is_deformed:
+        # scale is 1 on tau = 0, so u' = u.
+        normal = BiLaurent(remainder, U_CHART)
+        raise NotTrivial(f"class of {sigma} has the normal form {normal} != 0")
+    return scale, powers, quotient, remainder
+
+
+def rewrite_certificate(sigma, s, n):
+    """cech.triviality_certificate with f_U from the chart rewrite: the
+    same division and weight steps give f_V, and f_U is rewrite_f_U."""
+    scale, powers, quotient, remainder = _divided(sigma, s, n)
+    solved = _weight_solve(remainder, s, n, powers) if remainder else {}
+    terms = chain(quotient.items(), solved.items())
+    f_V = BiLaurent([((a, b), c * scale**b) for (a, b), c in terms], V_CHART)
+    return TrivialityCertificate(rewrite_f_U(sigma, s, n, f_V), f_V)
+
+
 def relation_certificate(sigma, s, n):
     """Explicit f_U, f_V with sigma = f_U + z^-n * (f_V in U-coords) exactly,
     for the line bundle O(-n), by the relation solve.
@@ -211,11 +251,7 @@ def relation_certificate(sigma, s, n):
     levels b = 1, 2, ... up to the first that suffices, at most n - 1 (the
     cap proved in cech.triviality_certificate).
     """
-    scale, powers, quotient, remainder = _reduce(sigma, s, n)
-    if remainder and not s.is_deformed:
-        # scale is 1 on tau = 0, so u' = u.
-        normal = BiLaurent(remainder, U_CHART)
-        raise NotTrivial(f"class of {sigma} has the normal form {normal} != 0")
+    scale, powers, quotient, remainder = _divided(sigma, s, n)
     terms = [((a, b), c * scale**b) for (a, b), c in quotient.items()]
     if remainder:
         # _solve_in_span skips dependent relations, so they never enter it.
@@ -235,11 +271,7 @@ def relation_certificate(sigma, s, n):
                 for (a, b), c in quotients[key].items()
             ]
     f_V = BiLaurent(terms, V_CHART)
-    factor = BiLaurent.term(1, -n, 0)
-    f_U = sigma.with_tag(U_CHART) - factor * to_U_coords(f_V, s)
-    if not f_U.is_zero and f_U.min_z_exp() < 0:
-        raise AssertionError("exact certificate produced a non-holomorphic f_U")
-    return TrivialityCertificate(f_U, f_V)
+    return TrivialityCertificate(rewrite_f_U(sigma, s, n, f_V), f_V)
 
 
 def _solve_in_span(

@@ -9,6 +9,7 @@ import pytest
 from cech_oracle import coboundary_matrix
 from dense_oracle import rref_rank
 from localsurfaces import cech
+from localsurfaces.bundles import ExtensionClass, split_certificate
 from localsurfaces.cech import (
     CechComplex,
     Window,
@@ -247,6 +248,34 @@ def test_certificate_exactness_on_undeformed_coboundary():
     cert = triviality_certificate(P("z^-5"), s, 4)
     assert cert.exact
     assert P("z^-5") == cert.f_U + P("z^-4") * to_U_coords(cert.f_V, s)
+
+
+@pytest.mark.parametrize("sigma, n, f_U, f_V", [
+    ("z^-1", 0, "0", "xi"),
+    ("z^-1 + z*u", -3, "z*u", "xi^4"),
+])
+def test_certificate_at_nonpositive_twist(sigma, n, f_U, f_V):
+    # O(-n) for n <= 0: z^-n * f_V is V-holomorphic times a nonnegative
+    # power of z, so sigma's negative-z part is all f_V and the rest f_U.
+    s = surface(2, [1])
+    cert = triviality_certificate(P(sigma), s, n)
+    assert (str(cert.f_U), str(cert.f_V)) == (f_U, f_V)
+    assert P(sigma) == cert.f_U + P(f"z^{-n}") * to_U_coords(cert.f_V, s)
+
+
+def test_certificates_rewrite_no_chart(monkeypatch):
+    # triviality_certificate reads f_U off the terms its division drops,
+    # and split_certificate assembles its matrices from that certificate:
+    # neither rewrites a polynomial to the other chart.
+    def refuse(*args, **kwargs):
+        raise AssertionError("chart rewrite used")
+
+    monkeypatch.setattr(BiLaurent, "substitute", refuse)
+    for k, tau, j, sigma in [(2, [1], 1, "z^-1"), (3, [Q(1, 2), -1], 2,
+                             "z^-1 + 2*z^-3*u"), (4, [0, 0, 1], 3, "z^-5*u^2")]:
+        s = surface(k, tau)
+        triviality_certificate(P(sigma), s, 2 * j)
+        split_certificate(s, ExtensionClass(j, P(sigma)))
 
 
 def test_certificate_rejects_v_chart_cocycle():

@@ -4,7 +4,9 @@ bundles (charge_report, tangent_h1) against the same assembly of their
 transitions, the windowless line-bundle H^1 against the windowed
 computation, the integer u-degree division against
 the rational one it replaced, the weight-graded triviality certificate
-against the relation solve it replaced, and the H^0 basis from one
+against the relation solve it replaced, its f_U from the terms the
+division drops against the chart rewrite it replaced, and the H^0 basis
+from one
 V-rewrite per u-degree against one V-rewrite per window column."""
 
 import itertools
@@ -25,6 +27,7 @@ from cech_oracle import (
     h0_by_columns,
     line_transition,
     relation_certificate,
+    rewrite_certificate,
 )
 from localsurfaces import bundles, cech, deformation
 from localsurfaces.bundles import (
@@ -44,7 +47,8 @@ from localsurfaces.cech import (
     triviality_certificate,
 )
 from localsurfaces.deformation import tangent_h1
-from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, parse_poly
+from localsurfaces.errors import NotTrivial
+from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART, parse_poly
 from localsurfaces.surface import surface, tangent_transition, to_U_coords
 
 TAU_KINDS = {
@@ -407,6 +411,49 @@ def test_weight_solve_matches_the_relation_solve_on_seeded_classes():
         else:
             assert_certifies(oracle, sigma, s, n)
     assert 100 < single < 200
+
+
+def sweep_taus(k):
+    """Zero, unit, rational and (for k >= 3) two-coefficient tau."""
+    taus = [TAU_KINDS["zero"](k)]
+    if k >= 2:
+        taus += [TAU_KINDS["unit"](k), TAU_KINDS["rational"](k)]
+    if k >= 3:
+        taus.append([Q(1, 2)] + [Q(0)] * (k - 3) + [Q(-3, 4)])
+    return taus
+
+
+def test_dropped_terms_give_the_chart_rewrite_certificate():
+    # f_U summed from the terms the division and the weight steps drop
+    # equals the chart rewrite sigma - z^-n * to_U_coords(f_V), f_V is
+    # unchanged, and NotTrivial falls on the same inputs with the same
+    # message; sigma reaches both sides of z^0 and the twist is -3..12.
+    rng = random.Random(61)
+    certified = nontrivial = 0
+    for k in range(1, 6):
+        for n in range(-3, 13):
+            for tau in sweep_taus(k):
+                s = surface(k, tau)
+                for _ in range(2):
+                    sigma = BiLaurent({
+                        (rng.randint(-n - 2, 2), rng.randint(0, 3)):
+                            Q(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+                        for _ in range(rng.randint(1, 5))
+                    }, U_CHART)
+                    try:
+                        oracle = rewrite_certificate(sigma, s, n)
+                    except NotTrivial as exc:
+                        nontrivial += 1
+                        with pytest.raises(NotTrivial) as raised:
+                            triviality_certificate(sigma, s, n)
+                        assert str(raised.value) == str(exc)
+                        continue
+                    certified += 1
+                    cert = triviality_certificate(sigma, s, n)
+                    assert (cert.f_U, cert.f_V) == (oracle.f_U, oracle.f_V)
+                    assert (cert.f_U.tag, cert.f_V.tag) == (U_CHART, V_CHART)
+                    assert_certifies(cert, sigma, s, n)
+    assert certified > 400 and nontrivial > 30
 
 
 def test_relation_solve_prints_the_pinned_certificate():

@@ -100,6 +100,17 @@ def test_certify_trivial_subcommand():
     assert doc["f_U"] == "-u" and doc["f_V"] == "v" and doc["exact"]
 
 
+@pytest.mark.parametrize("n, sigma, f_U, f_V", [
+    ("0", "z^-1", "0", "xi"),
+    ("-3", "z^-1 + z*u", "z*u", "xi^4"),
+])
+def test_certify_trivial_at_nonpositive_twist(n, sigma, f_U, f_V):
+    doc = payload("certify-trivial", "--k", "2", "--n", n,
+                  "--tau", "1", "--sigma", sigma)
+    validate("certify_trivial", doc)
+    assert (doc["f_U"], doc["f_V"]) == (f_U, f_V)
+
+
 def test_tangent_subcommand():
     doc = payload("tangent", "--k", "3")
     validate("tangent", doc)
@@ -213,7 +224,8 @@ def test_growth_cap_variable_is_ignored(monkeypatch, value):
     assert expected[0] == 0
 
 
-# Flag values the library would reject with ValueError, window flags on
+# Flag values the library would reject with ValueError, numbers written
+# with other scripts' digits or with underscores, window flags on
 # subcommands that take none (every subcommand but h0), polynomials written
 # in the V-chart alphabet (xi, v) or with a zero denominator, and golden
 # files whose rows are not JSON or not row objects: each is a usage error,
@@ -251,6 +263,13 @@ USAGE_ERRORS = [
     ["certify-trivial", "--k", "2", "--n", "3", "--sigma", "3 4*z^-1"],
     ["normal-form", "--k", "2", "--n", "3", "--sigma", "z2"],
     ["integrate", "--k", "2", "--sigma", "1/0*z"],
+    ["normal-form", "--k", "2", "--n", "3", "--sigma", "z^-\u0661"],
+    ["h1", "--k", "2", "--n", "\uff14"],
+    ["h1", "--k", "1_0", "--n", "4"],
+    ["h1", "--k", "3", "--n", "4", "--tau", "\u0663,1"],
+    ["h1", "--k", "2", "--n", "4", "--tau", "1_0"],
+    ["h0", "--k", "2", "--n", "2", "--max-z", "\u0663"],
+    ["moduli-dim", "--k", "2", "--j", "1_0"],
     ["deform", "--k", "2", "--tau-poly", "1/0*z"],
     ["golden", "verify", "--path", "{malformed}"],
     ["golden", "verify", "--path", "{not_object}"],

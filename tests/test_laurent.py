@@ -262,6 +262,15 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
+def test_parse_reads_only_ascii_digits():
+    # Unicode digits of other scripts (fullwidth, Arabic-Indic) and
+    # underscores are not numbers in the polynomial syntax.
+    for bad in ["\uff11", "z^-\u0661", "\u0663*z", "1_0", "z^1_0",
+                "1/\uff12"]:
+        with pytest.raises(ValueError):
+            parse_poly(bad)
+
+
 def test_parse_rejects_zero_denominator():
     # a ValueError naming the cause, not Fraction's ZeroDivisionError
     for bad in ["3/0", "2/0*z^-1", "z + 1/00*u", "1/2*5/0"]:
