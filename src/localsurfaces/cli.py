@@ -62,7 +62,7 @@ from .deformation import (
     tangent_h1,
 )
 from .errors import LocalSurfacesError
-from .laurent import BiLaurent, Q, V_CHART, parse_poly
+from .laurent import RAT, SP, BiLaurent, Q, V_CHART, parse_poly
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, surface
 
@@ -73,14 +73,14 @@ GOLDEN_NS = range(0, 11)
 class _Parser(argparse.ArgumentParser):
     """Reports flag errors as "usage error: ..." like every other usage
     error of the CLI (exit 2), and reads an argument that starts with a
-    minus sign and then a digit, a decimal point or a variable name as a
-    value, the way argparse reads "-3": a negative rational list ("-3/4",
-    "-1/2,1") or polynomial ("-z^-1", "-3*z^-1", "-xi"); no flag of the
-    CLI looks like one."""
+    minus sign and then a digit or a variable name as a value, the way
+    argparse reads "-3": a negative rational list ("-3/4", "-1/2,1") or
+    polynomial ("-z^-1", "-3*z^-1", "-xi"); no flag of the CLI looks like
+    one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|xi|[zuv])")
+        self._negative_number_matcher = re.compile(r"^-(\d|xi|[zuv])")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -116,14 +116,19 @@ _nonnegative_int = _int_at_least(0)
 _family_k = _int_at_least(2)
 
 
+_RATIONAL = re.compile(rf"{SP}([+-]?{RAT}){SP}", re.ASCII)
+
+
 def _rational(text: str) -> Fraction:
+    """argparse type: a signed rational p or p/q of the polynomial grammar,
+    blanks around it allowed; no decimal point, exponent or underscore."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}")
     try:
-        # Fraction() also reads other scripts' digits and underscores.
-        if not text.isascii() or "_" in text:
-            raise ValueError(text)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
+        return Fraction(match[1])
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -440,18 +445,21 @@ def _row_line(row: dict) -> str:
 def _golden_row_inputs(row, where: str) -> tuple[SurfaceSpec, int, int]:
     """The surface, twist and dim a golden row pins; a usage error unless
     the row is an object with integer k, n and dim and a tau list fitting
-    k."""
+    k whose entries are strings that --tau reads."""
     if not (
         isinstance(row, dict)
         and all(type(row.get(key)) is int for key in ("k", "n", "dim"))
         and isinstance(row.get("tau"), list)
+        and all(isinstance(t, str) for t in row["tau"])
     ):
         raise argparse.ArgumentTypeError(
-            f"{where} is not a golden row (integer k, n, dim and a tau list)"
+            f"{where} is not a golden row (integer k, n, dim and a tau list "
+            f"of strings)"
         )
     try:
-        return surface(row["k"], [Q(t) for t in row["tau"]]), row["n"], row["dim"]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        tau = [_rational(t) for t in row["tau"]]
+        return surface(row["k"], tau), row["n"], row["dim"]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"{where}: {exc}") from None
 
 

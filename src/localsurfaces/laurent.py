@@ -12,9 +12,7 @@ on the V chart -- and arithmetic refuses to mix differently tagged values.
 Tags are safety bookkeeping only: equality and hashing compare terms.
 
 Text syntax (used by the CLI and golden files): terms like ``3/2*z^-4*u^2``
-joined by ``+`` / ``-``; whitespace may separate tokens but not split one.
-A number may follow a variable only after ``*``: ``z2`` is an error, not
-``2*z``.
+joined by ``+`` / ``-``, as the grammar POLY below declares.
 Canonical printing orders terms by (z exponent asc, u exponent asc).
 V-tagged values print and parse with the variable names ``xi`` and ``v``.
 """
@@ -365,100 +363,56 @@ def _chained_powers(
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"""
-    (?P<space>[\ \t]+)
-    | (?P<rat>\d+(?:/\d+)?)
-    | (?P<var>xi|z|u|v)(?:\^(?P<exp>-?\d+))?
-    | (?P<op>[+\-*])
-    """,
-    re.VERBOSE | re.ASCII,  # \d is 0-9 only, not every script's digits
-)
+# The text syntax is this regular grammar (re.ASCII: \d is 0-9 only, not
+# every script's digits).  A number may be juxtaposed only before a
+# variable, and signs separate terms.  README.md states the same grammar.
+SP = r"[ \t]*"
+RAT = r"\d+(?:/\d+)?"
+VAR = r"(?:xi|z|u|v)(?:\^-?\d+)?"
+F = rf"(?:{RAT}|{VAR})"
+TERM = rf"{F}(?:{SP}\*{SP}{F}|{SP}{VAR})*"
+POLY = re.compile(rf"{SP}[+-]?{SP}{TERM}(?:{SP}[+-]{SP}{TERM})*{SP}", re.ASCII)
+
+_SIGNED_TERM = re.compile(rf"([+-]?){SP}({TERM})", re.ASCII)
+_FACTOR = re.compile(rf"({RAT})|(xi|z|u|v)(?:\^(-?\d+))?", re.ASCII)
 
 
 def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
     """Parse the canonical text syntax into a BiLaurent.
 
-    Accepts both (z, u) and (xi, v) variable names; mixing the two chart
-    alphabets is an error.  When the (xi, v) alphabet is used the result is
-    tagged V-coords unless an explicit tag is given.
+    Text that POLY does not full-match is a syntax error.  Both (z, u) and
+    (xi, v) variable names are read; mixing the two chart alphabets, a
+    negative u- or v-exponent and a zero denominator are errors.  When the
+    (xi, v) alphabet is used the result is tagged V-coords unless an
+    explicit tag is given.
     """
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            rest = text[pos:].replace(" ", "").replace("\t", "")
-            raise ValueError(f"bad polynomial syntax near {rest!r}")
-        if match.lastgroup != "space":
-            tokens.append(match)
-        elif text[pos - 1:pos].isdigit() and text[match.end():][:1].isdigit():
-            # Deleting this space would join two numbers into one.
-            raise ValueError(f"whitespace inside a number or exponent in {text!r}")
-        pos = match.end()
-    if not tokens:
-        raise ValueError("empty polynomial string")
-
-    terms: list[tuple[Q, int, int]] = []
-    sign = Q(1)
-    coeff: Optional[Q] = None
-    z_exp = u_exp = 0
-    charts_seen = set()
-    in_term = False
-    pending_mul = pending_sign = False
-
-    def flush():
-        nonlocal coeff, z_exp, u_exp, in_term
-        if not in_term or pending_mul:
-            raise ValueError(f"dangling operator in {text!r}")
-        terms.append((sign * (coeff if coeff is not None else Q(1)), z_exp, u_exp))
-        coeff, z_exp, u_exp, in_term = None, 0, 0, False
-
-    for index, token in enumerate(tokens):
-        kind = token.lastgroup
-        if kind == "op":
-            op = token.group("op")
-            if op == "*":
-                if not in_term or pending_mul:
-                    raise ValueError(f"misplaced '*' in {text!r}")
-                pending_mul = True
+    if not POLY.fullmatch(text):
+        raise ValueError(f"bad polynomial syntax in {text!r}")
+    terms = []
+    names = set()
+    # In text POLY matched, a sign only opens a term and TERM is greedy, so
+    # the matches are the terms, each with its sign.
+    for sign, term in _SIGNED_TERM.findall(text):
+        coeff = Q(-1 if sign == "-" else 1)
+        z_exp = u_exp = 0
+        for rat, name, exp in _FACTOR.findall(term):
+            if rat:
+                try:
+                    coeff *= Q(rat)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {text!r}") from None
                 continue
-            if pending_sign:
-                raise ValueError(f"dangling operator in {text!r}")
-            if in_term:
-                flush()
-            sign = Q(-1) if op == "-" else Q(1)
-            pending_sign = True
-        elif kind == "rat":
-            if index and tokens[index - 1].lastgroup == "var":
-                # z2 is a mistyped z^2, not 2*z.
-                raise ValueError(f"number right after a variable in {text!r}")
-            try:
-                value = Q(token.group("rat"))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {text!r}") from None
-            coeff = value if coeff is None else coeff * value
-            in_term = True
-            pending_mul = pending_sign = False
-        else:
-            name = token.group("var")
-            exp = int(token.group("exp") or 1)
-            if name in ("z", "u"):
-                charts_seen.add(U_CHART)
-            else:
-                charts_seen.add(V_CHART)
+            names.add(name)
+            power = int(exp or 1)
             if name in ("z", "xi"):
-                z_exp += exp
+                z_exp += power
+            elif power < 0:
+                raise ValueError(f"negative {name}-exponent in {text!r}")
             else:
-                if exp < 0:
-                    raise ValueError(f"negative {name}-exponent in {text!r}")
-                u_exp += exp
-            in_term = True
-            pending_mul = pending_sign = False
-    flush()
-
-    if len(charts_seen) > 1:
+                u_exp += power
+        terms.append((Monomial(z_exp, u_exp), coeff))
+    if names & {"z", "u"} and names & {"xi", "v"}:
         raise ValueError(f"mixed chart variables in {text!r}")
-    if tag is None and V_CHART in charts_seen:
+    if tag is None and names & {"xi", "v"}:
         tag = V_CHART
-    return BiLaurent([(Monomial(z, u), c) for c, z, u in terms], tag)
+    return BiLaurent(terms, tag)

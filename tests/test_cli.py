@@ -225,11 +225,13 @@ def test_growth_cap_variable_is_ignored(monkeypatch, value):
 
 
 # Flag values the library would reject with ValueError, numbers written
-# with other scripts' digits or with underscores, window flags on
-# subcommands that take none (every subcommand but h0), polynomials written
-# in the V-chart alphabet (xi, v) or with a zero denominator, and golden
-# files whose rows are not JSON or not row objects: each is a usage error,
+# with other scripts' digits, underscores, a decimal point or an exponent,
+# window flags on subcommands that take none (every subcommand but h0),
+# polynomials written in the V-chart alphabet (xi, v) or with a zero
+# denominator, and golden files whose rows are not JSON, not row objects or
+# hold a tau entry that --tau would not read: each is a usage error,
 # reported without a traceback.
+GOLDEN_BAD_TAUS = ["\u0661", "1_0", "1e3", 1, 0.5]
 USAGE_ERRORS = [
     ["h1", "--k", "2", "--n", "4", "--min-z", "1"],
     ["h1", "--k", "2", "--n", "4", "--max-z", "-1"],
@@ -268,18 +270,26 @@ USAGE_ERRORS = [
     ["h1", "--k", "1_0", "--n", "4"],
     ["h1", "--k", "3", "--n", "4", "--tau", "\u0663,1"],
     ["h1", "--k", "2", "--n", "4", "--tau", "1_0"],
+    ["h1", "--k", "2", "--n", "4", "--tau", "1e3"],
+    ["h1", "--k", "2", "--n", "4", "--tau", "1.5"],
+    ["h1", "--k", "2", "--n", "4", "--tau", ".5"],
+    ["h1", "--k", "2", "--n", "4", "--tau", "-.5"],
     ["h0", "--k", "2", "--n", "2", "--max-z", "\u0663"],
     ["moduli-dim", "--k", "2", "--j", "1_0"],
     ["deform", "--k", "2", "--tau-poly", "1/0*z"],
     ["golden", "verify", "--path", "{malformed}"],
     ["golden", "verify", "--path", "{not_object}"],
     ["golden", "verify", "--path", "{no_tau}"],
+    *(["golden", "verify", "--path", f"{{tau {tau!r}}}"] for tau in GOLDEN_BAD_TAUS),
 ]
 
 GOLDEN_FILES = {
     "{malformed}": '{"k": 1, "n": 0,\n',
     "{not_object}": "[1]\n",
     "{no_tau}": '{"k": 1}\n',
+    # a tau entry is a string that --tau reads
+    **{f"{{tau {tau!r}}}": json.dumps({"k": 2, "n": 4, "tau": [tau], "dim": 0}) + "\n"
+       for tau in GOLDEN_BAD_TAUS},
 }
 
 
@@ -629,6 +639,15 @@ def test_negative_first_tau_entry_is_a_value(command, tau):
     spaced = run(*command, "--tau", tau)
     assert spaced == run(*command, f"--tau={tau}")
     assert spaced[0] == 0
+
+
+@pytest.mark.parametrize("tau,same", [
+    ("+1", "1"), ("1, 2", "1,2"), (" 1/2,-1 ", "1/2,-1"),
+])
+def test_tau_entries_take_a_plus_sign_and_blanks(tau, same):
+    argv = ["h1", "--k", "3", "--n", "4", "--tau"]
+    assert run(*argv, tau) == run(*argv, same)
+    assert run(*argv, same)[0] == 0
 
 
 @pytest.mark.parametrize("command", [

@@ -1,7 +1,10 @@
 """Exact Laurent arithmetic, parsing and substitution."""
 
 import random
+import re
+import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +13,19 @@ from hypothesis import strategies as st
 from laurent_oracle import substitute_by_term
 from localsurfaces.errors import NonInvertibleSubstitution, TagMismatch
 from localsurfaces.laurent import (
+    F,
+    POLY,
+    RAT,
+    SP,
+    TERM,
+    VAR,
     BiLaurent,
     Monomial,
     U_CHART,
     V_CHART,
     parse_poly,
 )
+from parse_oracle import parse_poly as parse_by_tokens
 
 
 def P(text):
@@ -276,6 +286,76 @@ def test_parse_rejects_zero_denominator():
     for bad in ["3/0", "2/0*z^-1", "z + 1/00*u", "1/2*5/0"]:
         with pytest.raises(ValueError, match="zero denominator"):
             parse_poly(bad)
+
+
+# Differential tests against the token state machine parse_poly was.  The
+# pieces are those the grammar was fitted on (variables, their letters,
+# digits, fractions with a zero or nonzero denominator, operators, blanks,
+# powers) plus another script's digit, an underscore, an exponent letter
+# and a decimal point.
+PARSE_PIECES = [
+    "z", "u", "xi", "v", "x", "i", "0", "1", "2", "3", "1/2", "7/0", "/",
+    "^", "^-", "+", "-", "*", " ", "\t", "z^2", "u^-1", "z^-3",
+    "\u0661", "_", "e", ".",
+]
+
+
+def parse_outcome(parse, text):
+    """(polynomial, tag) on accept, None on a ValueError."""
+    try:
+        p = parse(text)
+    except ValueError:
+        return None
+    return p, p.tag
+
+
+def test_parse_agrees_with_token_oracle_on_random_pieces():
+    rng = random.Random(24)
+    accepted = 0
+    for _ in range(50_000):
+        text = "".join(rng.choices(PARSE_PIECES, k=rng.randint(0, 8)))
+        outcome = parse_outcome(parse_poly, text)
+        assert outcome == parse_outcome(parse_by_tokens, text), text
+        accepted += outcome is not None
+    assert accepted > 2_000  # the accept side is drawn too
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.from_regex(POLY, fullmatch=True))
+def test_parse_agrees_with_token_oracle_on_grammar_strings(text):
+    assert parse_outcome(parse_poly, text) == parse_outcome(parse_by_tokens, text)
+
+
+def test_parse_rejects_long_text_quickly():
+    # The grammar has no nested ambiguity, so a failed full match is linear.
+    for text in ["z " * 10000 + "!", "1*" * 10000 + "!", "z+" * 10000 + "!",
+                 "1" * 20000 + "!"]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            parse_poly(text)
+        assert time.perf_counter() - start < 1.0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_grammar_is_the_parser_grammar():
+    # Each README line NAME = body, with the names it uses replaced by their
+    # expansions, blanks outside [...] dropped, groups made non-capturing
+    # and a top-level alternation grouped, spells the parser's constant.
+    block = re.search(r"```\n *(SP .*?)\n *```", README.read_text(), re.S)[1]
+    expanded = {}
+    for line in block.splitlines():
+        name, body = (part.strip() for part in line.split("=", 1))
+        alternation = "|" in re.sub(r"\(.*?\)", "", body)
+        body = re.sub(r"\b(SP|RAT|VAR|F|TERM)\b",
+                      lambda m: expanded[m[1]], body)
+        body = re.sub(r"(\[[^\]]*\])|\s+", lambda m: m[1] or "", body)
+        body = re.sub(r"\((?!\?)", "(?:", body)
+        expanded[name] = f"(?:{body})" if alternation else body
+    assert expanded == {"SP": SP, "RAT": RAT, "VAR": VAR, "F": F,
+                        "TERM": TERM, "POLY": POLY.pattern}
+    assert POLY.flags & re.ASCII
 
 
 def test_canonical_print_order():
