@@ -18,13 +18,11 @@ from localsurfaces import (
     ext_basis_tangent,
     family_and_ks,
     integrability_analysis,
-    normalize_deformation,
-    parse_poly,
+    normalization_residual,
     surface,
     tangent_h1,
 )
 
-P = parse_poly
 K = 4
 
 print(f"=== tangent cohomology of Z_{K} ===")
@@ -48,9 +46,9 @@ for sigma in ext:
 
 print()
 print("=== normalization: the integration constants do not matter ===")
-s, phi = normalize_deformation(K, [1, 0, 0], Q(7), Q(-2))
-print(f"  Z_k(tau, t_k=7, C=-2, 0) ~ {s} via u -> u + {phi.u_shift},"
-      f" v -> v - {-phi.v_shift}")
+residual = normalization_residual(K, [1, 0, 0])
+print(f"  Z_k(tau, tK, C, 0) ~ {surface(K, [1, 0, 0])} via u -> u + tK,"
+      f" v -> v - C: residual over formal (tK, C) = {residual}")
 
 print()
 print(f"=== the family over C^{K-1} and its Kodaira-Spencer map ===")

@@ -43,7 +43,6 @@ from .cech import (
     triviality_certificate,
 )
 from .deformation import (
-    ChartTranslation,
     FamilySpec,
     HirzebruchReport,
     IntegrabilityReport,
@@ -55,7 +54,6 @@ from .deformation import (
     hirzebruch_embed_check,
     integrability_analysis,
     normalization_residual,
-    normalize_deformation,
     tangent_h1,
 )
 from .errors import (
@@ -71,7 +69,6 @@ from .errors import (
     SupportOutsideWindow,
     TagMismatch,
     UnsupportedForDeformed,
-    VerificationFailed,
     WindowTooSmall,
 )
 from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART, parse_poly

@@ -248,6 +248,8 @@ def moduli_dimension(j: int, k: int, deformed: bool = False) -> ModuliDimension:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if j < 0:
+        raise ValueError("j must be >= 0")
     if deformed:
         return DISCRETE_ZERO_DIMENSIONAL
     value = 2 * j - k - 2

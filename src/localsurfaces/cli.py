@@ -61,7 +61,7 @@ from .deformation import (
     integrability_analysis,
     tangent_h1,
 )
-from .errors import LocalSurfacesError
+from .errors import BadCocycleSupport, LocalSurfacesError
 from .laurent import RAT, SP, BiLaurent, Q, V_CHART, parse_poly
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, surface
@@ -175,13 +175,10 @@ def _surface_from_args(args) -> SurfaceSpec:
             )
         tau[: len(given)] = given
     elif tau_poly is not None:
-        for mono in tau_poly.support:
-            if mono.u_exp or not 1 <= mono.z_exp <= k - 1:
-                raise argparse.ArgumentTypeError(
-                    f"--tau-poly term z^{mono.z_exp}*u^{mono.u_exp} outside "
-                    f"degrees 1..{k - 1}"
-                )
-        tau = [tau_poly.coefficient(i, 0) for i in range(1, k)]
+        try:
+            return surface(k, tau_poly)
+        except BadCocycleSupport as exc:
+            raise argparse.ArgumentTypeError(f"--tau-poly: {exc}") from None
     return surface(k, tau)
 
 
@@ -328,7 +325,7 @@ def _cmd_deform(args) -> int:
     rebuilt = deform_by_cocycle(args.k, s.tau_poly())
     _emit({
         "surface": rebuilt.to_json_dict(),
-        "verified": True,
+        "verified": rebuilt == s,
     })
     return 0
 
@@ -614,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moduli-dim",
                        help="documented moduli dimension 2j-k-2 / marker")
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--j", type=_int, required=True)
+    p.add_argument("--j", type=_nonnegative_int, required=True)
     p.add_argument("--deformed", action="store_true")
     p.set_defaults(handler=_cmd_moduli_dim)
 

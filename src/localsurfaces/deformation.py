@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .cech import CohomologyResult
-from .errors import BadCocycleSupport, VerificationFailed
+from .errors import BadCocycleSupport
 from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
 from .params import ParamPoly
 from .polymatrix import PolyMatrix
@@ -197,94 +197,41 @@ def integrability_analysis(k: int, cls: TangentExtensionClass) -> IntegrabilityR
     return IntegrabilityReport(verdict, tau, t_k, Q(0), c_prime)
 
 
-@dataclass(frozen=True)
-class ChartTranslation:
-    """The normalization isomorphism: (z, u) -> (z, u + u_shift) on U and
-    (xi, v) -> (xi, v + v_shift) on V."""
-
-    u_shift: Q
-    v_shift: Q
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.u_shift and not self.v_shift
-
-
-_NORM_PARAMS = ("tK", "C")
-
-
-def _as_tau_tuple(k: int, tau: Union[BiLaurent, Sequence]) -> Tuple[Q, ...]:
-    if isinstance(tau, BiLaurent):
-        for mono in tau.support:
-            if mono.u_exp or not 1 <= mono.z_exp <= k - 1:
-                raise BadCocycleSupport(
-                    f"tau term z^{mono.z_exp} u^{mono.u_exp} outside degrees "
-                    f"1..{k - 1}"
-                )
-        return tuple(tau.coefficient(i, 0) for i in range(1, k))
-    values = tuple(Q(t) for t in tau)
-    if len(values) != k - 1:
-        raise BadCocycleSupport(f"tau must list t_1..t_{k - 1}")
-    return values
-
-
-def normalization_residual(
-    k: int, tau: Union[BiLaurent, Sequence], t_k=None, c=None
-) -> ParamPoly:
+def normalization_residual(k: int, tau: Union[BiLaurent, Sequence]) -> ParamPoly:
     """v-component residual of T_{Z_k(tau)} o phi_U - phi_V o T_{Z_k(tau,
-    t_k, C, 0)}, over formal parameters (tK, C) unless concrete values are
-    supplied.  Identically zero exactly when phi intertwines the glues."""
-    tau_t = _as_tau_tuple(k, tau)
-    params = _NORM_PARAMS
-    t_k_p = (
-        ParamPoly.var("tK", params) if t_k is None else ParamPoly.const(t_k, params)
-    )
-    c_p = ParamPoly.var("C", params) if c is None else ParamPoly.const(c, params)
-    tau_poly = ParamPoly.from_poly(surface(k, tau_t).tau_poly().with_tag(None), params)
+    tK, C, 0)} over formal parameters (tK, C), where phi_U(z, u) =
+    (z, u + tK) and phi_V(xi, v) = (xi, v - C).  Identically zero: both
+    sides are z^k (u + tK) + tau, so the translations normalize the two
+    integration constants of integrability_analysis away for every value."""
+    params = ("tK", "C")
+    t_k = ParamPoly.var("tK", params)
+    c = ParamPoly.var("C", params)
+    tau_poly = ParamPoly.from_poly(surface(k, tau).tau_poly().with_tag(None), params)
     u_var = ParamPoly.from_poly(BiLaurent.term(1, 0, 1), params)
     z_k = ParamPoly.from_poly(BiLaurent.term(1, k, 0), params)
 
     # v-glue of Z_k(tau) evaluated after phi_U: u -> u + tK.
     v_tau = z_k * u_var + tau_poly
-    lhs = v_tau.substitute_vars(u=u_var + t_k_p)
+    lhs = v_tau.substitute_vars(u=u_var + t_k)
     # glue of Z_k(tau, tK, C, 0) followed by phi_V: v -> v - C.
-    v_full = z_k * (u_var + t_k_p) + tau_poly + c_p
-    rhs = v_full - c_p
+    v_full = z_k * (u_var + t_k) + tau_poly + c
+    rhs = v_full - c
     return lhs - rhs
-
-
-def normalize_deformation(
-    k: int, tau: Union[BiLaurent, Sequence], t_k, c
-) -> Tuple[SurfaceSpec, ChartTranslation]:
-    """Normalize Z_k(tau, t_k, C, 0) to Z_k(tau) via the chart translations
-    phi_U(z, u) = (z, u + t_k), phi_V(xi, v) = (xi, v - C), verifying the
-    intertwining identity symbolically."""
-    tau_t = _as_tau_tuple(k, tau)
-    residual = normalization_residual(k, tau_t, t_k, c)
-    if not residual.is_zero:
-        raise VerificationFailed(
-            f"normalization intertwining residual is nonzero: {residual}"
-        )
-    return surface(k, tau_t), ChartTranslation(u_shift=Q(t_k), v_shift=-Q(c))
 
 
 def deform_by_cocycle(k: int, tau: BiLaurent) -> SurfaceSpec:
     """Rebuild Z_k(tau) by adding the tangent cocycle (0, z^-k tau)^t to the
-    overlap coordinates and then applying the Z_k glue; checks the result
-    reproduces (xi, v) = (z^-1, z^k u + tau)."""
-    tau_t = _as_tau_tuple(k, tau)
-    tau_poly = surface(k, tau_t).tau_poly().with_tag(None)
-    shifted_u = BiLaurent.term(1, 0, 1) + BiLaurent.term(1, -k, 0) * tau_poly
+    overlap coordinates and then applying the Z_k glue: the result is
+    v = z^k (u + z^-k tau) = z^k u + tau, and the surface is read off it,
+    so tau must lie in degrees 1..k-1 (BadCocycleSupport otherwise).  The
+    glue reproduces tau exactly, which the tests re-check against the
+    fibres of family_and_ks."""
+    shifted_u = BiLaurent.term(1, 0, 1) + BiLaurent.term(1, -k, 0) * tau.with_tag(None)
     z_var = BiLaurent.term(1, 1, 0)
-    xi_comp, v_comp = glue_matrix(surface(k)).map_entries(
+    _, v_comp = glue_matrix(surface(k)).map_entries(
         lambda p: p.with_tag(None)
     ).apply((z_var, shifted_u))
-    target = surface(k, tau_t)
-    if xi_comp != BiLaurent.term(1, -1, 0) or v_comp != target.v_glue().with_tag(None):
-        raise VerificationFailed(
-            "cocycle deformation did not reproduce the expected glue"
-        )
-    return target
+    return surface(k, v_comp - BiLaurent.term(1, k, 1))
 
 
 def _param_values(params: Tuple[str, ...], tvals: Sequence) -> Dict[str, Q]:
@@ -325,9 +272,11 @@ def family_and_ks(k: int) -> Tuple[FamilySpec, Dict[int, VectorCocycle]]:
     on basis vectors: d/dt_i maps to the tangent cocycle (0, z^{-k+i})^t.
 
     The map is derived, not transcribed: differentiating the family glue in
-    t_i gives the V-frame field (0, z^i), which the inverse tangent
-    transition converts to (0, z^{i-k}); the images are checked against the
-    computed H^1(Z_k, T_{Z_k}) basis.
+    t_i and setting t = 0 gives the V-frame field (0, z^i), which the
+    inverse tangent transition converts to (0, z^{i-k}), the i-th
+    tangent_h1(k) basis vector.  The fibre at t = 0 is Z_k because
+    tau = sum t_i z^i vanishes there, which leaves the glue of Z_k in the
+    corner.  The tests re-check both identities.
     """
     if k < 2:
         raise ValueError("the family needs k >= 2")
@@ -356,11 +305,6 @@ def family_and_ks(k: int) -> Tuple[FamilySpec, Dict[int, VectorCocycle]]:
         rows.append(tuple(row))
     fam = FamilySpec(k, params, tuple(rows))
 
-    # Fibre at t = 0 must be the undeformed glue.
-    s0, corner0 = fam.fiber([Q(0)] * (k - 1))
-    if corner0 != glue_matrix(surface(k)) or s0.is_deformed:
-        raise VerificationFailed("fibre at t = 0 is not Z_k")
-
     # Kodaira-Spencer: derivative of the family v-glue, converted to U-frame.
     v_glue_sym = (
         ParamPoly.from_poly(BiLaurent.term(1, k, 1), params) + tau_sym
@@ -376,10 +320,6 @@ def family_and_ks(k: int) -> Tuple[FamilySpec, Dict[int, VectorCocycle]]:
                 lambda p: p.with_tag(None)
             ).apply(field_v)
         )
-    expected = tangent_h1(k).basis
-    if tuple(ks[i] for i in range(1, k)) != expected:
-        raise VerificationFailed("Kodaira-Spencer images differ from the "
-                                 "tangent cohomology basis")
     return fam, ks
 
 

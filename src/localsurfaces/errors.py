@@ -57,10 +57,6 @@ class BadCocycleSupport(LocalSurfacesError):
     """A deformation cocycle has terms outside the allowed degrees 1..k-1."""
 
 
-class VerificationFailed(LocalSurfacesError):
-    """A symbolic identity that must vanish did not."""
-
-
 class CertificateNotFound(LocalSurfacesError):
     """No splitting certificate exists: the class is nontrivial."""
 

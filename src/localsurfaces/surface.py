@@ -18,9 +18,9 @@ once per u-degree b, since z^a = xi^-a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple, Union
 
-from .errors import TagMismatch, UnsupportedForDeformed
+from .errors import BadCocycleSupport, TagMismatch, UnsupportedForDeformed
 from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
 from .polymatrix import PolyMatrix
 
@@ -75,10 +75,20 @@ class SurfaceSpec:
         return f"Z_{self.k}"
 
 
-def surface(k: int, tau: Optional[Iterable] = None) -> SurfaceSpec:
-    """Convenience constructor; tau defaults to the zero deformation."""
+def surface(k: int, tau: Union[None, Iterable, BiLaurent] = None) -> SurfaceSpec:
+    """Convenience constructor; tau lists t_1..t_{k-1} or is a polynomial
+    in z with terms in degrees 1..k-1 only (BadCocycleSupport otherwise),
+    and defaults to the zero deformation."""
     if tau is None:
         tau = [Q(0)] * (k - 1)
+    elif isinstance(tau, BiLaurent):
+        for mono in tau.support:
+            if mono.u_exp or not 1 <= mono.z_exp <= k - 1:
+                raise BadCocycleSupport(
+                    f"tau term z^{mono.z_exp} u^{mono.u_exp} outside degrees "
+                    f"1..{k - 1}"
+                )
+        tau = [tau.coefficient(i, 0) for i in range(1, k)]
     return SurfaceSpec(k, tuple(Q(t) for t in tau))
 
 

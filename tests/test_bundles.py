@@ -342,6 +342,10 @@ def test_moduli_dimension_values():
         for deformed in (False, True):
             with pytest.raises(ValueError, match="k must be >= 1"):
                 moduli_dimension(3, k, deformed=deformed)
+    # j >= 0 on either surface, as every --j flag of the CLI takes it.
+    for deformed in (False, True):
+        with pytest.raises(ValueError, match="j must be >= 0"):
+            moduli_dimension(-1, 2, deformed=deformed)
 
 
 def test_moduli_dimension_not_applicable():

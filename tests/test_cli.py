@@ -276,6 +276,8 @@ USAGE_ERRORS = [
     ["h1", "--k", "2", "--n", "4", "--tau", "-.5"],
     ["h0", "--k", "2", "--n", "2", "--max-z", "\u0663"],
     ["moduli-dim", "--k", "2", "--j", "1_0"],
+    ["moduli-dim", "--k", "2", "--j", "-3"],
+    ["moduli-dim", "--k", "2", "--j", "-3", "--deformed"],
     ["deform", "--k", "2", "--tau-poly", "1/0*z"],
     ["golden", "verify", "--path", "{malformed}"],
     ["golden", "verify", "--path", "{not_object}"],
