@@ -25,7 +25,7 @@ from .cech import (
     triviality_certificate,
 )
 from .errors import CertificateNotFound, NoZeroSection, NotApplicable, NotTrivial
-from .laurent import BiLaurent, U_CHART, V_CHART
+from .laurent import BiLaurent, Q, U_CHART, V_CHART
 from .linalg import ReducedEchelon, nullspace
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec
@@ -107,7 +107,7 @@ def splitting_type_p1(T: PolyMatrix) -> Tuple[int, ...]:
         # column h becomes sum over s of (c_s / c_h) * z^(d_h - d_s) * column s
         cols[h] = [
             sum(
-                (BiLaurent.term(c[s] / c[h], deg[h] - deg[s], 0) * cols[s][i]
+                (BiLaurent.term(Q(c[s]) / c[h], deg[h] - deg[s], 0) * cols[s][i]
                  for s in c),
                 BiLaurent.zero(),
             )

@@ -44,9 +44,14 @@ each side, one u step) until the dimension is unchanged across two
 consecutive enlargements, and gives up with StepCapExceeded after 8
 enlargements.
 
+H^0 of O(n) on Z_k is read off the monomial criterion a <= n + k*b for
+z^a u^b in the window, since z^-n z^a u^b = xi^(n-a+kb) v^b; only on a
+deformed surface are its sections a nullspace, with z^-n u^b rewritten to
+V-coordinates once per u-degree b.
+
 All linear algebra runs on the sparse ReducedEchelon: the rank of the
-complex's columns, H^0 sections through linalg.nullspace, and the relation
-rank of deformed line-bundle H^1 on one echelon.
+complex's columns, deformed H^0 sections through linalg.nullspace, and the
+relation rank of deformed line-bundle H^1 on one echelon.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from .errors import (
     SupportOutsideWindow,
     WindowTooSmall,
 )
-from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
+from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART, _raw
 from .linalg import ReducedEchelon, SparseVec, nullspace
 from .surface import SurfaceSpec, to_V_coords
 
@@ -445,11 +450,13 @@ def _reduce(sigma: BiLaurent, s: SurfaceSpec, n: int) -> Tuple[
 ]:
     """D and the powers of v' from _integral_glue, and the quotient and
     remainder of _divide on the negative-z terms of sigma in (z, u' = D*u);
-    its nonnegative-z terms are U-holomorphic and drop out."""
+    its nonnegative-z terms are U-holomorphic and drop out.  When D = 1 the
+    coefficients are taken as they are, so int ones divide on ints."""
     if sigma.tag == V_CHART:
         raise SupportOutsideWindow("cocycles must be given in U-coordinates")
     scale, powers = _integral_glue(s)
-    negative = [((l, i), c / scale**i) for (l, i), c in sigma.items() if l < 0]
+    negative = [((l, i), c if scale == 1 else Q(c, scale**i))
+                for (l, i), c in sigma.items() if l < 0]
     return (scale, powers, *_divide(negative, s.k, n, powers))
 
 
@@ -596,10 +603,13 @@ def h0_basis(
     Sections are U-holomorphic, so only window.max_z and window.max_u
     bound them; window.min_z is echoed in the result and changes nothing.
 
-    The columns are the monomials z^a u^b, 0 <= a <= max_z, 0 <= b <= max_u.
-    z^-n u^b is rewritten to V-coordinates once per b; z^a = xi^-a, so the
-    rewrite of column (a, b) is that one shifted by xi^-a, and its terms
-    with negative xi-exponent are the constraints on the column.
+    On Z_k the sections are the monomials z^a u^b, 0 <= a <= max_z,
+    0 <= b <= max_u, with a <= n + k*b, in (a, b) lexicographic order.  On
+    a deformed surface the columns are those monomials without the
+    criterion: z^-n u^b is rewritten to V-coordinates once per b; z^a =
+    xi^-a, so the rewrite of column (a, b) is that one shifted by xi^-a,
+    and its terms with negative xi-exponent are the constraints on the
+    column, whose nullspace is the basis.
     """
     if window is None:
         window = default_window(s, abs(n))
@@ -608,18 +618,25 @@ def h0_basis(
         for a in range(0, window.max_z + 1)
         for b in range(0, window.max_u + 1)
     ]
-    width = window.max_u + 1
-    constraint_rows: Dict[Monomial, SparseVec] = {}
-    for b in range(width):
-        rewritten = to_V_coords(BiLaurent.term(1, -n, b, U_CHART), s)
-        for (l, i), coeff in rewritten.items():
-            for a in range(max(0, l + 1), window.max_z + 1):
-                row = constraint_rows.setdefault(Monomial(l - a, i), {})
-                row[a * width + b] = coeff
-    basis = tuple(
-        BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)
-        for vec in nullspace(constraint_rows.values(), len(cols))
-    )
+    if not s.is_deformed:
+        # On Z_k, z^-n * z^a u^b = xi^(n-a+kb) v^b, which is V-holomorphic
+        # exactly when a <= n + k*b.
+        basis = tuple(
+            _raw({m: 1}, U_CHART) for m in cols if m.z_exp <= n + s.k * m.u_exp
+        )
+    else:
+        width = window.max_u + 1
+        constraint_rows: Dict[Monomial, SparseVec] = {}
+        for b in range(width):
+            rewritten = to_V_coords(BiLaurent.term(1, -n, b, U_CHART), s)
+            for (l, i), coeff in rewritten.items():
+                for a in range(max(0, l + 1), window.max_z + 1):
+                    row = constraint_rows.setdefault(Monomial(l - a, i), {})
+                    row[a * width + b] = coeff
+        basis = tuple(
+            BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)
+            for vec in nullspace(constraint_rows.values(), len(cols))
+        )
     return CohomologyResult(
         dimension=len(basis), basis=basis, window=window, stabilized=False
     )

@@ -145,13 +145,13 @@ def _integrate_z(p: BiLaurent) -> Tuple[BiLaurent, BiLaurent]:
         if l == -1:
             log_terms[Monomial(0, i)] = coeff
         else:
-            poly_terms[Monomial(l + 1, i)] = coeff / (l + 1)
+            poly_terms[Monomial(l + 1, i)] = Q(coeff, l + 1)
     return BiLaurent(poly_terms), BiLaurent(log_terms)
 
 
 def _integrate_u(p: BiLaurent) -> BiLaurent:
     return BiLaurent(
-        {Monomial(l, i + 1): coeff / (i + 1) for (l, i), coeff in p.items()}
+        {Monomial(l, i + 1): Q(coeff, i + 1) for (l, i), coeff in p.items()}
     )
 
 

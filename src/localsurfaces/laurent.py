@@ -11,6 +11,12 @@ coordinate system the two slots refer to -- (z, u) on the U chart, (xi, v)
 on the V chart -- and arithmetic refuses to mix differently tagged values.
 Tags are safety bookkeeping only: equality and hashing compare terms.
 
+A coefficient is a Python int where it is integral and a Fraction
+otherwise; a float is refused with TypeError.  int and Fraction compare,
+hash and print alike, so equality and printing do not depend on which one
+a coefficient is.  int / int is a float, so code that divides coefficients
+divides through Fraction: Fraction(a, b), or / with a Fraction operand.
+
 Text syntax (used by the CLI and golden files): terms like ``3/2*z^-4*u^2``
 joined by ``+`` / ``-``, as the grammar POLY below declares.
 Canonical printing orders terms by (z exponent asc, u exponent asc).
@@ -65,9 +71,14 @@ class BiLaurent:
                 mono = Monomial(*key)
                 if mono.u_exp < 0:
                     raise ValueError(f"negative u-exponent in {mono}")
-                coeff = Q(coeff)
+                if type(coeff) is not int:
+                    if isinstance(coeff, float):
+                        raise TypeError(f"inexact coefficient {coeff!r}")
+                    coeff = Q(coeff)
+                    if coeff.denominator == 1:
+                        coeff = coeff.numerator
                 if coeff:
-                    acc = clean.get(mono, Q(0)) + coeff
+                    acc = clean.get(mono, 0) + coeff
                     if acc:
                         clean[mono] = acc
                     else:
@@ -86,11 +97,11 @@ class BiLaurent:
 
     @classmethod
     def const(cls, value, tag: Optional[str] = None) -> "BiLaurent":
-        return cls({Monomial(0, 0): Q(value)}, tag)
+        return cls({Monomial(0, 0): value}, tag)
 
     @classmethod
     def term(cls, coeff, z_exp: int, u_exp: int, tag: Optional[str] = None) -> "BiLaurent":
-        return cls({Monomial(z_exp, u_exp): Q(coeff)}, tag)
+        return cls({Monomial(z_exp, u_exp): coeff}, tag)
 
     def with_tag(self, tag: Optional[str]) -> "BiLaurent":
         p = BiLaurent.__new__(BiLaurent)
@@ -108,7 +119,7 @@ class BiLaurent:
         return self._terms.items()
 
     def coefficient(self, z_exp: int, u_exp: int) -> Q:
-        return self._terms.get(Monomial(z_exp, u_exp), Q(0))
+        return self._terms.get(Monomial(z_exp, u_exp), 0)
 
     @property
     def is_zero(self) -> bool:
@@ -136,7 +147,7 @@ class BiLaurent:
 
     def as_rational(self) -> Optional[Q]:
         if not self._terms:
-            return Q(0)
+            return 0
         unit = self.as_unit_monomial()
         if unit and unit[1] == 0 and unit[2] == 0:
             return unit[0]
@@ -158,7 +169,7 @@ class BiLaurent:
         tag = _merge_tags(self.tag, rhs.tag)
         out = dict(self._terms)
         for mono, coeff in rhs._terms.items():
-            acc = out.get(mono, Q(0)) + coeff
+            acc = out.get(mono, 0) + coeff
             if acc:
                 out[mono] = acc
             else:
@@ -191,7 +202,7 @@ class BiLaurent:
         for (za, ua), ca in self._terms.items():
             for (zb, ub), cb in rhs._terms.items():
                 mono = Monomial(za + zb, ua + ub)
-                acc = out.get(mono, Q(0)) + ca * cb
+                acc = out.get(mono, 0) + ca * cb
                 if acc:
                     out[mono] = acc
                 else:
@@ -214,6 +225,9 @@ class BiLaurent:
                     f"negative power would need u^{-u_exp}: {self}"
                 )
             mono = Monomial(z_exp * exponent, u_exp * exponent)
+            # int ** -e is a float, so a negative power takes a Fraction.
+            if exponent < 0:
+                coeff = Q(coeff)
             return _raw({mono: coeff ** exponent}, self.tag)
         if exponent < 0:
             raise NonInvertibleSubstitution(

@@ -11,8 +11,8 @@ operations enforce it.  A rewrite raises the glue image of u (or v) only to
 the degrees that occur, each power built from the next lower one
 (BiLaurent.substitute), so a polynomial of dense u-degree costs one
 multiplication by the glue per degree.  Callers that rewrite many shifts of
-one monomial rewrite it once and shift: cech.h0_basis rewrites z^-n u^b
-once per u-degree b, since z^a = xi^-a.
+one monomial rewrite it once and shift: on a deformed surface
+cech.h0_basis rewrites z^-n u^b once per u-degree b, since z^a = xi^-a.
 """
 
 from __future__ import annotations

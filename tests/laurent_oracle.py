@@ -9,6 +9,8 @@ multiplication, not BiLaurent.__pow__, which makes it the reference for the
 chained powers of BiLaurent.substitute.
 """
 
+from fractions import Fraction
+
 from localsurfaces.errors import NonInvertibleSubstitution
 from localsurfaces.laurent import BiLaurent
 
@@ -44,7 +46,7 @@ def _repeated_product(img, n):
     of the unit monomial img, so this never calls BiLaurent.__pow__."""
     if n < 0:
         coeff, z_exp, _ = img.as_unit_monomial()
-        img, n = BiLaurent.term(1 / coeff, -z_exp, 0, img.tag), -n
+        img, n = BiLaurent.term(Fraction(1) / coeff, -z_exp, 0, img.tag), -n
     out = BiLaurent.const(1, img.tag)
     for _ in range(n):
         out = out * img

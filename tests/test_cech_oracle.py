@@ -254,17 +254,20 @@ def test_line_bundle_h1_matches_windowed_stabilization():
                 assert windowed.stabilized and proved.stabilized
 
 
-# -- H^0: one V-rewrite per u-degree against one per column --------------------
+# -- H^0: the criterion and one V-rewrite per u-degree against one per column --
 
 def test_h0_basis_matches_per_column_rewrites():
     # Equal CohomologyResults, so the same kernel basis in the same order,
-    # on k <= 5 with zero, unit and rational tau, twists -3 <= n <= 7, in
-    # the default window and in a seeded custom one with max_u <= 4.
+    # in the default window and in a seeded custom one with max_u <= 4.
+    # On Z_k, where h0_basis reads the monomial criterion a <= n + k*b,
+    # k <= 7 and -6 <= n <= 12; on unit and rational tau, where it runs the
+    # nullspace, 2 <= k <= 5 and -3 <= n <= 7.
     rng = random.Random(14)
     for kind, draw in ORACLE_TAUS.items():
-        for k in range(1 if kind == "zero" else 2, 6):
+        zero = kind == "zero"
+        for k in range(1, 8) if zero else range(2, 6):
             s = surface(k, draw(rng, k))
-            for n in range(-3, 8):
+            for n in range(-6, 13) if zero else range(-3, 8):
                 custom = Window(-rng.randint(0, 6), rng.randint(0, 9),
                                 rng.randint(0, 4))
                 for window in (None, custom):
@@ -273,9 +276,8 @@ def test_h0_basis_matches_per_column_rewrites():
                     assert all(p.tag == U_CHART for p in got.basis)
 
 
-def test_h0_basis_rewrites_once_per_u_degree(monkeypatch):
-    # Column (a, b) is z^a times z^-n u^b, so h0_basis rewrites z^-n u^b
-    # once per u-degree b and shifts it along xi for every a.
+def counted_rewrites(monkeypatch):
+    """The list of polynomials cech.to_V_coords is called on from now."""
     rewritten = []
     to_V_coords = cech.to_V_coords
 
@@ -284,13 +286,31 @@ def test_h0_basis_rewrites_once_per_u_degree(monkeypatch):
         return to_V_coords(p, s)
 
     monkeypatch.setattr(cech, "to_V_coords", counting)
-    for k, tau, n, window in [(1, [], 0, None), (2, [1], 3, None),
+    return rewritten
+
+
+def test_h0_basis_rewrites_once_per_u_degree(monkeypatch):
+    # On a deformed surface column (a, b) is z^a times z^-n u^b, so
+    # h0_basis rewrites z^-n u^b once per u-degree b and shifts it along xi
+    # for every a.
+    rewritten = counted_rewrites(monkeypatch)
+    for k, tau, n, window in [(2, [1], 3, None),
                               (3, [Q(1, 2), -1], 2, Window(-1, 12, 4)),
-                              (4, [0, 0, 0], -2, Window(0, 0, 0))]:
+                              (4, [0, 1, 0], -2, Window(0, 0, 0))]:
         rewritten.clear()
         result = h0_basis(surface(k, tau), n, window)
         assert len(rewritten) == result.window.max_u + 1
         assert [p.max_u_exp() for p in rewritten] == list(range(len(rewritten)))
+
+
+def test_h0_basis_on_z_k_rewrites_nothing(monkeypatch):
+    # On Z_k the sections are read off the monomial criterion, with no
+    # chart rewrite.
+    rewritten = counted_rewrites(monkeypatch)
+    for k, tau, n, window in [(1, [], 0, None), (2, [0], 3, None),
+                              (4, [0, 0, 0], -2, Window(0, 0, 1))]:
+        result = h0_basis(surface(k, tau), n, window)
+        assert rewritten == [] and result.dimension > 0
 
 
 # -- the integer division against the rational one ------------------------------

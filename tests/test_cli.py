@@ -181,6 +181,21 @@ def test_moduli_dim_subcommand():
     assert doc["moduli_dim"] == "discrete-zero-dimensional"
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("charge", ["charge", "--k", "2", "--j", "2", "--tau", "1",
+                "--sigma", "z^-1*u"]),
+    ("moduli_dim", ["moduli-dim", "--k", "2", "--j", "3"]),
+    ("certify_split", ["certify-split", "--k", "2", "--j", "1",
+                       "--tau", "1", "--sigma", "z^-1"]),
+])
+def test_schemas_reject_a_negative_j(name, argv):
+    # Every --j refuses a negative value, and so does every schema with a j.
+    doc = payload(*argv)
+    validate(name, doc)
+    with pytest.raises(jsonschema.ValidationError):
+        validate(name, {**doc, "j": -1})
+
+
 # -- exit-code contract -------------------------------------------------------------
 
 def test_usage_error_exit_2():

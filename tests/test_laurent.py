@@ -81,6 +81,28 @@ def test_negative_u_exponent_rejected():
         BiLaurent({Monomial(0, -1): Q(1)})
 
 
+def test_float_coefficient_rejected():
+    # Q(1 / 3) would store 6004799503160661/18014398509481984, not 1/3.
+    for build in (lambda: BiLaurent.term(1 / 3, 0, 0),
+                  lambda: BiLaurent.const(0.5),
+                  lambda: BiLaurent({Monomial(1, 0): 2.0})):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_integral_coefficients_are_ints():
+    p = BiLaurent({Monomial(0, 0): Q(4, 2), Monomial(1, 0): 3,
+                   Monomial(2, 0): Q(1, 2)})
+    assert [type(c) for _, c in p.sorted_terms()] == [int, int, Q]
+    assert str(p) == "2 + 3*z + 1/2*z^2"
+    assert p == BiLaurent({Monomial(0, 0): Q(2), Monomial(1, 0): Q(3),
+                           Monomial(2, 0): Q(1, 2)})
+    # int ** -e would be a float: a negative power is a Fraction.
+    inverse = BiLaurent.term(3, 1, 0) ** -1
+    assert inverse.as_unit_monomial() == (Q(1, 3), -1, 0)
+    assert type(inverse.as_unit_monomial()[0]) is Q
+
+
 # -- chart tags ---------------------------------------------------------------
 
 def test_tag_mismatch_raises():

@@ -4,9 +4,12 @@ are inverse to each other, the normal form is an idempotent linear
 projection, on the undeformed surface every window is exact on the
 monomial normal forms, triviality and splitting certificates re-verify,
 and splitting types on the projective line match the section-count oracle
-and are invariant under changes of frame.  Derandomized, so every run draws
-the same examples."""
+and are invariant under changes of frame, and every coefficient of a
+result is an int or a Fraction, never a float.  Derandomized, so every run
+draws the same examples."""
 
+import dataclasses
+import random
 from fractions import Fraction as Q
 
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from p1_oracle import splitting_type_by_profile
 from localsurfaces.bundles import (
     ExtensionClass,
     extension_to_transition,
+    restrict_to_zero_section,
     split_certificate,
     splitting_type_p1,
 )
@@ -23,11 +27,22 @@ from localsurfaces.cech import (
     CechComplex,
     Window,
     default_window,
+    h0_basis,
     normal_form,
     triviality_certificate,
 )
-from localsurfaces.errors import NotTrivial, WindowTooSmall
+from localsurfaces.deformation import (
+    TangentExtensionClass,
+    family_and_ks,
+    integrability_analysis,
+)
+from localsurfaces.errors import (
+    CertificateNotFound,
+    NotTrivial,
+    WindowTooSmall,
+)
 from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART, parse_poly
+from localsurfaces.params import ParamPoly
 from localsurfaces.polymatrix import PolyMatrix
 from localsurfaces.surface import (
     surface,
@@ -307,3 +322,87 @@ def test_splitting_type_matches_profile_and_is_frame_invariant(data):
     a_u = data.draw(elementary_products(T.size, st.integers(0, 2)))
     a_v = data.draw(elementary_products(T.size, st.integers(-2, 0)))
     assert splitting_type_p1(a_v @ T @ a_u) == split
+
+
+# -- coefficients stay exact ---------------------------------------------------
+
+def numbers_in(obj):
+    """Every number a library result holds: BiLaurent and ParamPoly
+    coefficients, matrix entries, dataclass fields and container items."""
+    if isinstance(obj, BiLaurent):
+        yield from (c for _, c in obj.items())
+    elif isinstance(obj, ParamPoly):
+        yield from numbers_in(list(obj._terms.values()))
+    elif isinstance(obj, PolyMatrix):
+        yield from numbers_in(obj.entries)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from numbers_in(getattr(obj, field.name))
+    elif isinstance(obj, dict):
+        yield from numbers_in(list(obj.values()))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from numbers_in(item)
+    elif isinstance(obj, (int, float, Q)) and not isinstance(obj, bool):
+        yield obj
+
+
+EXACT_TAUS = {
+    "zero": lambda rng, k: [0] * (k - 1),
+    "unit": lambda rng, k: [rng.choice([1, -1]) if i == 0 else 0
+                            for i in rng.sample(range(k - 1), k - 1)],
+    "rational": lambda rng, k: [
+        Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([2, 3, 4]))
+        for _ in range(k - 1)
+    ],
+}
+
+
+def exact_sweep_results(rng, s):
+    """The results of the library calls behind certify-trivial,
+    certify-split, split-type, integrate, family and h0 on seeded inputs
+    over s, with int and Fraction coefficients in every input."""
+    k = s.k
+
+    def coeff():
+        return rng.choice([1, -1, 2, -3, Q(1, 2), Q(-2, 3)])
+
+    def cocycle(n):
+        return BiLaurent({(rng.randint(-n - 3, -1), rng.randint(0, 2)): coeff()
+                          for _ in range(3)}, U_CHART)
+
+    n = rng.randint(1, 6)
+    sigma = cocycle(n)
+    try:
+        yield triviality_certificate(sigma, s, n)
+    except NotTrivial:
+        yield normal_form(sigma, s, n)
+    e = ExtensionClass(rng.randint(1, 3), cocycle(2))
+    try:
+        yield split_certificate(s, e)
+    except CertificateNotFound:
+        pass
+    if not s.is_deformed:
+        restricted = restrict_to_zero_section(extension_to_transition(e), s)
+        yield restricted, splitting_type_p1(restricted)
+    s0 = {l: coeff() for l in rng.sample(range(-1, k), 2)}
+    yield integrability_analysis(k, TangentExtensionClass(k, 0, s0))
+    fam, ks = family_and_ks(k)
+    yield fam, ks, fam.fiber(s.tau)
+    yield h0_basis(s, rng.randint(-3, 8))
+
+
+def test_every_result_coefficient_is_an_int_or_a_fraction():
+    # int / int is a float, so a coefficient division without a Fraction
+    # operand would show here as a float.
+    rng = random.Random(26)
+    for kind, draw in EXACT_TAUS.items():
+        numbers = []
+        for k in (2, 3, 4):
+            for _ in range(4):
+                s = surface(k, draw(rng, k))
+                numbers += numbers_in(list(exact_sweep_results(rng, s)))
+        assert any(type(x) is Q for x in numbers), kind
+        assert all(type(x) in (int, Q) for x in numbers), (
+            kind, [x for x in numbers if type(x) not in (int, Q)][:5]
+        )
