@@ -28,12 +28,14 @@ b <= n - 1 (proved in its docstring), so every normal form is 0, the
 relations of levels b <= n - 1 span those monomials, and h1_line_bundle
 counts their rank up to the closed-form number, which proves H^1 = 0.
 
-The division and the weight steps run in the coordinates (z, u' = D*u), D
-the least common denominator of tau, where v' = D*v = z^k u' + D*tau has
-integer coefficients and the images g'(a, b) = D^b g(a, b) keep their monic
-tops z^(kb-n-a) u'^b, so the division runs on Python ints.  The change
-rescales each monomial and each image by a nonzero constant: it keeps every
-rank, and triviality_certificate undoes it to write f_V in (xi, v).  It
+The windowed complex, the division and the weight steps run in the
+coordinates (z, u' = D*u), D the least common denominator of tau, where
+v' = D*v = z^k u' + D*tau has integer coefficients.  All three read the
+images g'(a, b) = z^(-n-a) v'^b = D^b g(a, b) off one list of BiLaurent
+powers of v' (_integral_glue), and the monic tops z^(kb-n-a) u'^b keep the
+division on ints.  The change scales each coordinate z^l u^i by D^-i and
+each image by D^b, nonzero constants, so every rank and pivot set is the
+one in (z, u); triviality_certificate undoes it to write f_V in (xi, v).  It
 reads f_U off the nonnegative-z terms the division and the weight steps
 drop, rescaled back to (z, u), so no certificate rewrites f_V to
 U-coordinates; the tests and the bench oracle re-check sigma = f_U +
@@ -70,13 +72,12 @@ from .errors import (
     SupportOutsideWindow,
     WindowTooSmall,
 )
-from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART, _raw
+from .laurent import BiLaurent, Coeff, Monomial, Q, U_CHART, V_CHART, _raw
 from .linalg import ReducedEchelon, SparseVec, nullspace
 from .surface import SurfaceSpec, to_V_coords
 
-# A polynomial in (z, u') with integer coefficients: {(l, i): c} is the sum
-# of the c z^l u'^i.
-IntPoly = Dict[Tuple[int, int], int]
+# Terms c z^l u'^i keyed (l, i), or a quotient on the g'(a, b) keyed (a, b).
+Terms = Dict[Tuple[int, int], Coeff]
 
 # Window growth per enlargement (z steps on each side, u steps) and the
 # number of enlargements after which stabilization gives up.
@@ -180,7 +181,9 @@ class CechComplex:
     -z^-n * rewrite(xi^a v^b) = -z^(-n-a) v^b of the V-holomorphic
     monomials whose image meets the window, restricted to the negative-z
     window monomials, so each column is written by shifting exponents of
-    one product per b.
+    one power of v per b.  Those are powers of v' in (z, u'), scaling column
+    b by D^b and coordinate z^l u^i by D^-i, which keeps the rank, pivots,
+    basis, column count and truncated_terms of the complex in (z, u).
     """
 
     def __init__(self, s: SurfaceSpec, n: int, window: Window):
@@ -204,21 +207,17 @@ class CechComplex:
     def _assemble(self) -> None:
         # V-holomorphic generators xi^alpha v^beta, mapped to
         # -z^-n * (U-coordinate rewrite), in (beta, alpha) order.
-        w = self.window
+        w, n = self.window, self.n
         width = w.max_u + 1
-        v_glue = self.surface.v_glue().with_tag(None)
-        twist = BiLaurent.term(-1, -self.n, 0)
-        rho = BiLaurent.const(1)
-        for beta in range(w.max_u + max(0, self.n) + 3):
-            if beta:
-                rho = rho * v_glue
-            base = twist * rho
-            n_terms = len(base.items())
-            # (z, index of the term shifted by alpha = 0, coeff), z-sorted;
+        _, powers = _integral_glue(self.surface)
+        for beta in range(w.max_u + max(0, n) + 3):
+            _extend_powers(powers, beta)
+            n_terms = len(powers[beta].items())
+            # (z, index, coeff) of the terms of -z^-n v'^beta, z-sorted;
             # shifting by z^-alpha moves an index down by alpha * width.
             terms = sorted(
-                (m.z_exp, w.local_index(m), c)
-                for m, c in base.items()
+                (m.z_exp - n, w.local_index(m) - n * width, -c)
+                for m, c in powers[beta].items()
                 if m.u_exp <= w.max_u
             )
             if not terms:
@@ -339,11 +338,8 @@ def h1_line_bundle(s: SurfaceSpec, n: int) -> CohomologyResult:
     which proves H^1 = 0; the result echoes the default window with
     stabilized=True.  Falling short at level n - 1 raises
     AssertionError: a positive dimension is never reported on a deformed
-    surface.
-
-    The relations are divided on ints in (z, u' = D*u) (_integral_glue),
-    a diagonal rescaling that keeps the rank at every level, so the count
-    is reached at the same relation, within the same cap.
+    surface.  The relations are divided in (z, u' = D*u) (_integral_glue),
+    which keeps the rank at every level.
     """
     if not s.is_deformed:
         return h1(s, n)
@@ -445,9 +441,9 @@ def triviality_certificate(
     return TrivialityCertificate(BiLaurent(f_U, U_CHART), f_V)
 
 
-def _reduce(sigma: BiLaurent, s: SurfaceSpec, n: int) -> Tuple[
-    int, List[IntPoly], Dict[Tuple[int, int], Q], Dict[Tuple[int, int], Q]
-]:
+def _reduce(
+    sigma: BiLaurent, s: SurfaceSpec, n: int
+) -> Tuple[int, List[BiLaurent], Terms, Terms]:
     """D and the powers of v' from _integral_glue, and the quotient and
     remainder of _divide on the negative-z terms of sigma in (z, u' = D*u);
     its nonnegative-z terms are U-holomorphic and drop out.  When D = 1 the
@@ -461,9 +457,8 @@ def _reduce(sigma: BiLaurent, s: SurfaceSpec, n: int) -> Tuple[
 
 
 def _weight_solve(
-    remainder: Dict[Tuple[int, int], Q], s: SurfaceSpec, n: int,
-    powers: List[IntPoly],
-) -> Dict[Tuple[int, int], Q]:
+    remainder: Terms, s: SurfaceSpec, n: int, powers: List[BiLaurent]
+) -> Terms:
     """The quotient {(a, b): c} with remainder == sum c * g'(a, b) up to
     nonnegative-z terms, for a remainder of _divide on deformed Z_k(tau) in
     the coordinates (z, u') of _integral_glue; powers (v'^0, v'^1, ...) is
@@ -472,7 +467,7 @@ def _weight_solve(
     was raises AssertionError.
     """
     d = next(j for j, t in enumerate(s.tau, start=1) if t)
-    slope, t = s.k - d, powers[1][d, 0]
+    slope, t = s.k - d, powers[1].coefficient(d, 0)
     work, quotient, floor = dict(remainder), {}, -n
     while work:
         e = min(l - slope * i for l, i in work)
@@ -493,8 +488,7 @@ def _weight_solve(
                 continue
             a, b = d * (b0 + j) - n - e, b0 + j
             quotient[a, b] = c
-            while len(powers) <= b:
-                powers.append(_times(powers[-1], powers[1]))
+            _extend_powers(powers, b)
             for (l, i), x in powers[b].items():
                 l -= n + a
                 if l < 0:
@@ -503,21 +497,26 @@ def _weight_solve(
     return quotient
 
 
-def _integral_glue(s: SurfaceSpec) -> Tuple[int, List[IntPoly]]:
+def _integral_glue(s: SurfaceSpec) -> Tuple[int, List[BiLaurent]]:
     """D, the least common denominator of tau, and the powers [v'^0, v'^1]
     of v' = D*v = z^k u' + D*tau, which has integer coefficients in the
     coordinates (z, u' = D*u).  D = 1 on tau = 0."""
     scale = lcm(*(t.denominator for t in s.tau))
-    v = {(s.k, 1): 1}
-    for j, t in enumerate(s.tau, start=1):
-        if t:
-            v[j, 0] = t.numerator * (scale // t.denominator)
-    return scale, [{(0, 0): 1}, v]
+    v = {(j, 0): t * scale for j, t in enumerate(s.tau, start=1)}
+    v[s.k, 1] = 1
+    return scale, [BiLaurent.const(1), BiLaurent(v)]
+
+
+def _extend_powers(powers: List[BiLaurent], b: int) -> None:
+    """Extend powers = [v'^0, v'^1, ...] of _integral_glue through v'^b,
+    one product by v' per power."""
+    while len(powers) <= b:
+        powers.append(powers[-1] * powers[1])
 
 
 def _relation_levels(
-    s: SurfaceSpec, n: int, powers: List[IntPoly]
-) -> Iterator[Iterator[Tuple[Tuple[int, int], Dict, Dict]]]:
+    s: SurfaceSpec, n: int, powers: List[BiLaurent]
+) -> Iterator[Iterator[Tuple[Tuple[int, int], Terms, Terms]]]:
     """The relations of O(-n) on Z_k(tau), one lazy level per b = 1 .. n - 1,
     in the coordinates (z, u' = D*u) of _integral_glue, whose powers of v'
     are passed in.
@@ -537,8 +536,8 @@ def _relation_levels(
 
 
 def _divide(
-    terms: Iterable, k: int, n: int, powers: List[IntPoly]
-) -> Tuple[Dict[Tuple[int, int], Q], Dict[Tuple[int, int], Q]]:
+    terms: Iterable, k: int, n: int, powers: List[BiLaurent]
+) -> Tuple[Terms, Terms]:
     """Divide the terms ((l, i), c), coefficients of z^l u'^i, by the images
     g'(a, b) = z^(-n-a) v'^b in the coordinates (z, u' = D*u), where
     v' = z^k u' + D*tau has integer coefficients.
@@ -549,16 +548,15 @@ def _divide(
     degree walks down from the top, since dividing a term of degree i adds
     terms of degree < i only.  Nonnegative-z terms that arise are dropped,
     cancelled terms are skipped, and powers (v'^0, v'^1, ...) is extended
-    by dict convolution as needed.  Returns the quotient {(a, b): c} and
-    the remainder {(l, i): c}, which lies on the normal-form monomials
-    ki - n < l < 0 when every term that is not divided has l < 0.
+    as needed.  Returns the quotient {(a, b): c} and the remainder
+    {(l, i): c}, which lies on the normal-form monomials ki - n < l < 0 when
+    every term that is not divided has l < 0.
     """
-    buckets: List[Dict[int, Q]] = []
+    buckets: List[Dict[int, Coeff]] = []
     for (l, i), c in terms:
         buckets += [{} for _ in range(i + 1 - len(buckets))]
         buckets[i][l] = c
-    while len(powers) < len(buckets):
-        powers.append(_times(powers[-1], powers[1]))
+    _extend_powers(powers, len(buckets) - 1)
     quotient, remainder = {}, {}
     for i in range(len(buckets) - 1, -1, -1):
         top = k * i
@@ -577,16 +575,6 @@ def _divide(
                     bucket = buckets[j]
                     bucket[l2] = bucket.get(l2, 0) - c * x
     return quotient, remainder
-
-
-def _times(p: IntPoly, q: IntPoly) -> IntPoly:
-    """The product of two polynomials in (z, u')."""
-    out: IntPoly = {}
-    for (l1, i1), x1 in p.items():
-        for (l2, i2), x2 in q.items():
-            key = (l1 + l2, i1 + i2)
-            out[key] = out.get(key, 0) + x1 * x2
-    return {key: x for key, x in out.items() if x}
 
 
 def h0_basis(

@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .cech import CohomologyResult
 from .errors import BadCocycleSupport
-from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
+from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART, as_fraction
 from .params import ParamPoly
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, glue_matrix, surface, tangent_transition
@@ -84,13 +84,13 @@ class TangentExtensionClass:
     s0: Mapping[int, Q] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        s0 = {l: Q(c) for l, c in (self.s0 or {}).items() if c}
+        s0 = {l: x for l, c in (self.s0 or {}).items() if (x := as_fraction(c))}
         if any(l < -1 or l > self.k - 1 for l in s0):
             raise BadCocycleSupport(
                 f"s0 exponents must lie in [-1, {self.k - 1}]"
             )
         object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "s1", Q(self.s1))
+        object.__setattr__(self, "s1", as_fraction(self.s1))
 
     @classmethod
     def from_poly(cls, k: int, sigma: BiLaurent) -> "TangentExtensionClass":
@@ -239,7 +239,7 @@ def _param_values(params: Tuple[str, ...], tvals: Sequence) -> Dict[str, Q]:
     if len(tvals) != len(params):
         raise ValueError(f"wrong number of parameter values: {len(tvals)} "
                          f"for {len(params)} parameters")
-    return {name: Q(v) for name, v in zip(params, tvals)}
+    return {name: as_fraction(v) for name, v in zip(params, tvals)}
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ coordinate system the two slots refer to -- (z, u) on the U chart, (xi, v)
 on the V chart -- and arithmetic refuses to mix differently tagged values.
 Tags are safety bookkeeping only: equality and hashing compare terms.
 
-A coefficient is a Python int where it is integral and a Fraction
-otherwise; a float is refused with TypeError.  int and Fraction compare,
-hash and print alike, so equality and printing do not depend on which one
-a coefficient is.  int / int is a float, so code that divides coefficients
+A coefficient (Coeff) is a Python int where it is integral and a Fraction
+otherwise; as_fraction refuses a float with TypeError, here and for tau,
+evaluation points and parameter values.  int and Fraction compare, hash
+and print alike, so equality and printing do not depend on which one a
+coefficient is.  int / int is a float, so code that divides coefficients
 divides through Fraction: Fraction(a, b), or / with a Fraction operand.
 
 Text syntax (used by the CLI and golden files): terms like ``3/2*z^-4*u^2``
@@ -32,6 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
 from .errors import NonInvertibleSubstitution, TagMismatch
 
 Q = Fraction
+Coeff = int | Fraction
 
 U_CHART = "U"
 V_CHART = "V"
@@ -61,10 +63,10 @@ class BiLaurent:
 
     def __init__(
         self,
-        terms: Union[Mapping[Tuple[int, int], Q], Iterable, None] = None,
+        terms: Union[Mapping[Tuple[int, int], Coeff], Iterable, None] = None,
         tag: Optional[str] = None,
     ):
-        clean: dict[Monomial, Q] = {}
+        clean: dict[Monomial, Coeff] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, coeff in items:
@@ -72,9 +74,7 @@ class BiLaurent:
                 if mono.u_exp < 0:
                     raise ValueError(f"negative u-exponent in {mono}")
                 if type(coeff) is not int:
-                    if isinstance(coeff, float):
-                        raise TypeError(f"inexact coefficient {coeff!r}")
-                    coeff = Q(coeff)
+                    coeff = as_fraction(coeff)
                     if coeff.denominator == 1:
                         coeff = coeff.numerator
                 if coeff:
@@ -112,13 +112,13 @@ class BiLaurent:
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, Q]:
+    def terms(self) -> dict[Monomial, Coeff]:
         return dict(self._terms)
 
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, z_exp: int, u_exp: int) -> Q:
+    def coefficient(self, z_exp: int, u_exp: int) -> Coeff:
         return self._terms.get(Monomial(z_exp, u_exp), 0)
 
     @property
@@ -138,14 +138,14 @@ class BiLaurent:
     def max_u_exp(self) -> int:
         return max(m.u_exp for m in self._terms)
 
-    def as_unit_monomial(self) -> Optional[Tuple[Q, int, int]]:
+    def as_unit_monomial(self) -> Optional[Tuple[Coeff, int, int]]:
         """Return (coeff, z_exp, u_exp) when this is a single nonzero term."""
         if len(self._terms) != 1:
             return None
         (mono, coeff), = self._terms.items()
         return coeff, mono.z_exp, mono.u_exp
 
-    def as_rational(self) -> Optional[Q]:
+    def as_rational(self) -> Optional[Coeff]:
         if not self._terms:
             return 0
         unit = self.as_unit_monomial()
@@ -198,7 +198,7 @@ class BiLaurent:
         if rhs is None:
             return NotImplemented
         tag = _merge_tags(self.tag, rhs.tag)
-        out: dict[Monomial, Q] = {}
+        out: dict[Monomial, Coeff] = {}
         for (za, ua), ca in self._terms.items():
             for (zb, ub), cb in rhs._terms.items():
                 mono = Monomial(za + zb, ua + ub)
@@ -271,7 +271,7 @@ class BiLaurent:
                     u_img.tag if u_exps - {0} else None)
         z_pows = _chained_powers(z_img, z_exps)
         u_pows = _chained_powers(u_img, u_exps)
-        out: dict[Monomial, Q] = {}
+        out: dict[Monomial, Coeff] = {}
         for (ze, ue), coeff in self._terms.items():
             u_terms = u_pows[ue].items()
             for (za, ua), ca in z_pows[ze].items():
@@ -287,7 +287,7 @@ class BiLaurent:
 
     def evaluate(self, z_value, u_value) -> Q:
         """Evaluate at rational point (z != 0 required if negative powers)."""
-        zq, uq = Q(z_value), Q(u_value)
+        zq, uq = as_fraction(z_value), as_fraction(u_value)
         total = Q(0)
         for (ze, ue), coeff in self._terms.items():
             total += coeff * zq ** ze * uq ** ue
@@ -304,7 +304,7 @@ class BiLaurent:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def sorted_terms(self) -> list[Tuple[Monomial, Q]]:
+    def sorted_terms(self) -> list[Tuple[Monomial, Coeff]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0])
 
     def __str__(self):
@@ -336,7 +336,15 @@ class BiLaurent:
         return f"BiLaurent({self}{tag})"
 
 
-def _raw(terms: dict[Monomial, Q], tag: Optional[str]) -> BiLaurent:
+def as_fraction(value) -> Fraction:
+    """value as a Fraction; a float raises TypeError, since Fraction would
+    keep its binary expansion (0.1 is 3602879701896397/36028797018963968)."""
+    if isinstance(value, float):
+        raise TypeError(f"inexact number {value!r}")
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _raw(terms: dict[Monomial, Coeff], tag: Optional[str]) -> BiLaurent:
     p = BiLaurent.__new__(BiLaurent)
     object.__setattr__(p, "_terms", terms)
     object.__setattr__(p, "tag", tag)
@@ -407,14 +415,14 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
     # In text POLY matched, a sign only opens a term and TERM is greedy, so
     # the matches are the terms, each with its sign.
     for sign, term in _SIGNED_TERM.findall(text):
-        coeff = Q(-1 if sign == "-" else 1)
+        coeff = -1 if sign == "-" else 1
         z_exp = u_exp = 0
         for rat, name, exp in _FACTOR.findall(term):
             if rat:
-                try:
-                    coeff *= Q(rat)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {text!r}") from None
+                num, _, den = rat.partition("/")
+                if den and not int(den):
+                    raise ValueError(f"zero denominator in {text!r}")
+                coeff *= Q(int(num), int(den)) if den else int(num)
                 continue
             names.add(name)
             power = int(exp or 1)

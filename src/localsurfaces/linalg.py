@@ -15,8 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, Iterable, List, Set
 
+from .laurent import Coeff
+
 Q = Fraction
-SparseVec = Dict[Hashable, Q]
+SparseVec = Dict[Hashable, Coeff]
 
 _ONE = Q(1)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NonInvertibleSubstitution
-from .laurent import BiLaurent, Q, _chained_powers, _power
+from .laurent import BiLaurent, Q, _chained_powers, _power, as_fraction
 
 
 class ParamPoly:
@@ -148,7 +148,7 @@ class ParamPoly:
 
     def substitute_params(self, values: Mapping[str, Q]) -> BiLaurent:
         """Evaluate every parameter at a rational value."""
-        vals = [Q(values[name]) for name in self.params]
+        vals = [as_fraction(values[name]) for name in self.params]
         total = BiLaurent.zero()
         for exps, coeff in self._terms.items():
             scalar = Q(1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
 from .errors import BadCocycleSupport, TagMismatch, UnsupportedForDeformed
-from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
+from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART, as_fraction
 from .polymatrix import PolyMatrix
 
 
@@ -35,7 +35,7 @@ class SurfaceSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        tau = tuple(Q(t) for t in self.tau)
+        tau = tuple(as_fraction(t) for t in self.tau)
         if len(tau) != self.k - 1:
             raise ValueError(
                 f"tau must list t_1..t_{self.k - 1} ({self.k - 1} values), "
@@ -89,7 +89,7 @@ def surface(k: int, tau: Union[None, Iterable, BiLaurent] = None) -> SurfaceSpec
                     f"1..{k - 1}"
                 )
         tau = [tau.coefficient(i, 0) for i in range(1, k)]
-    return SurfaceSpec(k, tuple(Q(t) for t in tau))
+    return SurfaceSpec(k, tuple(tau))
 
 
 def _require_chart(p: BiLaurent, wanted: str) -> None:

@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private top-level function and constant is used somewhere in the package.
 
-The package's __init__.py re-exports what it imports, so it is left out."""
+The package's __init__.py re-exports what it imports, so it is left out of
+the import guard."""
 
 import ast
 from pathlib import Path
@@ -26,6 +28,48 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def references(tree: ast.AST) -> list[str]:
+    """The names a tree reads: loaded names, attributes and imported names."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names += [a.name for a in node.names]
+    return names
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each private top-level function and constant."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """module:name of each private top-level function or constant that no
+    code outside its own definition reads, in any of the given sources."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    counts: dict[str, int] = {}
+    for tree in trees.values():
+        for name in references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    return [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in private_definitions(tree)
+        if counts.get(name, 0) == references(node).count(name)
+    ]
+
+
 def test_guard_sees_unused_and_used_imports():
     source = (
         "from __future__ import annotations\n"
@@ -41,3 +85,29 @@ def test_guard_sees_unused_and_used_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_dead_and_used_helpers():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_UNUSED = 4\n"
+            "def _helper(x):\n"
+            "    return x + _LIMIT\n"
+            "def _recursive(x):\n"
+            "    return _recursive(x - 1) if x else 0\n"
+            "def public(x):\n"
+            "    return _helper(x)\n"
+        ),
+        "b.py": "from .c import _shared\n",
+        "c.py": "def _shared():\n    return 1\n",
+    }
+    assert dead_helpers(sources) == ["a.py:_UNUSED", "a.py:_recursive"]
+
+
+def test_every_private_helper_is_used():
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in PACKAGE.glob("*.py")
+    }
+    assert dead_helpers(sources) == []

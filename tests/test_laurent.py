@@ -11,6 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laurent_oracle import substitute_by_term
+from localsurfaces.deformation import (
+    TangentExtensionClass,
+    family_and_ks,
+    hirzebruch_embed_check,
+)
 from localsurfaces.errors import NonInvertibleSubstitution, TagMismatch
 from localsurfaces.laurent import (
     F,
@@ -25,6 +30,8 @@ from localsurfaces.laurent import (
     V_CHART,
     parse_poly,
 )
+from localsurfaces.params import ParamPoly
+from localsurfaces.surface import surface
 from parse_oracle import parse_poly as parse_by_tokens
 
 
@@ -88,6 +95,32 @@ def test_float_coefficient_rejected():
                   lambda: BiLaurent({Monomial(1, 0): 2.0})):
         with pytest.raises(TypeError):
             build()
+
+
+# Each takes one exact number where tau, a point or a parameter value goes.
+NUMERIC_ENTRY_POINTS = {
+    "surface": lambda x: surface(2, [x]),
+    "evaluate": lambda x: P("z + u").evaluate(x, 2),
+    "tangent_s1": lambda x: TangentExtensionClass(3, x, {0: 1}),
+    "tangent_s0": lambda x: TangentExtensionClass(3, 1, {0: x}),
+    "fiber": lambda x: family_and_ks(2)[0].fiber([x]),
+    "x_at": lambda x: hirzebruch_embed_check(2).x_at([x]),
+    "y_at": lambda x: hirzebruch_embed_check(2).y_at([x]),
+    "substitute_params": lambda x: ParamPoly.var("t", ["t"]).substitute_params(
+        {"t": x}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_ENTRY_POINTS))
+def test_float_rejected_at_numeric_entry_points(name):
+    # surface(2, [0.1]) was Z_2(3602879701896397/36028797018963968*z).
+    entry = NUMERIC_ENTRY_POINTS[name]
+    for exact in (1, Q(1, 10), "1/10"):
+        entry(exact)
+    for inexact in (0.1, 0.5, 0.0):
+        with pytest.raises(TypeError, match="inexact"):
+            entry(inexact)
 
 
 def test_integral_coefficients_are_ints():
