@@ -71,7 +71,7 @@ from .errors import (
     UnsupportedForDeformed,
     WindowTooSmall,
 )
-from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART, parse_poly
+from .laurent import BiLaurent, Q, U_CHART, V_CHART, parse_poly
 from .params import ParamPoly
 from .polymatrix import PolyMatrix
 from .surface import (

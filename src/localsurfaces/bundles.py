@@ -66,7 +66,7 @@ def restrict_to_zero_section(T: PolyMatrix, s: SurfaceSpec) -> PolyMatrix:
         )
     return T.map_entries(
         lambda p: BiLaurent(
-            {m: c for m, c in p.items() if m.u_exp == 0}, p.tag
+            {(l, i): c for (l, i), c in p.items() if i == 0}, p.tag
         )
     )
 

@@ -72,12 +72,9 @@ from .errors import (
     SupportOutsideWindow,
     WindowTooSmall,
 )
-from .laurent import BiLaurent, Coeff, Monomial, Q, U_CHART, V_CHART, _raw
+from .laurent import BiLaurent, Coeff, Key, Q, Terms, U_CHART, V_CHART, _raw
 from .linalg import ReducedEchelon, SparseVec, nullspace
 from .surface import SurfaceSpec, to_V_coords
-
-# Terms c z^l u'^i keyed (l, i), or a quotient on the g'(a, b) keyed (a, b).
-Terms = Dict[Tuple[int, int], Coeff]
 
 # Window growth per enlargement (z steps on each side, u steps) and the
 # number of enlargements after which stabilization gives up.
@@ -101,21 +98,23 @@ class Window:
     def size(self) -> int:
         return (self.max_z - self.min_z + 1) * (self.max_u + 1)
 
-    def contains(self, mono: Monomial) -> bool:
-        return self.min_z <= mono.z_exp <= self.max_z and 0 <= mono.u_exp <= self.max_u
+    def contains(self, key: Key) -> bool:
+        l, i = key
+        return self.min_z <= l <= self.max_z and 0 <= i <= self.max_u
 
     def covers(self, poly: BiLaurent) -> bool:
         return all(self.contains(m) for m in poly.support)
 
-    def monomials(self) -> List[Monomial]:
+    def monomials(self) -> List[Key]:
         return [
-            Monomial(l, i)
+            (l, i)
             for l in range(self.min_z, self.max_z + 1)
             for i in range(self.max_u + 1)
         ]
 
-    def local_index(self, mono: Monomial) -> int:
-        return (mono.z_exp - self.min_z) * (self.max_u + 1) + mono.u_exp
+    def local_index(self, key: Key) -> int:
+        l, i = key
+        return (l - self.min_z) * (self.max_u + 1) + i
 
     def grown(self, dz: int, du: int) -> "Window":
         return Window(self.min_z - dz, self.max_z + dz, self.max_u + du)
@@ -124,10 +123,10 @@ class Window:
         """Smallest enlargement of self containing every given support."""
         min_z, max_z, max_u = self.min_z, self.max_z, self.max_u
         for p in polys:
-            for m in p.support:
-                min_z = min(min_z, m.z_exp)
-                max_z = max(max_z, m.z_exp)
-                max_u = max(max_u, m.u_exp)
+            for l, i in p.support:
+                min_z = min(min_z, l)
+                max_z = max(max_z, l)
+                max_u = max(max_u, i)
         return Window(min_z, max_z, max_u)
 
     def to_json_dict(self) -> dict:
@@ -200,9 +199,9 @@ class CechComplex:
 
     # -- construction ------------------------------------------------------
 
-    def _coords(self, index: int) -> Monomial:
+    def _coords(self, index: int) -> Key:
         l, i = divmod(index, self.window.max_u + 1)
-        return Monomial(l + self.window.min_z, i)
+        return l + self.window.min_z, i
 
     def _assemble(self) -> None:
         # V-holomorphic generators xi^alpha v^beta, mapped to
@@ -216,9 +215,9 @@ class CechComplex:
             # (z, index, coeff) of the terms of -z^-n v'^beta, z-sorted;
             # shifting by z^-alpha moves an index down by alpha * width.
             terms = sorted(
-                (m.z_exp - n, w.local_index(m) - n * width, -c)
-                for m, c in powers[beta].items()
-                if m.u_exp <= w.max_u
+                (l - n, w.local_index((l - n, i)), -c)
+                for (l, i), c in powers[beta].items()
+                if i <= w.max_u
             )
             if not terms:
                 continue
@@ -516,7 +515,7 @@ def _extend_powers(powers: List[BiLaurent], b: int) -> None:
 
 def _relation_levels(
     s: SurfaceSpec, n: int, powers: List[BiLaurent]
-) -> Iterator[Iterator[Tuple[Tuple[int, int], Terms, Terms]]]:
+) -> Iterator[Iterator[Tuple[Key, Terms, Terms]]]:
     """The relations of O(-n) on Z_k(tau), one lazy level per b = 1 .. n - 1,
     in the coordinates (z, u' = D*u) of _integral_glue, whose powers of v'
     are passed in.
@@ -602,7 +601,7 @@ def h0_basis(
     if window is None:
         window = default_window(s, abs(n))
     cols = [
-        Monomial(a, b)
+        (a, b)
         for a in range(0, window.max_z + 1)
         for b in range(0, window.max_u + 1)
     ]
@@ -610,16 +609,16 @@ def h0_basis(
         # On Z_k, z^-n * z^a u^b = xi^(n-a+kb) v^b, which is V-holomorphic
         # exactly when a <= n + k*b.
         basis = tuple(
-            _raw({m: 1}, U_CHART) for m in cols if m.z_exp <= n + s.k * m.u_exp
+            _raw({(a, b): 1}, U_CHART) for a, b in cols if a <= n + s.k * b
         )
     else:
         width = window.max_u + 1
-        constraint_rows: Dict[Monomial, SparseVec] = {}
+        constraint_rows: Dict[Key, SparseVec] = {}
         for b in range(width):
             rewritten = to_V_coords(BiLaurent.term(1, -n, b, U_CHART), s)
             for (l, i), coeff in rewritten.items():
                 for a in range(max(0, l + 1), window.max_z + 1):
-                    row = constraint_rows.setdefault(Monomial(l - a, i), {})
+                    row = constraint_rows.setdefault((l - a, i), {})
                     row[a * width + b] = coeff
         basis = tuple(
             BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)

@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .cech import CohomologyResult
 from .errors import BadCocycleSupport
-from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART, as_fraction
+from .laurent import BiLaurent, Q, Terms, U_CHART, V_CHART, as_fraction
 from .params import ParamPoly
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec, glue_matrix, surface, tangent_transition
@@ -96,22 +96,20 @@ class TangentExtensionClass:
     def from_poly(cls, k: int, sigma: BiLaurent) -> "TangentExtensionClass":
         s1 = Q(0)
         s0: Dict[int, Q] = {}
-        for mono, coeff in sigma.items():
-            if mono == Monomial(k - 1, 1):
+        for (l, i), coeff in sigma.items():
+            if (l, i) == (k - 1, 1):
                 s1 = coeff
-            elif mono.u_exp == 0 and -1 <= mono.z_exp <= k - 1:
-                s0[mono.z_exp] = coeff
+            elif i == 0 and -1 <= l <= k - 1:
+                s0[l] = coeff
             else:
                 raise BadCocycleSupport(
-                    f"term z^{mono.z_exp} u^{mono.u_exp} is outside the "
-                    f"extension space for k={k}"
+                    f"term z^{l} u^{i} is outside the extension space for k={k}"
                 )
         return cls(k, s1, s0)
 
     def poly(self) -> BiLaurent:
-        terms = {Monomial(self.k - 1, 1): self.s1} if self.s1 else {}
-        for l, c in self.s0.items():
-            terms[Monomial(l, 0)] = terms.get(Monomial(l, 0), Q(0)) + c
+        terms = [((self.k - 1, 1), self.s1)]
+        terms += [((l, 0), c) for l, c in self.s0.items()]
         return BiLaurent(terms, U_CHART)
 
 
@@ -139,19 +137,19 @@ def _integrate_z(p: BiLaurent) -> Tuple[BiLaurent, BiLaurent]:
     """Termwise antiderivative in z.  Returns (polynomial part, logarithmic
     part), the latter collecting the coefficients of z^-1 (times u powers),
     which have no holomorphic antiderivative on the punctured plane."""
-    poly_terms: Dict[Monomial, Q] = {}
-    log_terms: Dict[Monomial, Q] = {}
+    poly_terms: Terms = {}
+    log_terms: Terms = {}
     for (l, i), coeff in p.items():
         if l == -1:
-            log_terms[Monomial(0, i)] = coeff
+            log_terms[0, i] = coeff
         else:
-            poly_terms[Monomial(l + 1, i)] = Q(coeff, l + 1)
+            poly_terms[l + 1, i] = Q(coeff, l + 1)
     return BiLaurent(poly_terms), BiLaurent(log_terms)
 
 
 def _integrate_u(p: BiLaurent) -> BiLaurent:
     return BiLaurent(
-        {Monomial(l, i + 1): Q(coeff, i + 1) for (l, i), coeff in p.items()}
+        {(l, i + 1): Q(coeff, i + 1) for (l, i), coeff in p.items()}
     )
 
 
@@ -180,7 +178,7 @@ def integrability_analysis(k: int, cls: TangentExtensionClass) -> IntegrabilityR
     int_s12, log12 = _integrate_z(s12)  # plus a free f_12(u)
     mismatch = int_s12 - int_s11
     mixed = BiLaurent(
-        {m: c for m, c in mismatch.items() if m.u_exp >= 1 and m.z_exp != 0}
+        {(l, i): c for (l, i), c in mismatch.items() if i >= 1 and l != 0}
     )
     zero_tau = (Q(0),) * (k - 1)
     if not mixed.is_zero:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
 from .errors import BadCocycleSupport, TagMismatch, UnsupportedForDeformed
-from .laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART, as_fraction
+from .laurent import BiLaurent, Q, U_CHART, V_CHART, as_fraction
 from .polymatrix import PolyMatrix
 
 
@@ -50,7 +50,7 @@ class SurfaceSpec:
     def tau_poly(self) -> BiLaurent:
         """tau as a polynomial in z (an overlap function, U-coords)."""
         return BiLaurent(
-            {Monomial(i + 1, 0): t for i, t in enumerate(self.tau) if t},
+            {(i + 1, 0): t for i, t in enumerate(self.tau) if t},
             U_CHART,
         )
 
@@ -60,10 +60,10 @@ class SurfaceSpec:
 
     def u_glue(self) -> BiLaurent:
         """u expressed in V-coordinates: xi^k v - sum t_i xi^{k-i}."""
-        terms = {Monomial(self.k, 1): Q(1)}
+        terms = {(self.k, 1): Q(1)}
         for i, t in enumerate(self.tau, start=1):
             if t:
-                terms[Monomial(self.k - i, 0)] = -t
+                terms[self.k - i, 0] = -t
         return BiLaurent(terms, V_CHART)
 
     def to_json_dict(self) -> dict:
@@ -82,11 +82,10 @@ def surface(k: int, tau: Union[None, Iterable, BiLaurent] = None) -> SurfaceSpec
     if tau is None:
         tau = [Q(0)] * (k - 1)
     elif isinstance(tau, BiLaurent):
-        for mono in tau.support:
-            if mono.u_exp or not 1 <= mono.z_exp <= k - 1:
+        for l, i in tau.support:
+            if i or not 1 <= l <= k - 1:
                 raise BadCocycleSupport(
-                    f"tau term z^{mono.z_exp} u^{mono.u_exp} outside degrees "
-                    f"1..{k - 1}"
+                    f"tau term z^{l} u^{i} outside degrees 1..{k - 1}"
                 )
         tau = [tau.coefficient(i, 0) for i in range(1, k)]
     return SurfaceSpec(k, tuple(tau))

@@ -58,7 +58,7 @@ from localsurfaces.cech import (
     default_window,
 )
 from localsurfaces.errors import NotTrivial
-from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART
+from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART
 from localsurfaces.linalg import ReducedEchelon, nullspace
 from localsurfaces.polymatrix import PolyMatrix
 from localsurfaces.surface import to_U_coords, to_V_coords
@@ -95,9 +95,9 @@ class FullComplex:
         ]
         index = {coord: i for i, coord in enumerate(self.coords)}
         generators = [
-            {index[(slot, mono)]: Q(1)}
-            for slot, mono in self.coords
-            if mono.z_exp >= 0
+            {index[(slot, (l, i))]: Q(1)}
+            for slot, (l, i) in self.coords
+            if l >= 0
         ]
         conv = transition.inverse()
         entries = [p for row in conv.entries for p in row if not p.is_zero]
@@ -307,17 +307,17 @@ def h0_by_columns(s, n, window=None):
     if window is None:
         window = default_window(s, abs(n))
     cols = [
-        Monomial(a, b)
+        (a, b)
         for a in range(0, window.max_z + 1)
         for b in range(0, window.max_u + 1)
     ]
     constraint_rows = {}
-    for idx, mono in enumerate(cols):
-        twisted = BiLaurent.term(1, mono.z_exp - n, mono.u_exp, U_CHART)
+    for idx, (a, b) in enumerate(cols):
+        twisted = BiLaurent.term(1, a - n, b, U_CHART)
         rewritten = to_V_coords(twisted, s)
-        for vm, coeff in rewritten.items():
-            if vm.z_exp < 0:
-                constraint_rows.setdefault(vm, {})[idx] = coeff
+        for (l, i), coeff in rewritten.items():
+            if l < 0:
+                constraint_rows.setdefault((l, i), {})[idx] = coeff
     basis = tuple(
         BiLaurent({cols[i]: coeff for i, coeff in vec.items()}, U_CHART)
         for vec in nullspace(constraint_rows.values(), len(cols))

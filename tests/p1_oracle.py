@@ -31,8 +31,8 @@ def _section_count(T: PolyMatrix, twist: int, degree_cap: int) -> int:
             vec: Dict[Tuple[int, int], Q] = {}
             for i in range(r):
                 entry = T.entries[i][slot]
-                for mono, coeff in entry.items():
-                    e = mono.z_exp + deg - twist
+                for (l, _), coeff in entry.items():
+                    e = l + deg - twist
                     if e > 0:
                         key = (i, e)
                         acc = vec.get(key, Q(0)) + coeff

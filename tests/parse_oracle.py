@@ -10,7 +10,7 @@ BiLaurent with an equal tag.
 import re
 from typing import Optional
 
-from localsurfaces.laurent import BiLaurent, Monomial, Q, U_CHART, V_CHART
+from localsurfaces.laurent import BiLaurent, Q, U_CHART, V_CHART
 
 _TOKEN = re.compile(
     r"""
@@ -108,4 +108,4 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
         raise ValueError(f"mixed chart variables in {text!r}")
     if tag is None and V_CHART in charts_seen:
         tag = V_CHART
-    return BiLaurent([(Monomial(z, u), c) for c, z, u in terms], tag)
+    return BiLaurent([((z, u), c) for c, z, u in terms], tag)

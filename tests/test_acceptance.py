@@ -136,8 +136,7 @@ def test_criterion_05_family_consistency():
         for i in range(1, k):
             reduced = complex_.normal_form(ks[i])
             for j, vec in enumerate(basis, start=1):
-                mono = next(iter(vec[1].support))
-                coeff = reduced[1].coefficient(mono.z_exp, mono.u_exp)
+                coeff = reduced[1].coefficient(*next(iter(vec[1].support)))
                 assert coeff == (Q(1) if i == j else Q(0))
 
 

@@ -68,8 +68,8 @@ def brute_h0(T, twist, degree_cap):
     for slot, d in variables:
         col = {}
         for i in range(r):
-            for mono, coeff in T.entries[i][slot].items():
-                e = mono.z_exp + d - twist
+            for (l, _), coeff in T.entries[i][slot].items():
+                e = l + d - twist
                 if e > 0:
                     col[(i, e)] = col.get((i, e), Q(0)) + coeff
         col = {key: val for key, val in col.items() if val}
@@ -359,7 +359,7 @@ def test_extension_parameter_count():
     for k, j in [(1, 2), (2, 2), (2, 3), (3, 3)]:
         basis = h1_line_bundle(surface(k), 2 * j).basis
         expected = sum(
-            1 for p in basis if all(m.u_exp >= 1 for m in p.support)
+            1 for p in basis if all(i >= 1 for _, i in p.support)
         )
         assert extension_parameter_count(k, j) == expected
     # k >= 1 for every j, as for h1_dimension_formula.

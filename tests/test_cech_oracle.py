@@ -48,7 +48,7 @@ from localsurfaces.cech import (
 )
 from localsurfaces.deformation import tangent_h1
 from localsurfaces.errors import NotTrivial
-from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART, parse_poly
+from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART, parse_poly
 from localsurfaces.surface import surface, tangent_transition, to_U_coords
 
 TAU_KINDS = {
@@ -64,7 +64,7 @@ SURFACES = [(1, "zero")] + [
 def random_cocycle(rng, window):
     return BiLaurent(
         {
-            Monomial(
+            (
                 rng.randint(window.min_z, window.max_z),
                 rng.randint(0, window.max_u),
             ): Q(rng.randint(-5, 5), rng.randint(1, 3))
@@ -157,7 +157,7 @@ def test_charge_matches_full_assembly_on_seeded_extensions():
         j = rng.randint(2, 3) if kind == "zero" else rng.randint(1, 2)
         s = surface(k, TAU_KINDS[kind](k))
         sigma = BiLaurent({
-            Monomial(rng.randint(-2 * j - 1, 2), rng.randint(0, 2)):
+            (rng.randint(-2 * j - 1, 2), rng.randint(0, 2)):
                 Q(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
             for _ in range(rng.randint(1, 4))
         })

@@ -226,6 +226,12 @@ def test_moduli_not_applicable_exit_1():
 def test_bad_tau_poly_is_usage_error():
     code, out, _ = run("deform", "--k", "2", "--tau-poly", "z^2")
     assert code == 2  # flag-level validation happens before dispatch
+    # The message names the offending term by its two exponents.
+    code, out, err = run("deform", "--k", "3", "--tau-poly", "z^2*u")
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage error: --tau-poly: tau term z^2 u^1 outside degrees 1..2\n"
+    )
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
@@ -699,7 +705,10 @@ def test_window_too_small_is_usage_error():
 def test_bad_extension_class_is_mathematical_error():
     code, out, _ = run("integrate", "--k", "3", "--sigma", "z^5")
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "BadCocycleSupport"
+    assert json.loads(out)["error"] == {
+        "message": "term z^5 u^0 is outside the extension space for k=3",
+        "type": "BadCocycleSupport",
+    }
 
 
 # -- determinism and window handling ---------------------------------------------------

@@ -275,8 +275,7 @@ def test_ks_basis_matrix_is_identity():
         row = []
         for vec in basis:
             # coefficient of the basis monomial in the reduced image
-            mono = next(iter(vec[1].support))
-            row.append(reduced[1].coefficient(mono.z_exp, mono.u_exp))
+            row.append(reduced[1].coefficient(*next(iter(vec[1].support))))
         matrix.append(row)
     assert matrix == [
         [Q(1) if i == j else Q(0) for j in range(k - 1)] for i in range(k - 1)

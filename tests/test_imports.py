@@ -1,15 +1,18 @@
-"""Every name a library module imports is used in that module, and every
-private top-level function and constant is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+private top-level function and constant is used somewhere in the package,
+and the README's Layout block names every module and oracle.
 
 The package's __init__.py re-exports what it imports, so it is left out of
 the import guard."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "localsurfaces"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "localsurfaces"
 MODULES = sorted(
     path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
 )
@@ -111,3 +114,13 @@ def test_every_private_helper_is_used():
         for path in PACKAGE.glob("*.py")
     }
     assert dead_helpers(sources) == []
+
+
+def test_readme_layout_names_every_module_and_oracle():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Layout\n", 1)[1].split("```")[1]
+    oracles = [path for path in sorted((ROOT / "tests").glob("*_oracle.py"))
+               if not path.name.startswith("test_")]
+    files = MODULES + oracles
+    named = set(re.findall(r"\w+\.py", block))
+    assert [path.name for path in files if path.name not in named] == []

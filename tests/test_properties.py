@@ -41,7 +41,7 @@ from localsurfaces.errors import (
     NotTrivial,
     WindowTooSmall,
 )
-from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART, parse_poly
+from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART, parse_poly
 from localsurfaces.params import ParamPoly
 from localsurfaces.polymatrix import PolyMatrix
 from localsurfaces.surface import (
@@ -137,7 +137,7 @@ def normal_form_monomials(k, n):
     z^l u^i with i <= m = floor((n-2)/k) and ik-n+1 <= l <= -1."""
     m = (n - 2) // k
     return {
-        Monomial(l, i) for i in range(m + 1) for l in range(i * k - n + 1, 0)
+        (l, i) for i in range(m + 1) for l in range(i * k - n + 1, 0)
     }
 
 
@@ -326,25 +326,26 @@ def test_splitting_type_matches_profile_and_is_frame_invariant(data):
 
 # -- coefficients stay exact ---------------------------------------------------
 
-def numbers_in(obj):
-    """Every number a library result holds: BiLaurent and ParamPoly
-    coefficients, matrix entries, dataclass fields and container items."""
+def terms_in(obj):
+    """(key, coefficient) of every BiLaurent term a library result holds,
+    in ParamPoly coefficients, matrix entries, dataclass fields and
+    container items too, and (None, number) for every other number."""
     if isinstance(obj, BiLaurent):
-        yield from (c for _, c in obj.items())
+        yield from obj.items()
     elif isinstance(obj, ParamPoly):
-        yield from numbers_in(list(obj._terms.values()))
+        yield from terms_in(list(obj._terms.values()))
     elif isinstance(obj, PolyMatrix):
-        yield from numbers_in(obj.entries)
+        yield from terms_in(obj.entries)
     elif dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
-            yield from numbers_in(getattr(obj, field.name))
+            yield from terms_in(getattr(obj, field.name))
     elif isinstance(obj, dict):
-        yield from numbers_in(list(obj.values()))
+        yield from terms_in(list(obj.values()))
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            yield from numbers_in(item)
+            yield from terms_in(item)
     elif isinstance(obj, (int, float, Q)) and not isinstance(obj, bool):
-        yield obj
+        yield None, obj
 
 
 EXACT_TAUS = {
@@ -359,9 +360,10 @@ EXACT_TAUS = {
 
 
 def exact_sweep_results(rng, s):
-    """The results of the library calls behind certify-trivial,
-    certify-split, split-type, integrate, family and h0 on seeded inputs
-    over s, with int and Fraction coefficients in every input."""
+    """The results of parse_poly, *, ** and the chart rewrites, and of the
+    library calls behind certify-trivial, certify-split, split-type,
+    integrate, family and h0, on seeded inputs over s, with int and Fraction
+    coefficients in every input."""
     k = s.k
 
     def coeff():
@@ -373,6 +375,9 @@ def exact_sweep_results(rng, s):
 
     n = rng.randint(1, 6)
     sigma = cocycle(n)
+    to_V = to_V_coords(sigma, s)
+    yield parse_poly(str(sigma)), sigma * sigma, sigma ** 2, to_V
+    yield to_U_coords(to_V, s)
     try:
         yield triviality_certificate(sigma, s, n)
     except NotTrivial:
@@ -397,12 +402,18 @@ def test_every_result_coefficient_is_an_int_or_a_fraction():
     # operand would show here as a float.
     rng = random.Random(26)
     for kind, draw in EXACT_TAUS.items():
-        numbers = []
+        terms = []
         for k in (2, 3, 4):
             for _ in range(4):
                 s = surface(k, draw(rng, k))
-                numbers += numbers_in(list(exact_sweep_results(rng, s)))
+                terms += terms_in(list(exact_sweep_results(rng, s)))
+        numbers = [x for _, x in terms]
         assert any(type(x) is Q for x in numbers), kind
         assert all(type(x) in (int, Q) for x in numbers), (
             kind, [x for x in numbers if type(x) not in (int, Q)][:5]
         )
+        # Every key is a plain tuple of two ints, which keeps CPython's
+        # exact-tuple fast paths in the term loops.
+        odd = [key for key, _ in terms if key is not None
+               and (type(key), *map(type, key)) != (tuple, int, int)]
+        assert not odd, (kind, odd[:5])

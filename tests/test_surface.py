@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cech_oracle import line_transition
 from laurent_oracle import substitute_by_term
 from localsurfaces.errors import TagMismatch, UnsupportedForDeformed
-from localsurfaces.laurent import BiLaurent, Monomial, U_CHART, V_CHART, parse_poly
+from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART, parse_poly
 from localsurfaces.surface import (
     SurfaceSpec,
     glue_matrix,
@@ -74,7 +74,7 @@ def test_round_trip_is_identity():
     for s in surfaces:
         for _ in range(20):
             terms = {
-                Monomial(rng.randint(-5, 5), rng.randint(0, 3)):
+                (rng.randint(-5, 5), rng.randint(0, 3)):
                     Q(rng.randint(-5, 5), rng.randint(1, 3))
                 for _ in range(rng.randint(1, 5))
             }
@@ -122,7 +122,7 @@ def test_v_holomorphy_monomial_criterion():
         s = surface(k)
         for m in range(-4, 4 * k + 1):
             for n in range(0, 4):
-                mono = BiLaurent({Monomial(m, n): Q(1)}, U_CHART)
+                mono = BiLaurent({(m, n): Q(1)}, U_CHART)
                 assert is_V_holomorphic(mono, s) == (m <= n * k)
 
 
