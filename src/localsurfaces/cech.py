@@ -51,9 +51,10 @@ z^a u^b in the window, since z^-n z^a u^b = xi^(n-a+kb) v^b; only on a
 deformed surface are its sections a nullspace, with z^-n u^b rewritten to
 V-coordinates once per u-degree b.
 
-All linear algebra runs on the sparse ReducedEchelon: the rank of the
-complex's columns, deformed H^0 sections through linalg.nullspace, and the
-relation rank of deformed line-bundle H^1 on one echelon.
+The rank of the complex's columns and the deformed H^0 sections (through
+linalg.nullspace) run on the sparse ReducedEchelon, whose RREF rows they
+read.  The relation rank of deformed line-bundle H^1 needs only a rank of
+int vectors, so it runs on IntegerEchelon and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .laurent import BiLaurent, Coeff, Key, Q, Terms, U_CHART, V_CHART, _raw
-from .linalg import ReducedEchelon, SparseVec, nullspace
+from .linalg import IntegerEchelon, ReducedEchelon, SparseVec, nullspace
 from .surface import SurfaceSpec, to_V_coords
 
 # Window growth per enlargement (z steps on each side, u steps) and the
@@ -338,13 +339,14 @@ def h1_line_bundle(s: SurfaceSpec, n: int) -> CohomologyResult:
     stabilized=True.  Falling short at level n - 1 raises
     AssertionError: a positive dimension is never reported on a deformed
     surface.  The relations are divided in (z, u' = D*u) (_integral_glue),
-    which keeps the rank at every level.
+    which keeps the rank at every level, and their remainders are ints
+    there, so the rank is counted fraction-free on an IntegerEchelon.
     """
     if not s.is_deformed:
         return h1(s, n)
     count = h1_dimension_formula(s.k, n)
     _, powers = _integral_glue(s)
-    span = ReducedEchelon()
+    span = IntegerEchelon()
     if count and not any(
         span.add(vec) and span.rank == count
         for level in _relation_levels(s, n, powers)
@@ -501,7 +503,10 @@ def _integral_glue(s: SurfaceSpec) -> Tuple[int, List[BiLaurent]]:
     of v' = D*v = z^k u' + D*tau, which has integer coefficients in the
     coordinates (z, u' = D*u).  D = 1 on tau = 0."""
     scale = lcm(*(t.denominator for t in s.tau))
-    v = {(j, 0): t * scale for j, t in enumerate(s.tau, start=1)}
+    v = {
+        (j, 0): t.numerator * (scale // t.denominator)
+        for j, t in enumerate(s.tau, start=1)
+    }
     v[s.k, 1] = 1
     return scale, [BiLaurent.const(1), BiLaurent(v)]
 

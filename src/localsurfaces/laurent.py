@@ -18,11 +18,12 @@ p.items()`` over 30 keys took 0.32 s per 100 000 loops against 0.18 s, and
 building a key, as * and substitute do per term, 0.56 us against 0.07 us.
 
 A coefficient (Coeff) is a Python int where it is integral and a Fraction
-otherwise; as_fraction refuses a float with TypeError, here and for tau,
-evaluation points and parameter values.  int and Fraction compare, hash
-and print alike, so equality and printing do not depend on which one a
-coefficient is.  int / int is a float, so code that divides coefficients
-divides through Fraction: Fraction(a, b), or / with a Fraction operand.
+otherwise; as_fraction refuses a float or a bool with TypeError, here and
+for tau, evaluation points and parameter values.  int and Fraction
+compare, hash and print alike, so equality and printing do not depend on
+which one a coefficient is.  int / int is a float, so code that divides
+coefficients divides through Fraction: Fraction(a, b), or / with a
+Fraction operand.
 
 Text syntax (used by the CLI and golden files): terms like ``3/2*z^-4*u^2``
 joined by ``+`` / ``-``, as the grammar POLY below declares.
@@ -341,9 +342,12 @@ class BiLaurent:
 
 def as_fraction(value) -> Fraction:
     """value as a Fraction; a float raises TypeError, since Fraction would
-    keep its binary expansion (0.1 is 3602879701896397/36028797018963968)."""
+    keep its binary expansion (0.1 is 3602879701896397/36028797018963968),
+    and so does a bool, which Fraction would read as 0 or 1."""
     if isinstance(value, float):
         raise TypeError(f"inexact number {value!r}")
+    if isinstance(value, bool):
+        raise TypeError(f"bool is not a number: {value!r}")
     return value if type(value) is Fraction else Fraction(value)
 
 

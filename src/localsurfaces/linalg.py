@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: an incremental sparse echelon and kernels.
+"""Exact linear algebra: incremental sparse echelons and kernels.
 
 ReducedEchelon maintains the reduced row-echelon form of a span of sparse
 vectors incrementally; its rows are the unique RREF of the span, with
@@ -8,11 +8,26 @@ by any other), so every row is exact.  A private column index maps each key
 to the pivot rows that hold it, so add back-reduces only the rows holding
 the new lead.  nullspace reads the canonical kernel basis of a sparse
 matrix off that echelon.
+
+IntegerEchelon counts the rank of a span of int vectors without leaving
+the integers (fraction-free elimination, Bareiss, Math. Comp. 22, 1968).
+Its rows are echeloned but not reduced, with leads again at each row's
+minimum key.  It is exact: reducing v by a row replaces v with
+(b/g)*v - (a/g)*row, a and b the leads of v and the row and
+g = gcd(a, b), and a new row is divided by the gcd of its entries; both
+are row operations over Q by a nonzero scalar, so the rows span what the
+inserted vectors span.  The leads of any echelon basis are the minimum
+keys of the nonzero vectors of its span, so the rank and the leads are
+those of ReducedEchelon after the same inserts.  A Fraction entry either
+cancels exactly or makes math.gcd raise TypeError once it reaches a lead
+or a new row, so it never gives a wrong rank (floats never become
+coefficients: laurent.as_fraction refuses them).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Hashable, Iterable, List, Set
 
 from .laurent import Coeff
@@ -100,6 +115,51 @@ class ReducedEchelon:
         row = {lead: _ONE}
         row.update(tail)
         self.pivots[lead] = row
+        return True
+
+
+class IntegerEchelon:
+    """Rank and leads of a span of sparse int vectors, on ints only.
+
+    Keys and leads are as in ReducedEchelon, and pivots maps each lead to
+    its row, which is reduced forward only and divided by the gcd of its
+    entries.  pivots is read-only for callers.
+    """
+
+    def __init__(self):
+        self.pivots: Dict[Hashable, Dict[Hashable, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vec: Dict[Hashable, int]) -> bool:
+        """Insert an int vector; returns True when it enlarges the span."""
+        pivots = self.pivots
+        v = dict(vec)
+        while v:
+            lead = min(v)
+            row = pivots.get(lead)
+            if row is None:
+                break
+            # v <- (b/g)*v - (a/g)*row clears the lead of v.
+            a, b = v[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                v = {key: b * x for key, x in v.items()}
+            for key, x in row.items():
+                acc = v.get(key, 0) - a * x
+                if acc:
+                    v[key] = acc
+                else:
+                    del v[key]
+        else:
+            return False
+        g = gcd(*v.values())
+        if g != 1:
+            v = {key: x // g for key, x in v.items()}
+        pivots[lead] = v
         return True
 
 

@@ -1,10 +1,10 @@
 """Polynomials in commuting formal parameters, layered over BiLaurent.
 
 A ParamPoly is a finitely supported map from parameter-exponent tuples
-(non-negative, one slot per parameter name) to BiLaurent coefficients.  It is
-used only for identity checks that must hold for all parameter values at
-once: the semiuniversal family transition, Kodaira-Spencer images, the chart
-normalization isomorphism, and the Hirzebruch-embedding relations.
+(non-negative ints, one slot per parameter name) to BiLaurent coefficients.
+It is used only for identity checks that must hold for all parameter values
+at once: the semiuniversal family transition, Kodaira-Spencer images, the
+chart normalization isomorphism, and the Hirzebruch-embedding relations.
 
 Only the parameter names, exponent tuples, derivative, substitute_params
 and printing are ParamPoly's own.  Its constructor takes (exponents,
@@ -40,8 +40,11 @@ class ParamPoly:
                 exps = tuple(exps)
                 if len(exps) != len(params):
                     raise ValueError("exponent tuple length != number of parameters")
-                if any(e < 0 for e in exps):
-                    raise ValueError("parameter exponents must be non-negative")
+                for e in exps:
+                    if type(e) is not int:
+                        raise TypeError(f"non-int parameter exponent in {exps!r}")
+                    if e < 0:
+                        raise ValueError("parameter exponents must be non-negative")
                 if not coeff.is_zero:
                     acc = clean.get(exps)
                     acc = coeff if acc is None else acc + coeff

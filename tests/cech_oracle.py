@@ -33,6 +33,11 @@ and f_U is rewrite_f_U.  Its f_V may differ from the weight-graded one
 when tau has several nonzero coefficients, since f_V is not unique; both
 re-check exactly.
 
+relation_rank_trace is the relation rank of cech.h1_line_bundle on tau != 0
+as it was counted before it moved to the fraction-free IntegerEchelon: the
+same relation remainders on a ReducedEchelon, which turns every entry into
+a Fraction and keeps the RREF.
+
 h0_by_columns is cech.h0_basis as it was before it shared one V-rewrite
 per u-degree: every window column z^a u^b is twisted and rewritten to
 V-coordinates on its own.
@@ -52,10 +57,12 @@ from localsurfaces.cech import (
     CohomologyResult,
     TrivialityCertificate,
     Window,
+    _integral_glue,
     _reduce,
     _relation_levels,
     _weight_solve,
     default_window,
+    h1_dimension_formula,
 )
 from localsurfaces.errors import NotTrivial
 from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART
@@ -272,6 +279,24 @@ def relation_certificate(sigma, s, n):
             ]
     f_V = BiLaurent(terms, V_CHART)
     return TrivialityCertificate(rewrite_f_U(sigma, s, n, f_V), f_V)
+
+
+def relation_rank_trace(s, n):
+    """(b, rank, leads) after every insert of the relations of levels
+    b = 1 .. n - 1 into a ReducedEchelon, up to the insert at which the rank
+    reaches h1_dimension_formula(k, n), the count cech.h1_line_bundle
+    proves H^1(O(-n)) = 0 by; empty when that count is 0."""
+    count = h1_dimension_formula(s.k, n)
+    _, powers = _integral_glue(s)
+    span, trace = ReducedEchelon(), []
+    if count:
+        for b, level in enumerate(_relation_levels(s, n, powers), start=1):
+            for _, _, vec in level:
+                span.add(vec)
+                trace.append((b, span.rank, frozenset(span.pivots)))
+                if span.rank == count:
+                    return trace
+    return trace
 
 
 def _solve_in_span(

@@ -28,6 +28,7 @@ from localsurfaces.errors import (
     WindowTooSmall,
 )
 from localsurfaces.laurent import BiLaurent, U_CHART, parse_poly
+from localsurfaces.linalg import IntegerEchelon, ReducedEchelon
 from localsurfaces.surface import (
     surface,
     to_U_coords,
@@ -357,6 +358,47 @@ def test_h1_relation_rank_reaches_the_count_within_the_proved_cap(monkeypatch):
         for n in range(2, 13):
             with pytest.raises(AssertionError, match=f"level {n - 1}"):
                 h1_line_bundle(s, n)
+
+
+def test_deformed_h1_counts_its_rank_on_ints_only(monkeypatch):
+    # The relation rank of deformed H^1 stays fraction-free: no insert
+    # reaches ReducedEchelon, every remainder counted holds only ints, and
+    # no Fraction is built once the surface is.
+    rational_adds, counted, fractions = [], [], []
+    rational_add, real_add = ReducedEchelon.add, IntegerEchelon.add
+    real_new = Q.__new__
+
+    def built(cls, *args, **kwargs):
+        fractions.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def tallied(self, vec):
+        rational_adds.append(vec)
+        return rational_add(self, vec)
+
+    def checked(self, vec):
+        counted.append(vec)
+        assert all(type(x) is int for x in vec.values()), vec
+        return real_add(self, vec)
+
+    monkeypatch.setattr(ReducedEchelon, "add", tallied)
+    monkeypatch.setattr(IntegerEchelon, "add", checked)
+    rng = random.Random(53)
+    for k in range(2, 6):
+        for unit in (True, False):
+            tau = [Q(0)] * (k - 1)
+            for degree in rng.sample(range(k - 1), rng.randint(1, k - 1)):
+                tau[degree] = (
+                    Q(rng.choice([1, -1])) if unit
+                    else Q(rng.choice([-3, -1, 2, 5]), rng.choice([2, 3, 4]))
+                )
+            s = surface(k, tau)
+            monkeypatch.setattr(Q, "__new__", built)
+            for n in range(-1, 13):
+                assert h1_line_bundle(s, n).dimension == 0
+            monkeypatch.setattr(Q, "__new__", real_new)
+    assert not rational_adds and not fractions
+    assert len(counted) > 100
 
 
 # -- h0 ------------------------------------------------------------------------

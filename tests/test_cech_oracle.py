@@ -27,6 +27,7 @@ from cech_oracle import (
     h0_by_columns,
     line_transition,
     relation_certificate,
+    relation_rank_trace,
     rewrite_certificate,
 )
 from localsurfaces import bundles, cech, deformation
@@ -49,6 +50,7 @@ from localsurfaces.cech import (
 from localsurfaces.deformation import tangent_h1
 from localsurfaces.errors import NotTrivial
 from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART, parse_poly
+from localsurfaces.linalg import IntegerEchelon
 from localsurfaces.surface import surface, tangent_transition, to_U_coords
 
 TAU_KINDS = {
@@ -252,6 +254,38 @@ def test_line_bundle_h1_matches_windowed_stabilization():
                 assert windowed.basis == proved.basis
                 assert windowed.window == proved.window == window
                 assert windowed.stabilized and proved.stabilized
+
+
+def test_relation_rank_matches_the_rational_echelon_level_by_level(monkeypatch):
+    # h1_line_bundle counts the relation rank on an IntegerEchelon.  The
+    # ReducedEchelon count it replaced has the same rank and the same leads
+    # after every insert, so at the end of every level, and reaches the
+    # closed-form count at the same insert, within the proved cap n - 1.
+    # k <= 6 and n <= 16, on one unit coefficient and on rational tau.
+    seen = []
+
+    class Recorded(IntegerEchelon):
+        def add(self, vec):
+            grew = super().add(vec)
+            seen.append((self.rank, frozenset(self.pivots)))
+            return grew
+
+    monkeypatch.setattr(cech, "IntegerEchelon", Recorded)
+    rng = random.Random(29)
+    for kind in ("unit", "rational"):
+        for k in range(2, 7):
+            s = surface(k, ORACLE_TAUS[kind](rng, k))
+            for n in [16, *rng.sample(range(-1, 16), 3)]:
+                seen.clear()
+                assert h1_line_bundle(s, n).dimension == 0
+                trace = relation_rank_trace(s, n)
+                assert [(rank, leads) for _, rank, leads in trace] == seen
+                if n >= 2:
+                    last_level, rank, _ = trace[-1]
+                    assert rank == h1_dimension_formula(k, n)
+                    assert last_level <= n - 1
+                else:
+                    assert trace == []
 
 
 # -- H^0: the criterion and one V-rewrite per u-degree against one per column --

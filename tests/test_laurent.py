@@ -108,6 +108,16 @@ def test_float_coefficient_rejected():
             build()
 
 
+def test_bool_coefficient_rejected():
+    # Fraction(True) is 1, so True would print as the coefficient 1.
+    for build in (lambda: BiLaurent.term(True, 1, 0),
+                  lambda: BiLaurent.const(False),
+                  lambda: BiLaurent({(1, 0): 2, (0, 0): True})):
+        with pytest.raises(TypeError, match="bool"):
+            build()
+    assert str(BiLaurent.term(1, 1, 0)) == "z"
+
+
 # Each takes one exact number where tau, a point or a parameter value goes.
 NUMERIC_ENTRY_POINTS = {
     "surface": lambda x: surface(2, [x]),
@@ -132,6 +142,15 @@ def test_float_rejected_at_numeric_entry_points(name):
     for inexact in (0.1, 0.5, 0.0):
         with pytest.raises(TypeError, match="inexact"):
             entry(inexact)
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_ENTRY_POINTS))
+def test_bool_rejected_at_numeric_entry_points(name):
+    # surface(2, [True]) was Z_2(z).
+    entry = NUMERIC_ENTRY_POINTS[name]
+    for flag in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            entry(flag)
 
 
 def test_integral_coefficients_are_ints():

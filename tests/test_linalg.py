@@ -1,7 +1,10 @@
-"""The incremental echelon and its kernels, against the dense RREF oracle."""
+"""The incremental echelons and kernels, against the dense RREF oracle."""
 
 import random
 from fractions import Fraction as Q
+from math import gcd
+
+import pytest
 
 from cech_oracle import _solve_in_span, coboundary_matrix
 from dense_oracle import RationalMatrix, nullspace, rref_rank
@@ -12,7 +15,7 @@ from localsurfaces.cech import (
     default_window,
     h1_dimension_formula,
 )
-from localsurfaces.linalg import ReducedEchelon
+from localsurfaces.linalg import IntegerEchelon, ReducedEchelon
 from localsurfaces.linalg import nullspace as sparse_nullspace
 from localsurfaces.surface import surface
 
@@ -95,8 +98,7 @@ def test_incremental_echelon_matches_dense_rank():
 
 
 def test_int_vectors_give_the_exact_echelon_of_their_fractions():
-    # The relation remainders reach the echelon as ints; an int lead must
-    # divide exactly, never into a float.
+    # An int lead must divide exactly, never into a float.
     rng = random.Random(31)
     for _ in range(25):
         rows, cols = rng.randint(2, 6), rng.randint(2, 6)
@@ -270,3 +272,65 @@ def test_back_reduction_visits_only_rows_holding_the_lead():
     s = surface(2, [Q(1)])
     deformed = CechComplex(s, 4, default_window(s, 4))
     assert any(holder_counts(deformed))
+
+
+def random_int_vectors(rng, cols, count):
+    """Sparse int vectors of either sign, some with entries near 2^80, with
+    zero vectors, duplicates, scalar multiples and combinations of earlier
+    draws among them."""
+    vecs = []
+    for _ in range(count):
+        draw = rng.random()
+        if vecs and draw < 0.1:
+            vec = dict(rng.choice(vecs))
+        elif vecs and draw < 0.2:
+            x = rng.choice((-1, 2, -3, 2**40 + 1, -(2**79)))
+            vec = {key: x * val for key, val in rng.choice(vecs).items()}
+        elif vecs and draw < 0.35:
+            vec = {}
+            for src in rng.sample(vecs, min(len(vecs), rng.randint(2, 3))):
+                x = rng.choice((-2, -1, 1, 3, 2**70))
+                for key, val in src.items():
+                    vec[key] = vec.get(key, 0) + x * val
+            vec = {key: val for key, val in vec.items() if val}
+        elif draw < 0.4:
+            vec = {}
+        else:
+            density = rng.choice((0.15, 0.4, 0.8))
+            bound = rng.choice((5, 2**80))
+            vec = {
+                c: x for c in range(cols)
+                if rng.random() < density and (x := rng.randint(-bound, bound))
+            }
+        vecs.append(vec)
+    return vecs
+
+
+def test_integer_echelon_matches_the_reduced_echelon():
+    # Same answer, rank and leads after every insert; the rows stay ints
+    # with no common factor, and the inserted vector is left as it was.
+    rng = random.Random(41)
+    for _ in range(150):
+        cols = rng.randint(1, 10)
+        ints, rational = IntegerEchelon(), ReducedEchelon()
+        for vec in random_int_vectors(rng, cols, rng.randint(1, 16)):
+            before = dict(vec)
+            assert ints.add(vec) == rational.add(vec)
+            assert vec == before
+            assert ints.rank == rational.rank
+            assert ints.pivots.keys() == rational.pivots.keys()
+            for lead, row in ints.pivots.items():
+                assert min(row) == lead and all(row.values())
+                assert all(type(x) is int for x in row.values())
+                assert gcd(*row.values()) == 1
+
+
+def test_integer_echelon_refuses_non_int_entries():
+    # math.gcd raises on the first non-int it meets, at a lead or in the
+    # new row, and the echelon is left as it was.
+    echelon = IntegerEchelon()
+    assert echelon.add({0: 2, 1: 1})
+    for vec in ({0: Q(1, 2)}, {0: 2, 1: 1.5}, {1: 3, 2: Q(1, 3)}, {2: 0.5}):
+        with pytest.raises(TypeError):
+            echelon.add(vec)
+        assert echelon.pivots == {0: {0: 2, 1: 1}}

@@ -159,3 +159,17 @@ def test_other_parameter_names_are_unequal_but_do_not_mix():
     for op in (lambda: a + b, lambda: a - b, lambda: a * b):
         with pytest.raises(ValueError, match="parameter names differ"):
             op()
+
+
+def test_non_int_exponent_rejected():
+    # hash(1.0) == hash(1), so a float exponent would merge with an int key:
+    # t^0.5 squared would print t.
+    one = BiLaurent.const(1)
+    for exps in ((0.5,), (True,), (Q(1),), (1, 0.5)):
+        with pytest.raises(TypeError):
+            ParamPoly(("t", "s")[:len(exps)], {exps: one})
+    with pytest.raises(ValueError):
+        ParamPoly(("t",), {(-1,): one})
+    with pytest.raises(ValueError):
+        ParamPoly(("t",), {(1, 0): one})
+    assert str(ParamPoly(("t",), {(2,): one})) == "t^2"
