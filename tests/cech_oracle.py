@@ -19,6 +19,13 @@ divide is the u-degree division by BiLaurent powers of v with Fraction
 coefficients in the coordinates (z, u), the form cech._divide had before it
 moved to integer coefficients in (z, u' = D*u).
 
+reduce_sigma, weight_solve, fraction_certificate and fraction_normal_form
+are cech._reduce, cech._weight_solve, cech.triviality_certificate and
+cech.normal_form as they were before the certificates moved to ints over
+one running denominator: sigma's coefficients are scaled to Fractions
+Q(c, D**i), the weight steps invert w' + t with Fraction entries, and f_U
+sums the dropped terms with Fraction coefficients.
+
 rewrite_f_U is f_U = sigma - z^-n * to_U_coords(f_V, s), the chart rewrite
 cech.triviality_certificate made before it summed the terms its division
 drops, with the check that f_U is U-holomorphic.  rewrite_certificate is
@@ -49,6 +56,7 @@ windows and transitions the rank-2 oracle comparisons assemble.
 
 from fractions import Fraction as Q
 from itertools import chain
+from math import comb
 from typing import Dict, Iterable, Optional
 
 from dense_oracle import RationalMatrix, rref_rank
@@ -57,14 +65,14 @@ from localsurfaces.cech import (
     CohomologyResult,
     TrivialityCertificate,
     Window,
+    _divide,
+    _extend_powers,
     _integral_glue,
-    _reduce,
     _relation_levels,
-    _weight_solve,
     default_window,
     h1_dimension_formula,
 )
-from localsurfaces.errors import NotTrivial
+from localsurfaces.errors import NotTrivial, SupportOutsideWindow
 from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART
 from localsurfaces.linalg import ReducedEchelon, nullspace
 from localsurfaces.polymatrix import PolyMatrix
@@ -217,6 +225,86 @@ def divide(terms, k, n, powers):
     return quotient, remainder
 
 
+def reduce_sigma(sigma, s, n):
+    """D and the powers of v' from _integral_glue, and the quotient and
+    remainder of _divide on the negative-z terms of sigma in (z, u' = D*u);
+    its nonnegative-z terms are U-holomorphic and drop out.  When D = 1 the
+    coefficients are taken as they are, so int ones divide on ints."""
+    if sigma.tag == V_CHART:
+        raise SupportOutsideWindow("cocycles must be given in U-coordinates")
+    scale, powers = _integral_glue(s)
+    negative = [((l, i), c if scale == 1 else Q(c, scale**i))
+                for (l, i), c in sigma.items() if l < 0]
+    return (scale, powers, *_divide(negative, s.k, n, powers))
+
+
+def weight_solve(remainder, s, n, powers):
+    """The quotient {(a, b): c} with remainder == sum c * g'(a, b) up to
+    nonnegative-z terms, for a remainder of _divide on deformed Z_k(tau) in
+    the coordinates (z, u') of _integral_glue; powers (v'^0, v'^1, ...) is
+    extended as needed.  One step per weight, lowest first, as proved in
+    triviality_certificate; a step that leaves the lowest weight where it
+    was raises AssertionError.
+    """
+    d = next(j for j, t in enumerate(s.tau, start=1) if t)
+    slope, t = s.k - d, powers[1].coefficient(d, 0)
+    work, quotient, floor = dict(remainder), {}, -n
+    while work:
+        e = min(l - slope * i for l, i in work)
+        if e <= floor:
+            raise AssertionError(f"weight step left weight {e} <= {floor}")
+        floor = e
+        q0, b0 = -(e // slope), -(-(e + n) // d)
+        p = [work.get((e + slope * q, q), 0) for q in range(q0)]
+        # (w' + t)^-b0 = sum_j C(b0 + j - 1, j) (-1)^j t^(-b0-j) w'^j.
+        inverse = [Q((-1) ** j * comb(b0 + j - 1, j), t ** (b0 + j))
+                   for j in range(q0)]
+        r = [sum(p[q] * inverse[m - q] for q in range(m + 1))
+             for m in range(q0)]
+        # Taylor shift: r(w') = sum_j c_j (w' + t)^j.
+        for j in range(q0):
+            c = sum(r[m] * comb(m, j) * (-t) ** (m - j) for m in range(j, q0))
+            if not c:
+                continue
+            a, b = d * (b0 + j) - n - e, b0 + j
+            quotient[a, b] = c
+            _extend_powers(powers, b)
+            for (l, i), x in powers[b].items():
+                l -= n + a
+                if l < 0:
+                    work[l, i] = work.get((l, i), 0) - c * x
+        work = {key: c for key, c in work.items() if c}
+    return quotient
+
+
+def fraction_normal_form(sigma, s, n):
+    """cech.normal_form on reduce_sigma and weight_solve."""
+    _, powers, _, remainder = reduce_sigma(sigma, s, n)
+    if not s.is_deformed:
+        return BiLaurent(remainder, U_CHART)
+    if remainder:
+        weight_solve(remainder, s, n, powers)
+    return BiLaurent.zero(U_CHART)
+
+
+def fraction_certificate(sigma, s, n):
+    """cech.triviality_certificate on reduce_sigma and weight_solve, with
+    f_U summed from the dropped terms in Fraction arithmetic."""
+    scale, powers, quotient, remainder = _divided(sigma, s, n)
+    solved = weight_solve(remainder, s, n, powers) if remainder else {}
+    # BiLaurent adds the coefficients of a key both quotients carry.
+    terms = list(chain(quotient.items(), solved.items()))
+    f_V = BiLaurent([((a, b), c * scale**b) for (a, b), c in terms], V_CHART)
+    # The nonnegative-z terms the division and the weight steps dropped.
+    f_U = {key: c for key, c in sigma.items() if key[0] >= 0}
+    for (a, b), c in terms:
+        for (l, i), x in powers[b].items():
+            l -= n + a
+            if l >= 0:
+                f_U[l, i] = f_U.get((l, i), 0) - c * (x * scale**i)
+    return TrivialityCertificate(BiLaurent(f_U, U_CHART), f_V)
+
+
 def rewrite_f_U(sigma, s, n, f_V):
     """f_U = sigma - z^-n * to_U_coords(f_V, s) for the line bundle O(-n);
     raises AssertionError unless f_U is U-holomorphic."""
@@ -228,9 +316,10 @@ def rewrite_f_U(sigma, s, n, f_V):
 
 
 def _divided(sigma, s, n):
-    """_reduce of sigma, raising NotTrivial as cech.triviality_certificate
-    does when the remainder on tau = 0 is not 0."""
-    scale, powers, quotient, remainder = _reduce(sigma, s, n)
+    """reduce_sigma of sigma, raising NotTrivial as
+    cech.triviality_certificate does when the remainder on tau = 0 is not
+    0."""
+    scale, powers, quotient, remainder = reduce_sigma(sigma, s, n)
     if remainder and not s.is_deformed:
         # scale is 1 on tau = 0, so u' = u.
         normal = BiLaurent(remainder, U_CHART)
@@ -242,7 +331,7 @@ def rewrite_certificate(sigma, s, n):
     """cech.triviality_certificate with f_U from the chart rewrite: the
     same division and weight steps give f_V, and f_U is rewrite_f_U."""
     scale, powers, quotient, remainder = _divided(sigma, s, n)
-    solved = _weight_solve(remainder, s, n, powers) if remainder else {}
+    solved = weight_solve(remainder, s, n, powers) if remainder else {}
     terms = chain(quotient.items(), solved.items())
     f_V = BiLaurent([((a, b), c * scale**b) for (a, b), c in terms], V_CHART)
     return TrivialityCertificate(rewrite_f_U(sigma, s, n, f_V), f_V)

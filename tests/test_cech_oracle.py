@@ -5,9 +5,10 @@ transitions, the windowless line-bundle H^1 against the windowed
 computation, the integer u-degree division against
 the rational one it replaced, the weight-graded triviality certificate
 against the relation solve it replaced, its f_U from the terms the
-division drops against the chart rewrite it replaced, and the H^0 basis
-from one
-V-rewrite per u-degree against one V-rewrite per window column."""
+division drops against the chart rewrite it replaced, certificates and
+normal forms on ints over one running denominator against the Fraction
+ones they replaced, and the H^0 basis from one V-rewrite per u-degree
+against one V-rewrite per window column."""
 
 import itertools
 import json
@@ -24,6 +25,8 @@ from cech_oracle import (
     FullComplex,
     default_window_for_transition,
     divide,
+    fraction_certificate,
+    fraction_normal_form,
     h0_by_columns,
     line_transition,
     relation_certificate,
@@ -508,6 +511,46 @@ def test_dropped_terms_give_the_chart_rewrite_certificate():
                     assert (cert.f_U.tag, cert.f_V.tag) == (U_CHART, V_CHART)
                     assert_certifies(cert, sigma, s, n)
     assert certified > 400 and nontrivial > 30
+
+
+def test_int_certificates_match_the_fraction_oracle():
+    # f_U, f_V and the normal form on ints over one running denominator
+    # equal the Fraction computation exactly, and NotTrivial falls on the
+    # same inputs with the same message.  Beside sweep_taus, tau = 2 and
+    # -3/2 z^(k-1) have an integral coefficient t = D*t_d with |t| >= 2, as
+    # the rational and two-coefficient tau do, so the denominator grows.
+    rng = random.Random(67)
+    certified = nontrivial = 0
+    for k in range(1, 6):
+        taus = sweep_taus(k)
+        if k >= 2:
+            taus += [[Q(2)] + [Q(0)] * (k - 2), [Q(0)] * (k - 2) + [Q(-3, 2)]]
+        for n in range(-2, 17):
+            for tau in taus:
+                s = surface(k, tau)
+                sigma = BiLaurent({
+                    (rng.randint(-n - 3, 2), rng.randint(0, 3)):
+                        Q(rng.randint(-7, 7) or 1, rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 6))
+                }, U_CHART)
+                assert normal_form(sigma, s, n) == fraction_normal_form(
+                    sigma, s, n
+                )
+                try:
+                    oracle = fraction_certificate(sigma, s, n)
+                except NotTrivial as exc:
+                    nontrivial += 1
+                    with pytest.raises(NotTrivial) as raised:
+                        triviality_certificate(sigma, s, n)
+                    assert str(raised.value) == str(exc)
+                    continue
+                certified += 1
+                cert = triviality_certificate(sigma, s, n)
+                assert (cert.f_U, cert.f_V) == (oracle.f_U, oracle.f_V)
+                assert (str(cert.f_U), str(cert.f_V)) == (
+                    str(oracle.f_U), str(oracle.f_V)
+                )
+    assert certified > 300 and nontrivial > 30
 
 
 def test_relation_solve_prints_the_pinned_certificate():
