@@ -41,6 +41,15 @@ drop, rescaled back to (z, u), so no certificate rewrites f_V to
 U-coordinates; the tests and the bench oracle re-check sigma = f_U +
 z^-n * (f_V in U-coords) by that rewrite.
 
+On tau != 0 certificates and normal forms run on Python ints over one
+running int denominator: sigma's negative-z part is scaled once to int
+numerators over the lcm of its denominators, so the division is on ints,
+and each weight step multiplies the pending terms and the quotient by a
+power of t = D*t_d, which keeps the inverse of w' + t integral
+(pseudo-division).  One Fraction is built per output term of f_U and
+f_V, and none before.  On tau = 0 every power of v = z^k u is one
+monomial, so the division only sorts sigma's terms, as they are.
+
 Window growth is fixed: H^1 enlarges its window by (3, 1) (three z steps on
 each side, one u step) until the dimension is unchanged across two
 consecutive enlargements, and gives up with StepCapExceeded after 8
@@ -54,7 +63,8 @@ V-coordinates once per u-degree b.
 The rank of the complex's columns and the deformed H^0 sections (through
 linalg.nullspace) run on the sparse ReducedEchelon, whose RREF rows they
 read.  The relation rank of deformed line-bundle H^1 needs only a rank of
-int vectors, so it runs on IntegerEchelon and builds no Fraction.
+int vectors, so it runs on IntegerEchelon and builds no Fraction, and
+neither does a certificate on unit tau with an int sigma.
 """
 
 from __future__ import annotations
@@ -62,7 +72,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 )
@@ -372,7 +382,7 @@ def normal_form(sigma: BiLaurent, s: SurfaceSpec, n: int) -> BiLaurent:
     triviality_certificate names in NotTrivial.  On tau != 0 it is 0, once
     the weight steps of triviality_certificate have solved the remainder.
     """
-    _, powers, _, remainder = _reduce(sigma, s, n)
+    _, powers, _, _, remainder = _reduce(sigma, s, n)
     if not s.is_deformed:
         return BiLaurent(remainder, U_CHART)
     if remainder:
@@ -410,7 +420,12 @@ def triviality_certificate(
     Both run in (z, u' = D*u) of _integral_glue, with t = D*t_d for t_d.
     sigma's coefficient on z^l u'^i is D^-i times the one on z^l u^i, and
     f_V's coefficient of xi^a v^b is D^b times the quotient's on
-    g'(a, b) = D^b g(a, b).
+    g'(a, b) = D^b g(a, b).  On tau != 0 both run on ints: the division on
+    numerators over the lcm L of those coefficients' denominators
+    (_reduce), and the weight steps on numerators over L * F, where the
+    step at weight e multiplies F by |t|^(b0 + q0 - 1) (_weight_solve).
+    The quotient is kept over that one denominator, and each coefficient
+    of f_U and f_V becomes a Fraction only when it is output.
 
     f_U needs no chart rewrite.  z^-n * (f_V in U-coords) is the sum of the
     c * g'(a, b) = c * z^(-n-a) v'^b over the entries ((a, b), c) of both
@@ -423,65 +438,104 @@ def triviality_certificate(
     rewrites f_V to U-coordinates, lives in the tests and in the bench
     oracle.
     """
-    scale, powers, quotient, remainder = _reduce(sigma, s, n)
+    scale, powers, den, quotient, remainder = _reduce(sigma, s, n)
     if remainder and not s.is_deformed:
-        # scale is 1 on tau = 0, so u' = u.
+        # On tau = 0, scale and den are 1, so u' = u and the remainder
+        # holds sigma's own coefficients.
         normal = BiLaurent(remainder, U_CHART)
         raise NotTrivial(f"class of {sigma} has the normal form {normal} != 0")
-    solved = _weight_solve(remainder, s, n, powers) if remainder else {}
-    # BiLaurent adds the coefficients of a key both quotients carry.
-    terms = list(chain(quotient.items(), solved.items()))
-    f_V = BiLaurent([((a, b), c * scale**b) for (a, b), c in terms], V_CHART)
+    if remainder:
+        factor, solved = _weight_solve(remainder, s, n, powers)
+        den *= factor
+        for key, c in quotient.items():
+            solved[key] = solved.get(key, 0) + c * factor
+        quotient = solved
+    f_V = BiLaurent(
+        [((a, b), _over(c * scale**b, den)) for (a, b), c in quotient.items()],
+        V_CHART,
+    )
     # The nonnegative-z terms the division and the weight steps dropped.
-    f_U = {key: c for key, c in sigma.items() if key[0] >= 0}
-    for (a, b), c in terms:
+    dropped: Terms = {}
+    for (a, b), c in quotient.items():
         for (l, i), x in powers[b].items():
             l -= n + a
             if l >= 0:
-                f_U[l, i] = f_U.get((l, i), 0) - c * (x * scale**i)
+                dropped[l, i] = dropped.get((l, i), 0) - c * (x * scale**i)
+    # BiLaurent adds the coefficients of a key both parts carry.
+    f_U = chain(
+        ((key, c) for key, c in sigma.items() if key[0] >= 0),
+        ((key, _over(c, den)) for key, c in dropped.items()),
+    )
     return TrivialityCertificate(BiLaurent(f_U, U_CHART), f_V)
 
 
 def _reduce(
     sigma: BiLaurent, s: SurfaceSpec, n: int
-) -> Tuple[int, List[BiLaurent], Terms, Terms]:
-    """D and the powers of v' from _integral_glue, and the quotient and
-    remainder of _divide on the negative-z terms of sigma in (z, u' = D*u);
-    its nonnegative-z terms are U-holomorphic and drop out.  When D = 1 the
-    coefficients are taken as they are, so int ones divide on ints."""
+) -> Tuple[int, List[BiLaurent], int, Terms, Terms]:
+    """D and the powers of v' from _integral_glue, a denominator L, and the
+    quotient and remainder of _divide on the negative-z terms of sigma in
+    (z, u' = D*u), as numerators over L; its nonnegative-z terms are
+    U-holomorphic and drop out.
+
+    On tau != 0, L is the lcm of the denominators of the coefficients
+    c / D^i of z^l u'^i, so the numerators, and the division, are ints.  On
+    tau = 0, D = L = 1 and the coefficients divide as they are: every
+    power of v = z^k u is one monomial, so the division only sorts terms.
+    """
     if sigma.tag == V_CHART:
         raise SupportOutsideWindow("cocycles must be given in U-coordinates")
     scale, powers = _integral_glue(s)
-    negative = [((l, i), c if scale == 1 else Q(c, scale**i))
-                for (l, i), c in sigma.items() if l < 0]
-    return (scale, powers, *_divide(negative, s.k, n, powers))
+    negative = [((l, i), c) for (l, i), c in sigma.items() if l < 0]
+    den = 1
+    if s.is_deformed:
+        # c / D^i = (p / g) / (q D^i / g), g = gcd(p, D^i), c = p / q.
+        parts = []
+        for key, c in negative:
+            power = scale ** key[1]
+            g = gcd(c.numerator, power)
+            parts.append((key, c.numerator // g, c.denominator * (power // g)))
+        den = lcm(*(q for _, _, q in parts))
+        negative = [(key, p * (den // q)) for key, p, q in parts]
+    return (scale, powers, den, *_divide(negative, s.k, n, powers))
 
 
 def _weight_solve(
     remainder: Terms, s: SurfaceSpec, n: int, powers: List[BiLaurent]
-) -> Terms:
-    """The quotient {(a, b): c} with remainder == sum c * g'(a, b) up to
-    nonnegative-z terms, for a remainder of _divide on deformed Z_k(tau) in
-    the coordinates (z, u') of _integral_glue; powers (v'^0, v'^1, ...) is
-    extended as needed.  One step per weight, lowest first, as proved in
-    triviality_certificate; a step that leaves the lowest weight where it
-    was raises AssertionError.
+) -> Tuple[int, Terms]:
+    """A factor F and a quotient {(a, b): c} of ints with
+    F * remainder == sum c * g'(a, b) up to nonnegative-z terms, for an int
+    remainder of _divide on deformed Z_k(tau) in the coordinates (z, u')
+    of _integral_glue; powers (v'^0, v'^1, ...) is extended as needed.
+    One step per weight, lowest first, as proved in triviality_certificate;
+    a step that leaves the lowest weight where it was raises
+    AssertionError.
+
+    The step at weight e needs (w' + t)^-b0 mod w'^q0, whose entries
+    +-C(b0 + j - 1, j) / t^(b0 + j) have denominators dividing
+    T = |t|^(b0 + q0 - 1).  So the step multiplies the pending terms and
+    the quotient by T and F by T, and its coordinates are ints:
+    pseudo-division (Knuth, TAOCP vol. 2, 4.6.1).  T = 1 for unit t.
     """
     d = next(j for j, t in enumerate(s.tau, start=1) if t)
     slope, t = s.k - d, powers[1].coefficient(d, 0)
-    work, quotient, floor = dict(remainder), {}, -n
+    work, quotient, floor, factor = dict(remainder), {}, -n, 1
     while work:
         e = min(l - slope * i for l, i in work)
         if e <= floor:
             raise AssertionError(f"weight step left weight {e} <= {floor}")
         floor = e
         q0, b0 = -(e // slope), -(-(e + n) // d)
+        top = abs(t) ** (b0 + q0 - 1)
         p = [work.get((e + slope * q, q), 0) for q in range(q0)]
-        # (w' + t)^-b0 = sum_j C(b0 + j - 1, j) (-1)^j t^(-b0-j) w'^j.
-        inverse = [Q((-1) ** j * comb(b0 + j - 1, j), t ** (b0 + j))
+        # T (w' + t)^-b0 = sum_j C(b0 + j - 1, j) T / ((-t)^j t^b0) w'^j.
+        inverse = [comb(b0 + j - 1, j) * top // ((-t) ** j * t**b0)
                    for j in range(q0)]
         r = [sum(p[q] * inverse[m - q] for q in range(m + 1))
              for m in range(q0)]
+        if top != 1:
+            factor *= top
+            work = {key: c * top for key, c in work.items()}
+            quotient = {key: c * top for key, c in quotient.items()}
         # Taylor shift: r(w') = sum_j c_j (w' + t)^j.
         for j in range(q0):
             c = sum(r[m] * comb(m, j) * (-t) ** (m - j) for m in range(j, q0))
@@ -495,7 +549,12 @@ def _weight_solve(
                 if l < 0:
                     work[l, i] = work.get((l, i), 0) - c * x
         work = {key: c for key, c in work.items() if c}
-    return quotient
+    return factor, quotient
+
+
+def _over(numerator: Coeff, den: int) -> Coeff:
+    """numerator / den; no Fraction is built when den is 1."""
+    return numerator if den == 1 else Q(numerator, den)
 
 
 def _integral_glue(s: SurfaceSpec) -> Tuple[int, List[BiLaurent]]:

@@ -401,6 +401,80 @@ def test_deformed_h1_counts_its_rank_on_ints_only(monkeypatch):
     assert len(counted) > 100
 
 
+def test_certificates_divide_and_solve_on_ints_only(monkeypatch):
+    # On a deformed surface every value the division and the weight steps
+    # take or return is an int, whatever sigma's coefficients: sigma is
+    # scaled once to numerators over one denominator, and the weight steps
+    # scale by powers of t.  On unit tau with an int sigma no Fraction is
+    # built at all once the surface is.
+    real_divide, real_solve = cech._divide, cech._weight_solve
+    calls = {"divide": 0, "solve": 0}
+
+    def ints(values):
+        return all(type(x) is int for x in values)
+
+    def power_ints(powers):
+        return ints(c for p in powers for _, c in p.items())
+
+    def divide(terms, k, n, powers):
+        terms = list(terms)
+        assert ints(c for _, c in terms), terms
+        quotient, remainder = real_divide(terms, k, n, powers)
+        assert ints(itertools.chain(quotient.values(), remainder.values()))
+        assert power_ints(powers)
+        calls["divide"] += 1
+        return quotient, remainder
+
+    def solve(remainder, s, n, powers):
+        assert ints(remainder.values()), remainder
+        factor, quotient = real_solve(remainder, s, n, powers)
+        assert ints([factor, *quotient.values()]) and power_ints(powers)
+        calls["solve"] += 1
+        return factor, quotient
+
+    monkeypatch.setattr(cech, "_divide", divide)
+    monkeypatch.setattr(cech, "_weight_solve", solve)
+    rng = random.Random(71)
+    for k in range(2, 6):
+        for unit in (True, False):
+            tau = [Q(0)] * (k - 1)
+            for degree in rng.sample(range(k - 1), rng.randint(1, k - 1)):
+                tau[degree] = (
+                    Q(rng.choice([1, -1])) if unit
+                    else Q(rng.choice([-3, -1, 2, 5]), rng.choice([2, 3, 4]))
+                )
+            s = surface(k, tau)
+            for n in range(-1, 13):
+                sigma = BiLaurent({
+                    (rng.randint(-n - 3, 2), rng.randint(0, 3)):
+                        Q(rng.randint(-7, 7) or 1, rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 6))
+                }, U_CHART)
+                triviality_certificate(sigma, s, n)
+                assert normal_form(sigma, s, n).is_zero
+    assert calls["divide"] > 200 and calls["solve"] > 80
+
+    fractions = []
+    real_new = Q.__new__
+
+    def built(cls, *args, **kwargs):
+        fractions.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    for k in range(2, 6):
+        s = surface(k, [Q(rng.choice([1, -1, 0])) for _ in range(k - 2)] + [Q(-1)])
+        for n in range(-1, 13):
+            sigma = BiLaurent({
+                (rng.randint(-n - 3, 2), rng.randint(0, 3)): rng.randint(-7, 7)
+                for _ in range(rng.randint(1, 6))
+            }, U_CHART)
+            monkeypatch.setattr(Q, "__new__", built)
+            cert = triviality_certificate(sigma, s, n)
+            monkeypatch.setattr(Q, "__new__", real_new)
+            assert ints(c for p in (cert.f_U, cert.f_V) for _, c in p.items())
+    assert not fractions
+
+
 # -- h0 ------------------------------------------------------------------------
 
 def test_h0_z1_trivial_bundle():

@@ -550,6 +550,11 @@ def test_int_certificates_match_the_fraction_oracle():
                 assert (str(cert.f_U), str(cert.f_V)) == (
                     str(oracle.f_U), str(oracle.f_V)
                 )
+                # Canonical form: no zero term, an int where integral.
+                assert all(
+                    c and (type(c) is int or c.denominator != 1)
+                    for p in (cert.f_U, cert.f_V) for _, c in p.items()
+                )
     assert certified > 300 and nontrivial > 30
 
 
