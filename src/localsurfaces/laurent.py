@@ -34,8 +34,9 @@ V-tagged values print and parse with the variable names ``xi`` and ``v``.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .errors import NonInvertibleSubstitution, TagMismatch
 

@@ -15,8 +15,9 @@ substitute_vars raises its images by laurent._chained_powers.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import NonInvertibleSubstitution
 from .laurent import BiLaurent, Q, _chained_powers, _power, as_fraction
