@@ -16,8 +16,6 @@ below, so no absolute path reaches stdout.
 
     PYTHONPATH=src python tests/argv_corpus.py --write
         regenerates pinned/argv_corpus.jsonl (a declared output change);
-    PYTHONPATH=src python tests/argv_corpus.py --check
-        compares and names the first argv whose record differs;
     PYTHONPATH=src python tests/argv_corpus.py --diff PARENT_DIR
         runs the corpus against PARENT_DIR/src as well and prints both
         outputs, in full, of the first argv whose records differ.
@@ -311,11 +309,10 @@ def record_line(argv: List[str], code: int, out: str, err: str) -> str:
     })
 
 
-def corpus_lines(argvs: Optional[List[List[str]]] = None) -> List[str]:
+def corpus_lines() -> List[str]:
     """One record line per argv of the corpus, run in corpus order."""
-    argvs = corpus() if argvs is None else argvs
     with corpus_environment():
-        return [record_line(argv, *run(argv)) for argv in argvs]
+        return [record_line(argv, *run(argv)) for argv in corpus()]
 
 
 def first_difference(got: List[str], want: List[str]) -> Optional[int]:
@@ -343,10 +340,11 @@ def _diff(parent: Path) -> int:
     if index is None:
         print(f"{len(here)} records agree")
         return 0
+    argv = corpus()[index]
     with corpus_environment():
-        code, out, err = run(corpus()[index])
+        code, out, err = run(argv)
     theirs = json.loads(_run_in(parent / "src", "--run-one", str(index)))
-    print(f"first difference at record {index}: {corpus()[index]}")
+    print(f"first difference at record {index}: {argv}")
     for name, (c, o, e) in (("this checkout", (code, out, err)),
                             (str(parent), theirs)):
         print(f"== {name}: exit {c}\n-- stdout\n{o}-- stderr\n{e}")
@@ -357,7 +355,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true")
-    mode.add_argument("--check", action="store_true")
     mode.add_argument("--print", action="store_true")
     mode.add_argument("--diff", metavar="PARENT_DIR", type=Path)
     mode.add_argument("--run-one", metavar="INDEX", type=int)
@@ -371,15 +368,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     lines = corpus_lines()
     if args.print:
         print("\n".join(lines))
-    elif args.write:
+    else:
         PINNED.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {len(lines)} records to {PINNED}")
-    else:
-        index = first_difference(lines, PINNED.read_text().splitlines())
-        if index is not None:
-            print(f"record {index} differs: {lines[index] if index < len(lines) else None}")
-            return 1
-        print(f"{len(lines)} records agree")
     return 0
 
 

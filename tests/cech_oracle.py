@@ -329,11 +329,9 @@ def _divided(sigma, s, n):
 
 def rewrite_certificate(sigma, s, n):
     """cech.triviality_certificate with f_U from the chart rewrite: the
-    same division and weight steps give f_V, and f_U is rewrite_f_U."""
-    scale, powers, quotient, remainder = _divided(sigma, s, n)
-    solved = weight_solve(remainder, s, n, powers) if remainder else {}
-    terms = chain(quotient.items(), solved.items())
-    f_V = BiLaurent([((a, b), c * scale**b) for (a, b), c in terms], V_CHART)
+    same division and weight steps give f_V (fraction_certificate), and
+    f_U is rewrite_f_U."""
+    f_V = fraction_certificate(sigma, s, n).f_V
     return TrivialityCertificate(rewrite_f_U(sigma, s, n, f_V), f_V)
 
 
