@@ -16,6 +16,7 @@ of its extension sequence, computed on line bundles alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Tuple, Union
 
 from .cech import (
@@ -26,7 +27,7 @@ from .cech import (
 )
 from .errors import CertificateNotFound, NoZeroSection, NotApplicable, NotTrivial
 from .laurent import BiLaurent, Q, U_CHART, V_CHART
-from .linalg import ReducedEchelon, nullspace
+from .linalg import IntegerEchelon, nullspace
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec
 
@@ -221,11 +222,14 @@ def _connecting_rank(s: SurfaceSpec, e: ExtensionClass) -> int:
     z^l u^i, ki - j < l < 0.  Only finitely many sections can have a
     nonzero image: sigma z^a u^b is U-holomorphic once a >= -min_z(sigma),
     and for b > m = floor((j - 2) / k) every term has
-    ki - j >= k(m + 1) - j >= -1, so no normal-form monomial.
+    ki - j >= k(m + 1) - j >= -1, so no normal-form monomial.  Scaling
+    sigma once by the lcm of its denominators keeps the rank and makes
+    every image an int vector, counted on an IntegerEchelon.
     """
-    j, sigma = e.j, e.sigma.with_tag(None)
+    scale = lcm(*(c.denominator for _, c in e.sigma.items()))
+    j, sigma = e.j, BiLaurent({key: c * scale for key, c in e.sigma.items()})
     reach = 0 if sigma.is_zero else -sigma.min_z_exp()
-    span = ReducedEchelon()
+    span = IntegerEchelon()
     for b in range((j - 2) // s.k + 1):
         for a in range(min(j + s.k * b + 1, reach)):
             span.add(normal_form(BiLaurent.term(1, a, b) * sigma, s, j).terms)

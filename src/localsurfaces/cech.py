@@ -60,11 +60,10 @@ z^a u^b in the window, since z^-n z^a u^b = xi^(n-a+kb) v^b; only on a
 deformed surface are its sections a nullspace, with z^-n u^b rewritten to
 V-coordinates once per u-degree b.
 
-The rank of the complex's columns and the deformed H^0 sections (through
-linalg.nullspace) run on the sparse ReducedEchelon, whose RREF rows they
-read.  The relation rank of deformed line-bundle H^1 needs only a rank of
-int vectors, so it runs on IntegerEchelon and builds no Fraction, and
-neither does a certificate on unit tau with an int sigma.
+The complex's columns and the relations of deformed H^1 are int vectors
+of which only a rank and its leads are read, so both are counted on
+IntegerEchelon and build no Fraction, nor does a certificate on unit tau
+with an int sigma.  Deformed H^0 reads RREF rows, through linalg.nullspace.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .laurent import BiLaurent, Coeff, Key, Q, Terms, U_CHART, V_CHART, _raw
-from .linalg import IntegerEchelon, ReducedEchelon, SparseVec, nullspace
+from .linalg import IntegerEchelon, SparseVec, nullspace
 from .surface import SurfaceSpec, to_V_coords
 
 # Window growth per enlargement (z steps on each side, u steps) and the
@@ -193,7 +192,8 @@ class CechComplex:
     window monomials, so each column is written by shifting exponents of
     one power of v per b.  Those are powers of v' in (z, u'), scaling column
     b by D^b and coordinate z^l u^i by D^-i, which keeps the rank, pivots,
-    basis, column count and truncated_terms of the complex in (z, u).
+    basis, column count and truncated_terms of the complex in (z, u).  The
+    int columns go into an IntegerEchelon: only rank and leads are read.
     """
 
     def __init__(self, s: SurfaceSpec, n: int, window: Window):
@@ -205,7 +205,7 @@ class CechComplex:
 
         self.columns: List[Tuple[tuple, SparseVec]] = []
         self.truncated_terms = 0
-        self._echelon = ReducedEchelon()
+        self._echelon = IntegerEchelon()
         self._assemble()
 
     # -- construction ------------------------------------------------------

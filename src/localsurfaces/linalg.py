@@ -1,13 +1,14 @@
 """Exact linear algebra: incremental sparse echelons and kernels.
 
+Each echelon has one job.  Ranks and leads: IntegerEchelon; RREF rows:
+ReducedEchelon, read by nullspace.
+
 ReducedEchelon maintains the reduced row-echelon form of a span of sparse
 vectors incrementally; its rows are the unique RREF of the span, with
 pivots at each row's minimum key.  Entries may be ints or Fractions; add
-scales the new row to a lead of 1 as Fractions (negating a -1 lead, dividing
-by any other), so every row is exact.  A private column index maps each key
-to the pivot rows that hold it, so add back-reduces only the rows holding
-the new lead.  nullspace reads the canonical kernel basis of a sparse
-matrix off that echelon.
+divides the new row by its lead as a Fraction, so every row is exact, and
+back-reduces by scanning every row.  nullspace reads the canonical kernel
+basis of a sparse matrix off that echelon.
 
 IntegerEchelon counts the rank of a span of int vectors without leaving
 the integers (fraction-free elimination, Bareiss, Math. Comp. 22, 1968).
@@ -28,34 +29,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Hashable, Iterable, List, Set
+from typing import Dict, Hashable, Iterable, List
 
 from .laurent import Coeff
 
 Q = Fraction
 SparseVec = Dict[Hashable, Coeff]
 
-_ONE = Q(1)
-
 
 class ReducedEchelon:
     """Incrementally maintained RREF basis of a span of sparse vectors.
 
-    Coordinates are any mutually comparable keys; the leading coordinate of
-    a vector is its minimum key.  Rows are kept fully reduced: a pivot row
-    has a 1 at its lead and zeros at every other pivot lead, so the pivot
-    set equals the canonical (order-determined) pivot set of the spanned
-    subspace.  pivots is read-only for callers.
-
-    _holders maps each key that occurs in a row other than as its lead to
-    the leads of the rows holding it.  A row without the new lead would be
-    back-reduced by a factor of 0, so add visits only _holders[lead], and
-    pivots stays the same unique RREF, entry for entry.
+    Coordinates are any mutually comparable keys; the lead of a vector is
+    its minimum key.  Rows are kept fully reduced: a pivot row has a 1 at
+    its lead and zeros at every other pivot lead, so the pivot set is the
+    canonical pivot set of the span.  pivots is read-only for callers;
+    nullspace reads its rows, and a rank or leads alone use IntegerEchelon.
     """
 
     def __init__(self):
         self.pivots: Dict[Hashable, SparseVec] = {}
-        self._holders: Dict[Hashable, Set[Hashable]] = {}
 
     @property
     def rank(self) -> int:
@@ -83,37 +76,20 @@ class ReducedEchelon:
         if not residual:
             return False
         lead = min(residual)
-        lead_val = residual.pop(lead)
-        # Untouched int entries become Fractions; int / int would be a float.
-        if lead_val == 1:
-            tail = {k: v if type(v) is Q else Q(v) for k, v in residual.items()}
-        elif lead_val == -1:
-            tail = {k: -v if type(v) is Q else Q(-v) for k, v in residual.items()}
-        else:
-            if type(lead_val) is int:
-                lead_val = Q(lead_val)
-            tail = {k: v / lead_val for k, v in residual.items()}
-        holders = self._holders
-        for key in tail:
-            holders.setdefault(key, set()).add(lead)
-        # Maintain full reduction: clear the new lead from the rows holding it.
-        for other_lead in holders.pop(lead, ()):
-            other = self.pivots[other_lead]
-            factor = other.pop(lead)
-            for key, val in tail.items():
-                old = other.get(key)
-                if old is None:
-                    other[key] = -factor * val
-                    holders[key].add(other_lead)
-                    continue
-                acc = old - factor * val
+        # A Fraction lead: int / int would be a float.
+        lead_val = Q(residual[lead])
+        row = {key: val / lead_val for key, val in residual.items()}
+        # Maintain full reduction: clear the new lead from every other row.
+        for other in self.pivots.values():
+            factor = other.get(lead)
+            if not factor:
+                continue
+            for key, val in row.items():
+                acc = other.get(key, Q(0)) - factor * val
                 if acc:
                     other[key] = acc
                 else:
-                    del other[key]
-                    holders[key].discard(other_lead)
-        row = {lead: _ONE}
-        row.update(tail)
+                    other.pop(key, None)
         self.pivots[lead] = row
         return True
 

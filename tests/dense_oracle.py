@@ -3,7 +3,8 @@
 RationalMatrix/rref_rank compute quotient dimensions the direct way, and
 nullspace gives the canonical kernel basis; RREF output is canonical (unique
 for a given matrix), with pivot columns strictly increasing.  The library
-itself uses only the sparse ReducedEchelon, so these serve as its oracle.
+itself uses only the sparse echelons of linalg, so these serve as their
+oracle.
 """
 
 from fractions import Fraction

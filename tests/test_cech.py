@@ -1,15 +1,17 @@
 """Truncated Cech cohomology: dimensions, normal forms, certificates."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from cech_oracle import coboundary_matrix
 from dense_oracle import rref_rank
 from localsurfaces import cech
-from localsurfaces.bundles import ExtensionClass, split_certificate
+from localsurfaces.bundles import ExtensionClass, charge_report, split_certificate
 from localsurfaces.cech import (
     CechComplex,
     Window,
@@ -360,10 +362,16 @@ def test_h1_relation_rank_reaches_the_count_within_the_proved_cap(monkeypatch):
                 h1_line_bundle(s, n)
 
 
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "h1_table.jsonl"
+
+
 def test_deformed_h1_counts_its_rank_on_ints_only(monkeypatch):
     # The relation rank of deformed H^1 stays fraction-free: no insert
     # reaches ReducedEchelon, every remainder counted holds only ints, and
-    # no Fraction is built once the surface is.
+    # no Fraction is built once the surface is.  So do the ranks on
+    # tau = 0: the windowed complex of every tau = 0 golden row, and the
+    # connecting map of the charges of the eight Z_k extensions, with
+    # rational sigma, of test_charge_matches_full_assembly_on_seeded_extensions.
     rational_adds, counted, fractions = [], [], []
     rational_add, real_add = ReducedEchelon.add, IntegerEchelon.add
     real_new = Q.__new__
@@ -399,6 +407,27 @@ def test_deformed_h1_counts_its_rank_on_ints_only(monkeypatch):
             monkeypatch.setattr(Q, "__new__", real_new)
     assert not rational_adds and not fractions
     assert len(counted) > 100
+    counted.clear()
+    rows = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    undeformed = [row for row in rows if not any(map(Q, row["tau"]))]
+    assert len(undeformed) == 55
+    for row in undeformed:
+        s = surface(row["k"])
+        assert h1_line_bundle(s, row["n"]).dimension == row["dim"]
+    windowed = len(counted)
+    assert not rational_adds and windowed > 100
+    rng = random.Random(9)
+    for _ in range(8):
+        k = rng.randint(1, 3)
+        j = rng.randint(2, 3)
+        sigma = BiLaurent({
+            (rng.randint(-2 * j - 1, 2), rng.randint(0, 2)):
+                Q(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+            for _ in range(rng.randint(1, 4))
+        })
+        charge_report(surface(k), ExtensionClass(j, sigma))
+    assert len(counted) > windowed
+    assert not rational_adds
 
 
 def test_certificates_divide_and_solve_on_ints_only(monkeypatch):

@@ -1,12 +1,14 @@
 """Every name a library module imports is used in that module, every
 private top-level function and constant is used somewhere in the package,
-and the README's Layout block names every module and oracle.
+and the README's Layout block names every module and oracle and no file
+that is missing from both the package and tests/.
 
 The package's __init__.py re-exports what it imports, so it is left out of
 the import guard."""
 
 import ast
 import re
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -124,3 +126,6 @@ def test_readme_layout_names_every_module_and_oracle():
     files = MODULES + oracles
     named = set(re.findall(r"\w+\.py", block))
     assert [path.name for path in files if path.name not in named] == []
+    existing = {path.name for path in chain(PACKAGE.glob("*.py"),
+                                            (ROOT / "tests").glob("*.py"))}
+    assert sorted(named - existing) == []

@@ -8,13 +8,7 @@ import pytest
 
 from cech_oracle import _solve_in_span, coboundary_matrix
 from dense_oracle import RationalMatrix, nullspace, rref_rank
-from echelon_oracle import FullScanEchelon
-from localsurfaces.cech import (
-    CechComplex,
-    Window,
-    default_window,
-    h1_dimension_formula,
-)
+from localsurfaces.cech import Window, h1_dimension_formula
 from localsurfaces.linalg import IntegerEchelon, ReducedEchelon
 from localsurfaces.linalg import nullspace as sparse_nullspace
 from localsurfaces.surface import surface
@@ -199,15 +193,6 @@ def test_sparse_nullspace_matches_dense_oracle():
                 assert sum(x * vec[c] for c, x in row.items()) == 0
 
 
-def holder_map(pivots):
-    holders = {}
-    for lead, row in pivots.items():
-        for key in row:
-            if key != lead:
-                holders.setdefault(key, set()).add(lead)
-    return holders
-
-
 def random_echelon_inputs(rng, cols, count):
     """Sparse int or Fraction vectors: random ones with leads of +-1 or
     other values, and dependent ones combined from earlier draws."""
@@ -231,47 +216,36 @@ def random_echelon_inputs(rng, cols, count):
     return vecs
 
 
-def test_indexed_echelon_matches_the_full_scan_oracle():
+def test_reduced_echelon_matches_the_dense_rref_oracle():
+    # After every insert the pivot rows are the rows of the dense RREF of
+    # the vectors so far, entry for entry and all Fractions, and reduce
+    # leaves the residual the dense rows leave.
     rng = random.Random(37)
     for _ in range(120):
         cols = rng.randint(1, 12)
-        echelon, oracle = ReducedEchelon(), FullScanEchelon()
+        echelon, rows = ReducedEchelon(), []
         for vec in random_echelon_inputs(rng, cols, rng.randint(1, 16)):
-            assert echelon.add(vec) == oracle.add(vec)
-            assert echelon.pivots == oracle.pivots
-            assert echelon.rank == oracle.rank
+            before = echelon.rank
+            grew = echelon.add(vec)
+            rows.append([vec.get(c, 0) for c in range(cols)])
+            rank, pivots, red = rref_rank(RationalMatrix(rows))
+            assert echelon.rank == rank and grew == (rank > before)
+            assert echelon.pivots == {
+                p: {c: x for c, x in enumerate(red.entries[r]) if x}
+                for r, p in enumerate(pivots)
+            }
             assert all(
                 type(x) is Q
                 for row in echelon.pivots.values() for x in row.values()
             )
-            assert echelon._holders == holder_map(echelon.pivots)
             target = {c: rng.randint(-3, 3) for c in range(cols)}
-            assert echelon.reduce(target) == oracle.reduce(target)
-
-
-def holder_counts(complex_):
-    """len(_holders) after each insert of the complex's columns, replayed
-    into a fresh echelon."""
-    echelon, counts = ReducedEchelon(), []
-    for _, vec in complex_.columns:
-        echelon.add(vec)
-        counts.append(len(echelon._holders))
-    assert echelon.pivots == complex_._echelon.pivots
-    return counts
-
-
-def test_back_reduction_visits_only_rows_holding_the_lead():
-    # tau = 0: every column is a single -1 entry, so no row ever holds a
-    # key besides its lead and no insert back-reduces a row.
-    s = surface(1)
-    undeformed = CechComplex(s, 10, default_window(s, 10))
-    assert undeformed._echelon.rank
-    assert not any(holder_counts(undeformed))
-    # tau != 0: the columns overlap, so rows hold other keys on the way;
-    # the finished span is the whole window, whose RREF rows are units.
-    s = surface(2, [Q(1)])
-    deformed = CechComplex(s, 4, default_window(s, 4))
-    assert any(holder_counts(deformed))
+            residual = [Q(target[c]) for c in range(cols)]
+            for r, p in enumerate(pivots):
+                factor = residual[p]
+                residual = [x - factor * y
+                            for x, y in zip(residual, red.entries[r])]
+            reduced = echelon.reduce(target)
+            assert [reduced.get(c, 0) for c in range(cols)] == residual
 
 
 def random_int_vectors(rng, cols, count):
