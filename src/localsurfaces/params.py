@@ -7,16 +7,20 @@ at once: the semiuniversal family transition, Kodaira-Spencer images, the
 chart normalization isomorphism, and the Hirzebruch-embedding relations.
 
 Only the parameter names, exponent tuples, derivative, substitute_params
-and printing are ParamPoly's own.  Its constructor takes (exponents,
-coefficient) pairs like BiLaurent's and alone merges keys; powers go through
-laurent._power (a parameter-free term is powered as a BiLaurent), and
-substitute_vars raises its images by laurent._chained_powers.
+and printing are ParamPoly's own.  Its public constructor takes (exponents,
+coefficient) pairs like BiLaurent's and checks every exponent tuple; the
+results of arithmetic and substitution are built from keys checked before,
+so they go through _trusted, which merges keys without checking them again
+(as laurent._raw does for BiLaurent).  Powers go through laurent._power (a
+parameter-free term is powered as a BiLaurent), and substitute_vars raises
+its images by laurent._chained_powers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import NonInvertibleSubstitution
@@ -33,28 +37,16 @@ class ParamPoly:
         params: Sequence[str],
         terms: Union[Mapping[Tuple[int, ...], BiLaurent], Iterable, None] = None,
     ):
+        """Check every exponent tuple: one int >= 0 per parameter, a
+        TypeError or ValueError otherwise.  Equal keys are merged and zero
+        sums dropped.  Internal results skip the check (see _trusted)."""
         params = tuple(params)
-        clean: dict[Tuple[int, ...], BiLaurent] = {}
+        pairs = ()
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
-            for exps, coeff in items:
-                exps = tuple(exps)
-                if len(exps) != len(params):
-                    raise ValueError("exponent tuple length != number of parameters")
-                for e in exps:
-                    if type(e) is not int:
-                        raise TypeError(f"non-int parameter exponent in {exps!r}")
-                    if e < 0:
-                        raise ValueError("parameter exponents must be non-negative")
-                if not coeff.is_zero:
-                    acc = clean.get(exps)
-                    acc = coeff if acc is None else acc + coeff
-                    if acc.is_zero:
-                        clean.pop(exps, None)
-                    else:
-                        clean[exps] = acc
+            pairs = _checked(items, len(params))
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", _merged(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
@@ -63,12 +55,12 @@ class ParamPoly:
 
     @classmethod
     def zero(cls, params: Sequence[str]) -> "ParamPoly":
-        return cls(params)
+        return _trusted(tuple(params), ())
 
     @classmethod
     def from_poly(cls, poly: BiLaurent, params: Sequence[str]) -> "ParamPoly":
-        zero_exp = (0,) * len(tuple(params))
-        return cls(params, {zero_exp: poly})
+        params = tuple(params)
+        return _trusted(params, [((0,) * len(params), poly)])
 
     @classmethod
     def const(cls, value, params: Sequence[str]) -> "ParamPoly":
@@ -79,7 +71,7 @@ class ParamPoly:
         params = tuple(params)
         exps = [0] * len(params)
         exps[params.index(name)] = 1
-        return cls(params, {tuple(exps): BiLaurent.const(1)})
+        return _trusted(params, [(tuple(exps), BiLaurent.const(1))])
 
     # -- inspection --------------------------------------------------------
 
@@ -104,12 +96,12 @@ class ParamPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return ParamPoly(self.params, [*self._terms.items(), *rhs._terms.items()])
+        return _trusted(self.params, [*self._terms.items(), *rhs._terms.items()])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.params, {e: -c for e, c in self._terms.items()})
+        return _trusted(self.params, [(e, -c) for e, c in self._terms.items()])
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -127,8 +119,8 @@ class ParamPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return ParamPoly(self.params, [
-            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        return _trusted(self.params, [
+            (tuple(map(add, ea, eb)), ca * cb)
             for ea, ca in self._terms.items()
             for eb, cb in rhs._terms.items()
         ])
@@ -163,14 +155,14 @@ class ParamPoly:
 
     def derivative(self, name: str) -> "ParamPoly":
         idx = self.params.index(name)
-        out: dict[Tuple[int, ...], BiLaurent] = {}
+        out = []
         for exps, coeff in self._terms.items():
             if exps[idx] == 0:
                 continue
             new = list(exps)
             new[idx] -= 1
-            out[tuple(new)] = coeff * exps[idx]
-        return ParamPoly(self.params, out)
+            out.append((tuple(new), coeff * exps[idx]))
+        return _trusted(self.params, out)
 
     def substitute_vars(
         self, z: Optional["ParamPoly"] = None, u: Optional["ParamPoly"] = None,
@@ -191,15 +183,15 @@ class ParamPoly:
         ]
         z_pows = _chained_powers(z_img, {ze for _, (ze, _), _ in monos})
         u_pows = _chained_powers(u_img, {ue for _, (_, ue), _ in monos})
-        total = ParamPoly(self.params, [
-            (tuple(x + y for x, y in zip(exps, ea)), ca * scalar)
+        total = _trusted(self.params, [
+            (tuple(map(add, exps, ea)), ca * scalar)
             for exps, (ze, ue), scalar in monos
             for ea, ca in (z_pows[ze] * u_pows[ue])._terms.items()
         ])
         if tag is not None:
-            total = ParamPoly(
+            total = _trusted(
                 total.params,
-                {e: c.with_tag(tag) for e, c in total._terms.items()},
+                [(e, c.with_tag(tag)) for e, c in total._terms.items()],
             )
         return total
 
@@ -240,3 +232,41 @@ class ParamPoly:
 
     def __repr__(self):
         return f"ParamPoly({self})"
+
+
+def _checked(items, length: int):
+    """The (exponents, coefficient) pairs of items, each exponent tuple
+    checked to be `length` ints >= 0; raises at the first bad one."""
+    for exps, coeff in items:
+        exps = tuple(exps)
+        if len(exps) != length:
+            raise ValueError("exponent tuple length != number of parameters")
+        for e in exps:
+            if type(e) is not int:
+                raise TypeError(f"non-int parameter exponent in {exps!r}")
+            if e < 0:
+                raise ValueError("parameter exponents must be non-negative")
+        yield exps, coeff
+
+
+def _merged(pairs) -> dict[Tuple[int, ...], BiLaurent]:
+    """The coefficients of equal exponent tuples summed, zero sums dropped."""
+    clean: dict[Tuple[int, ...], BiLaurent] = {}
+    for exps, coeff in pairs:
+        if not coeff.is_zero:
+            acc = clean.get(exps)
+            acc = coeff if acc is None else acc + coeff
+            if acc.is_zero:
+                clean.pop(exps, None)
+            else:
+                clean[exps] = acc
+    return clean
+
+
+def _trusted(params: Tuple[str, ...], pairs) -> ParamPoly:
+    """A ParamPoly from pairs whose exponent tuples are valid keys for the
+    tuple params already, built from checked keys: no key is checked."""
+    p = ParamPoly.__new__(ParamPoly)
+    object.__setattr__(p, "params", params)
+    object.__setattr__(p, "_terms", _merged(pairs))
+    return p

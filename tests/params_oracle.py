@@ -3,9 +3,11 @@
 add and mul merge keys into their own dict, power is its own binary
 powering loop with an inverting branch for negative exponents, and
 substitute_vars caches one power per exponent and sums the terms
-coeff * z-power * u-power one by one through these functions.  None of them
-calls ParamPoly's +, * or **, laurent._power or laurent._chained_powers, so
-they are the reference for the ParamPoly that does.
+coeff * z-power * u-power one by one through these functions.  derivative
+lowers one exponent term by term.  Every result is built through the public
+constructor, which checks its keys.  None of them calls ParamPoly's +, *,
+** or derivative, laurent._power or laurent._chained_powers, so they are
+the reference for the ParamPoly that does.
 """
 
 from localsurfaces.errors import NonInvertibleSubstitution
@@ -45,6 +47,16 @@ def mul(a, b):
             else:
                 out[exps] = acc
     return ParamPoly(a.params, out)
+
+
+def derivative(p, name):
+    idx = p.params.index(name)
+    out = {}
+    for exps, coeff in p._terms.items():
+        if exps[idx]:
+            lowered = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]
+            out[lowered] = coeff * exps[idx]
+    return ParamPoly(p.params, out)
 
 
 def _unit_monomial(p):

@@ -1,15 +1,16 @@
 """ParamPoly against its former arithmetic (tests/params_oracle.py).
 
-Sums, products, powers and substitute_vars must give the same polynomial,
-print the same, and raise NonInvertibleSubstitution on the same inputs as
-the oracle, which merges, powers and substitutes with its own loops.
+Sums, products, powers, derivatives and substitute_vars must give the same
+polynomial, print the same, and raise NonInvertibleSubstitution on the same
+inputs as the oracle, which merges, powers and substitutes with its own
+loops and builds every result through the public constructor.
 """
 
 import random
 
 import pytest
 
-from localsurfaces.deformation import hirzebruch_embed_check
+from localsurfaces.deformation import family_and_ks, hirzebruch_embed_check
 from localsurfaces.errors import NonInvertibleSubstitution
 from localsurfaces.laurent import BiLaurent, Q, U_CHART, V_CHART
 from localsurfaces.params import ParamPoly
@@ -54,6 +55,8 @@ def test_sums_and_products_match_the_oracle():
         same(a + b, oracle.add(a, b))
         same(a * b, oracle.mul(a, b))
         same(a + (-a), ParamPoly.zero(PARAMS))
+        for name in PARAMS:
+            same(a.derivative(name), oracle.derivative(a, name))
 
 
 def test_powers_match_the_oracle():
@@ -118,6 +121,12 @@ def test_substitute_vars_matches_the_oracle():
             assert all(c.tag == tag for c in new._terms.values())
     zero = ParamPoly.zero(PARAMS)
     same(zero.substitute_vars(z=ParamPoly.var("t1", PARAMS)), zero)
+    # The tag remap on a result whose terms cancel in part.
+    p = ParamPoly(PARAMS, {(1, 0): BiLaurent({(0, 1): 1, (1, 0): 2}),
+                           (0, 0): BiLaurent.term(-1, 1, 1)})
+    t1 = ParamPoly.var("t1", PARAMS)
+    same(p.substitute_vars(z=t1, tag=U_CHART),
+         oracle.substitute_vars(p, z=t1, tag=U_CHART))
 
 
 def test_substitute_vars_matches_the_oracle_on_the_hirzebruch_charts():
@@ -173,3 +182,24 @@ def test_non_int_exponent_rejected():
     with pytest.raises(ValueError):
         ParamPoly(("t",), {(1, 0): one})
     assert str(ParamPoly(("t",), {(2,): one})) == "t^2"
+
+
+def test_internal_results_check_no_key(monkeypatch):
+    # The public constructor checks every exponent tuple; sums, products,
+    # derivatives and substitutions build their keys from checked keys and
+    # must not check them again.
+    init = ParamPoly.__init__
+    checked = []
+
+    def counting_init(self, params, terms=None):
+        if terms:
+            checked.append(terms)
+        init(self, params, terms)
+
+    monkeypatch.setattr(ParamPoly, "__init__", counting_init)
+    for k in range(2, 7):
+        hirzebruch_embed_check(k)
+    family_and_ks(4)
+    assert len(checked) == 0
+    ParamPoly(PARAMS, {(1, 0): BiLaurent.const(1)})
+    assert len(checked) == 1

@@ -34,6 +34,7 @@ from localsurfaces.cech import (
 from localsurfaces.deformation import (
     TangentExtensionClass,
     family_and_ks,
+    hirzebruch_embed_check,
     integrability_analysis,
 )
 from localsurfaces.errors import (
@@ -326,26 +327,37 @@ def test_splitting_type_matches_profile_and_is_frame_invariant(data):
 
 # -- coefficients stay exact ---------------------------------------------------
 
-def terms_in(obj):
-    """(key, coefficient) of every BiLaurent term a library result holds,
+def leaves(obj):
+    """Every BiLaurent, ParamPoly and other number a library result holds,
     in ParamPoly coefficients, matrix entries, dataclass fields and
-    container items too, and (None, number) for every other number."""
+    container items too."""
     if isinstance(obj, BiLaurent):
-        yield from obj.items()
+        yield obj
     elif isinstance(obj, ParamPoly):
-        yield from terms_in(list(obj._terms.values()))
+        yield obj
+        yield from leaves(list(obj._terms.values()))
     elif isinstance(obj, PolyMatrix):
-        yield from terms_in(obj.entries)
+        yield from leaves(obj.entries)
     elif dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
-            yield from terms_in(getattr(obj, field.name))
+            yield from leaves(getattr(obj, field.name))
     elif isinstance(obj, dict):
-        yield from terms_in(list(obj.values()))
+        yield from leaves(list(obj.values()))
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            yield from terms_in(item)
+            yield from leaves(item)
     elif isinstance(obj, (int, float, Q)) and not isinstance(obj, bool):
-        yield None, obj
+        yield obj
+
+
+def terms_in(found):
+    """(key, coefficient) of every BiLaurent term among the leaves found,
+    and (None, number) for every other number."""
+    for leaf in found:
+        if isinstance(leaf, BiLaurent):
+            yield from leaf.items()
+        elif not isinstance(leaf, ParamPoly):
+            yield None, leaf
 
 
 EXACT_TAUS = {
@@ -362,8 +374,8 @@ EXACT_TAUS = {
 def exact_sweep_results(rng, s):
     """The results of parse_poly, *, ** and the chart rewrites, and of the
     library calls behind certify-trivial, certify-split, split-type,
-    integrate, family and h0, on seeded inputs over s, with int and Fraction
-    coefficients in every input."""
+    integrate, family, hirzebruch-check and h0, on seeded inputs over s, with
+    int and Fraction coefficients in every input."""
     k = s.k
 
     def coeff():
@@ -394,6 +406,7 @@ def exact_sweep_results(rng, s):
     yield integrability_analysis(k, TangentExtensionClass(k, 0, s0))
     fam, ks = family_and_ks(k)
     yield fam, ks, fam.fiber(s.tau)
+    yield hirzebruch_embed_check(k)
     yield h0_basis(s, rng.randint(-3, 8))
 
 
@@ -402,11 +415,12 @@ def test_every_result_coefficient_is_an_int_or_a_fraction():
     # operand would show here as a float.
     rng = random.Random(26)
     for kind, draw in EXACT_TAUS.items():
-        terms = []
+        found = []
         for k in (2, 3, 4):
             for _ in range(4):
                 s = surface(k, draw(rng, k))
-                terms += terms_in(list(exact_sweep_results(rng, s)))
+                found += leaves(list(exact_sweep_results(rng, s)))
+        terms = list(terms_in(found))
         numbers = [x for _, x in terms]
         assert any(type(x) is Q for x in numbers), kind
         assert all(type(x) in (int, Q) for x in numbers), (
@@ -417,3 +431,12 @@ def test_every_result_coefficient_is_an_int_or_a_fraction():
         odd = [key for key, _ in terms if key is not None
                and (type(key), *map(type, key)) != (tuple, int, int)]
         assert not odd, (kind, odd[:5])
+        # ParamPoly results are built from checked keys without a new check,
+        # so each of their keys must still be a plain tuple of ints >= 0,
+        # one per parameter.
+        polys = [p for p in found if isinstance(p, ParamPoly)]
+        assert polys, kind
+        bad = [(p.params, key) for p in polys for key in p._terms
+               if type(key) is not tuple or len(key) != len(p.params)
+               or any(type(e) is not int or e < 0 for e in key)]
+        assert not bad, (kind, bad[:5])
