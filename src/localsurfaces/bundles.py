@@ -26,7 +26,7 @@ from .cech import (
     triviality_certificate,
 )
 from .errors import CertificateNotFound, NoZeroSection, NotApplicable, NotTrivial
-from .laurent import BiLaurent, Q, U_CHART, V_CHART
+from .laurent import BiLaurent, U_CHART, V_CHART
 from .linalg import IntegerEchelon, nullspace
 from .polymatrix import PolyMatrix
 from .surface import SurfaceSpec
@@ -84,20 +84,27 @@ def splitting_type_p1(T: PolyMatrix) -> Tuple[int, ...]:
     highest-degree column in c's support.  Each step lowers sum(d_j), which
     is bounded below by the degree of det T, so the loop ends.  Then
     T * diag(z^-d_j) is invertible over Q[z^-1], so T is the transition of
-    O(-d_1) + ... + O(-d_r)."""
+    O(-d_1) + ... + O(-d_r).
+
+    The entries are u-free, so after the two checks (u-free entries, unit
+    determinant) each entry is held as a univariate dict
+    {z_exponent: coefficient} and a column operation is dict arithmetic;
+    the reduction builds no BiLaurent."""
     r = T.size
     for row in T.entries:
         for p in row:
             if not p.is_zero and p.max_u_exp() > 0:
                 raise ValueError("splitting_type_p1 needs u-free entries")
     T.unit_det()
-    cols = [[row[j] for row in T.entries] for j in range(r)]  # cols[j][i] = T[i][j]
+    # cols[j][i] = T[i][j]; a unit determinant leaves no column zero
+    cols = [[{l: c for (l, _), c in row[j].items()} for row in T.entries]
+            for j in range(r)]
     while True:
-        deg = [max(p.max_z_exp() for p in col if not p.is_zero) for col in cols]
+        deg = [max(max(entry) for entry in col if entry) for col in cols]
         lead = [{} for _ in range(r)]
         for j, col in enumerate(cols):
-            for i, p in enumerate(col):
-                x = p.coefficient(deg[j], 0)
+            for i, entry in enumerate(col):
+                x = entry.get(deg[j])
                 if x:
                     lead[i][j] = x
         kernel = nullspace(lead, r)
@@ -105,15 +112,23 @@ def splitting_type_p1(T: PolyMatrix) -> Tuple[int, ...]:
             return tuple(sorted((-d for d in deg), reverse=True))
         c = kernel[0]
         h = max(c, key=lambda j: (deg[j], j))
-        # column h becomes sum over s of (c_s / c_h) * z^(d_h - d_s) * column s
-        cols[h] = [
-            sum(
-                (BiLaurent.term(Q(c[s]) / c[h], deg[h] - deg[s], 0) * cols[s][i]
-                 for s in c),
-                BiLaurent.zero(),
-            )
-            for i in range(r)
-        ]
+        # column h becomes sum over s of c_s * z^(d_h - d_s) * column s:
+        # c_h != 0 times column h plus Q[z]-multiples of the others, as
+        # d_h >= d_s; the leading terms cancel, so its degree drops
+        new = [{} for _ in range(r)]
+        for s, factor in c.items():
+            shift = deg[h] - deg[s]
+            if factor.denominator == 1:
+                factor = factor.numerator
+            for out, entry in zip(new, cols[s]):
+                for l, x in entry.items():
+                    key = l + shift
+                    acc = out.get(key, 0) + factor * x
+                    if acc:
+                        out[key] = acc
+                    else:
+                        out.pop(key, None)
+        cols[h] = new
 
 
 @dataclass(frozen=True)

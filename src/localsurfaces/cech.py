@@ -70,7 +70,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from math import comb, gcd, lcm
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -450,10 +449,8 @@ def triviality_certificate(
         for key, c in quotient.items():
             solved[key] = solved.get(key, 0) + c * factor
         quotient = solved
-    f_V = BiLaurent(
-        [((a, b), _over(c * scale**b, den)) for (a, b), c in quotient.items()],
-        V_CHART,
-    )
+    f_V = {(a, b): _over(c * scale**b, den)
+           for (a, b), c in quotient.items() if c}
     # The nonnegative-z terms the division and the weight steps dropped.
     dropped: Terms = {}
     for (a, b), c in quotient.items():
@@ -461,12 +458,12 @@ def triviality_certificate(
             l -= n + a
             if l >= 0:
                 dropped[l, i] = dropped.get((l, i), 0) - c * (x * scale**i)
-    # BiLaurent adds the coefficients of a key both parts carry.
-    f_U = chain(
-        ((key, c) for key, c in sigma.items() if key[0] >= 0),
-        ((key, _over(c, den)) for key, c in dropped.items()),
-    )
-    return TrivialityCertificate(BiLaurent(f_U, U_CHART), f_V)
+    f_U = {key: c for key, c in sigma.items() if key[0] >= 0}
+    for key, c in dropped.items():
+        x = _over(f_U.pop(key, 0) * den + c, den)
+        if x:
+            f_U[key] = x
+    return TrivialityCertificate(_raw(f_U, U_CHART), _raw(f_V, V_CHART))
 
 
 def _reduce(
@@ -553,8 +550,14 @@ def _weight_solve(
 
 
 def _over(numerator: Coeff, den: int) -> Coeff:
-    """numerator / den; no Fraction is built when den is 1."""
-    return numerator if den == 1 else Q(numerator, den)
+    """numerator / den as a canonical coefficient: an int when it is
+    integral, else a Fraction.  One Fraction is built when den is not 1,
+    none for an int numerator over 1."""
+    if den != 1:
+        numerator = Q(numerator, den)
+    if type(numerator) is not int and numerator.denominator == 1:
+        return numerator.numerator
+    return numerator
 
 
 def _integral_glue(s: SurfaceSpec) -> Tuple[int, List[BiLaurent]]:

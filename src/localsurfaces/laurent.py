@@ -6,9 +6,18 @@ in the fibre variable).  This single type carries cocycles, transition-matrix
 entries and chart functions throughout the library.
 
 Values are immutable; all arithmetic is exact and returns canonical form
-(no zero terms stored).  An optional chart tag ("U" or "V") records which
-coordinate system the two slots refer to -- (z, u) on the U chart, (xi, v)
-on the V chart -- and arithmetic refuses to mix differently tagged values.
+(no zero terms stored).  Public input is checked: the constructor
+refuses a non-int exponent, a negative u-exponent and a float or bool
+coefficient, and stores an integral Fraction as an int.  const and term
+hand it all but a plain int coefficient with int exponents (u >= 0),
+which is canonical already.  Values the library builds itself, from keys
+and coefficients that are valid already (arithmetic, substitution,
+parsing, certificates), go through _raw, which stores a canonical dict
+without checking it again, as params._trusted does for ParamPoly.
+
+An optional chart tag ("U" or "V") records which coordinate system the two
+slots refer to -- (z, u) on the U chart, (xi, v) on the V chart -- and
+arithmetic refuses to mix differently tagged values.
 Tags are safety bookkeeping only: equality and hashing compare terms.
 
 A term is keyed by a plain (z_exp, u_exp) tuple of two ints (Key); cech and
@@ -82,12 +91,16 @@ class BiLaurent:
                     coeff = as_fraction(coeff)
                     if coeff.denominator == 1:
                         coeff = coeff.numerator
-                if coeff:
-                    acc = clean.get(key, 0) + coeff
+                if not coeff:
+                    continue
+                if key in clean:
+                    acc = clean[key] + coeff
                     if acc:
                         clean[key] = acc
                     else:
-                        clean.pop(key, None)
+                        del clean[key]
+                else:
+                    clean[key] = coeff
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "tag", tag)
 
@@ -98,14 +111,22 @@ class BiLaurent:
 
     @classmethod
     def zero(cls, tag: Optional[str] = None) -> "BiLaurent":
-        return cls(None, tag)
+        return _raw({}, tag)
 
     @classmethod
     def const(cls, value, tag: Optional[str] = None) -> "BiLaurent":
+        """The constant value; a plain int skips the checks of __init__."""
+        if type(value) is int:
+            return _raw({(0, 0): value} if value else {}, tag)
         return cls({(0, 0): value}, tag)
 
     @classmethod
     def term(cls, coeff, z_exp: int, u_exp: int, tag: Optional[str] = None) -> "BiLaurent":
+        """coeff * z^z_exp * u^u_exp; a plain int coeff with int exponents
+        and u_exp >= 0 skips the checks of __init__."""
+        if (type(coeff) is int and type(z_exp) is int and type(u_exp) is int
+                and u_exp >= 0):
+            return _raw({(z_exp, u_exp): coeff} if coeff else {}, tag)
         return cls({(z_exp, u_exp): coeff}, tag)
 
     def with_tag(self, tag: Optional[str]) -> "BiLaurent":
@@ -414,11 +435,13 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
     (xi, v) variable names are read; mixing the two chart alphabets, a
     negative u- or v-exponent and a zero denominator are errors.  When the
     (xi, v) alphabet is used the result is tagged V-coords unless an
-    explicit tag is given.
+    explicit tag is given.  The terms are summed into one canonical dict,
+    whose keys and coefficients the parse has checked, so it goes through
+    _raw.
     """
     if not POLY.fullmatch(text):
         raise ValueError(f"bad polynomial syntax in {text!r}")
-    terms = []
+    terms: Terms = {}
     names = set()
     # In text POLY matched, a sign only opens a term and TERM is greedy, so
     # the matches are the terms, each with its sign.
@@ -440,9 +463,16 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
                 raise ValueError(f"negative {name}-exponent in {text!r}")
             else:
                 u_exp += power
-        terms.append(((z_exp, u_exp), coeff))
+        if type(coeff) is not int and coeff.denominator == 1:
+            coeff = coeff.numerator
+        key = (z_exp, u_exp)
+        acc = terms.get(key, 0) + coeff
+        if acc:
+            terms[key] = acc
+        else:
+            terms.pop(key, None)
     if names & {"z", "u"} and names & {"xi", "v"}:
         raise ValueError(f"mixed chart variables in {text!r}")
     if tag is None and names & {"xi", "v"}:
         tag = V_CHART
-    return BiLaurent(terms, tag)
+    return _raw(terms, tag)

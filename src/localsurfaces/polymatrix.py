@@ -93,21 +93,10 @@ class PolyMatrix:
         return PolyMatrix([[fn(p) for p in row] for row in self.entries])
 
     def det(self) -> BiLaurent:
-        n = self.size
-        if n == 1:
-            return self.entries[0][0]
-        total = BiLaurent.zero()
-        for j in range(n):
-            entry = self.entries[0][j]
-            if entry.is_zero:
-                continue
-            minor = PolyMatrix([
-                [row[c] for c in range(n) if c != j]
-                for row in self.entries[1:]
-            ])
-            cofactor = entry * minor.det()
-            total = total + (cofactor if j % 2 == 0 else -cofactor)
-        return total
+        """Determinant by cofactor expansion along the first row (_det).
+        The minors are tuples of row slices, not PolyMatrix values: their
+        entries are this matrix's, checked when it was built."""
+        return _det(self.entries)
 
     def unit_det(self) -> Tuple[Q, int]:
         """Determinant as (coeff, z-exponent); error when it is not c*z^a."""
@@ -126,12 +115,9 @@ class PolyMatrix:
             return PolyMatrix([[inv_det]])
         adj = [[BiLaurent.zero()] * n for _ in range(n)]
         for i in range(n):
+            rows = self.entries[:i] + self.entries[i + 1:]
             for j in range(n):
-                minor = PolyMatrix([
-                    [self.entries[r][c] for c in range(n) if c != j]
-                    for r in range(n) if r != i
-                ])
-                cof = minor.det()
+                cof = _det([row[:j] + row[j + 1:] for row in rows])
                 if (i + j) % 2:
                     cof = -cof
                 adj[j][i] = cof * inv_det
@@ -143,3 +129,17 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self})"
+
+
+def _det(rows: Sequence[Tuple[BiLaurent, ...]]) -> BiLaurent:
+    """Determinant of the square matrix with the given row tuples, expanded
+    along the first row; a zero entry there adds no cofactor."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = BiLaurent.zero()
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero:
+            continue
+        cofactor = entry * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total + (cofactor if j % 2 == 0 else -cofactor)
+    return total

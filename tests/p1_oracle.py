@@ -1,18 +1,25 @@
-"""Reference splitting type on the projective line by section counts,
-for oracle tests.
+"""Reference splitting types on the projective line, for oracle tests.
 
 splitting_type_by_profile finds the type a second, independent way, as a
 cross-check on the column reduction of bundles.splitting_type_p1: it counts
 h0(E(m)) for every twist m in a range wide enough that both ends are in
 the stable regime, one ReducedEchelon per twist, and fits the splitting
 tuple from h0(E(m)) = sum_i max(0, j_i + m + 1).  Its section-degree caps
-are heuristic; ProfileInconsistent means they were too small.
+are heuristic; ProfileInconsistent means they were too small.  Its cost
+grows fast with rank and span.
+
+splitting_type_by_columns is the column reduction of splitting_type_p1
+run on BiLaurent columns: a column operation is a sum of BiLaurent.term
+products, and it divides the kernel vector by c_h, which
+splitting_type_p1 skips (a nonzero scalar leaves the degrees alone).  It
+is the reference for the univariate-dict reduction of splitting_type_p1
+on ranks and spans the profile fit cannot afford.
 """
 
 from typing import Dict, Tuple
 
-from localsurfaces.laurent import Q
-from localsurfaces.linalg import ReducedEchelon
+from localsurfaces.laurent import BiLaurent, Q
+from localsurfaces.linalg import ReducedEchelon, nullspace
 from localsurfaces.polymatrix import PolyMatrix
 
 
@@ -88,3 +95,38 @@ def splitting_type_by_profile(T: PolyMatrix) -> Tuple[int, ...]:
                 f"section count at twist {m} disagrees with {split}"
             )
     return tuple(split)
+
+
+def splitting_type_by_columns(T: PolyMatrix) -> Tuple[int, ...]:
+    """Splitting type of the u-free bundle T on the projective line by
+    column reduction over Q[z] on BiLaurent columns; see
+    bundles.splitting_type_p1 for the method."""
+    r = T.size
+    for row in T.entries:
+        for p in row:
+            if not p.is_zero and p.max_u_exp() > 0:
+                raise ValueError("splitting_type_p1 needs u-free entries")
+    T.unit_det()
+    cols = [[row[j] for row in T.entries] for j in range(r)]  # cols[j][i] = T[i][j]
+    while True:
+        deg = [max(p.max_z_exp() for p in col if not p.is_zero) for col in cols]
+        lead = [{} for _ in range(r)]
+        for j, col in enumerate(cols):
+            for i, p in enumerate(col):
+                x = p.coefficient(deg[j], 0)
+                if x:
+                    lead[i][j] = x
+        kernel = nullspace(lead, r)
+        if not kernel:
+            return tuple(sorted((-d for d in deg), reverse=True))
+        c = kernel[0]
+        h = max(c, key=lambda j: (deg[j], j))
+        # column h becomes sum over s of (c_s / c_h) * z^(d_h - d_s) * column s
+        cols[h] = [
+            sum(
+                (BiLaurent.term(Q(c[s]) / c[h], deg[h] - deg[s], 0) * cols[s][i]
+                 for s in c),
+                BiLaurent.zero(),
+            )
+            for i in range(r)
+        ]

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from dense_oracle import RationalMatrix, nullspace
-from localsurfaces import bundles
+from localsurfaces import bundles, laurent
 from localsurfaces.bundles import (
     DISCRETE_ZERO_DIMENSIONAL,
     ExtensionClass,
@@ -29,6 +29,7 @@ from localsurfaces.errors import (
 from localsurfaces.laurent import BiLaurent, parse_poly
 from localsurfaces.polymatrix import PolyMatrix
 from localsurfaces.surface import surface, to_U_coords
+from p1_oracle import splitting_type_by_columns
 
 
 def P(text, tag=None):
@@ -252,6 +253,89 @@ def test_splitting_type_checks_determinant_before_reducing(monkeypatch):
     for T in (non_monomial, zero_column):
         with pytest.raises(NonUnitDeterminant):
             splitting_type_p1(T)
+
+
+def unimodular_frame(rng, r, reach):
+    """A u-free transition with unit determinant: L @ D @ U with D a
+    diagonal of monomials c z^a, L and U unipotent lower and upper with
+    Laurent entries, rows and columns then permuted; every exponent in
+    L, D and U lies in [-reach, reach], so T has span at most 3 * reach."""
+    def laurent_entry():
+        return BiLaurent({
+            (rng.randint(-reach, reach), 0): Q(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 2))
+        })
+
+    def unipotent(upper):
+        return PolyMatrix([
+            [BiLaurent.const(1) if i == j
+             else laurent_entry() if (j > i) == upper else BiLaurent.zero()
+             for j in range(r)]
+            for i in range(r)
+        ])
+
+    diagonal = PolyMatrix.diagonal([
+        BiLaurent.term(Q(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)),
+                       rng.randint(-reach, reach), 0)
+        for _ in range(r)
+    ])
+    T = unipotent(False) @ diagonal @ unipotent(True)
+    rows, cols = list(range(r)), list(range(r))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return PolyMatrix([[T[i, j] for j in cols] for i in rows])
+
+
+def span(T):
+    return max(abs(e) for row in T.entries for p in row if not p.is_zero
+               for e in (p.min_z_exp(), p.max_z_exp()))
+
+
+def test_splitting_type_matches_the_bilaurent_column_reduction():
+    # The dict reduction against the BiLaurent one it replaced, on ranks and
+    # spans the section-count profile cannot afford.
+    rng = random.Random(34)
+    spans = set()
+    for _ in range(150):
+        r = rng.randint(2, 4)
+        T = unimodular_frame(rng, r, rng.randint(0, 2))
+        spans.add(span(T))
+        split = splitting_type_p1(T)
+        assert split == splitting_type_by_columns(T), T
+        assert sum(split) == -T.unit_det()[1]
+    assert max(spans) == 6
+
+
+def test_column_reduction_builds_no_bilaurent(monkeypatch):
+    # After its two checks, splitting_type_p1 reduces univariate dicts: it
+    # multiplies and builds exactly what T.unit_det() does and nothing else.
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(BiLaurent, "__mul__", counting("mul", BiLaurent.__mul__))
+    monkeypatch.setattr(BiLaurent, "__init__", counting("init", BiLaurent.__init__))
+    monkeypatch.setattr(laurent, "_raw", counting("raw", laurent._raw))
+    rng = random.Random(3)
+    frames = [unimodular_frame(rng, rng.randint(2, 4), 2) for _ in range(20)]
+    for a, b, e in itertools.product(range(-3, 4), repeat=3):
+        frames.append(upper_triangular(a, b, P(f"-2/3*z^{e}")))
+    reduced = 0
+    for T in frames:
+        counts.clear()
+        T.unit_det()
+        det_counts = dict(counts)
+        counts.clear()
+        split = splitting_type_p1(T)
+        assert counts == det_counts, T
+        degrees = [max(p.max_z_exp() for p in col if not p.is_zero)
+                   for col in zip(*T.entries)]
+        reduced += split != tuple(sorted((-d for d in degrees), reverse=True))
+    assert reduced > 50
 
 
 def test_splitting_type_rank_one():

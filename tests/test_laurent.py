@@ -118,6 +118,45 @@ def test_bool_coefficient_rejected():
     assert str(BiLaurent.term(1, 1, 0)) == "z"
 
 
+def test_int_constants_and_terms_keep_the_checks():
+    # A plain int with int exponents takes the unchecked path; anything
+    # else still goes through the constructor's checks.
+    for build, error in ((lambda: BiLaurent.const(True), TypeError),
+                         (lambda: BiLaurent.const(0.5), TypeError),
+                         (lambda: BiLaurent.term(1, 0, -1), ValueError),
+                         (lambda: BiLaurent.term(1, 0.5, 0), TypeError),
+                         (lambda: BiLaurent.term(True, 0, 0), TypeError)):
+        with pytest.raises(error):
+            build()
+    assert BiLaurent.const(0).is_zero and BiLaurent.term(0, 3, 1).is_zero
+    assert BiLaurent.term(-2, -3, 1, V_CHART).tag == V_CHART
+    assert BiLaurent.term(-2, -3, 1).sorted_terms() == [((-3, 1), -2)]
+    assert type(BiLaurent.const(Q(4, 2)).as_rational()) is int
+
+
+def test_int_constants_skip_the_constructor(monkeypatch):
+    # The symbolic checks build their constants and terms from plain ints,
+    # so the only checked constructions left there normalize a Fraction.
+    init = BiLaurent.__init__
+    seen = []
+
+    def counting_init(self, terms=None, tag=None):
+        seen.append(dict(terms or {}))
+        init(self, terms, tag)
+
+    monkeypatch.setattr(BiLaurent, "__init__", counting_init)
+    for k in range(2, 7):
+        hirzebruch_embed_check(k)
+    family_and_ks(4)
+    assert len(seen) < 10
+    assert all(type(c) is Q for terms in seen for c in terms.values()), seen
+    before = len(seen)
+    BiLaurent.const(1), BiLaurent.term(3, -1, 2), BiLaurent.zero()
+    assert len(seen) == before
+    BiLaurent.const(Q(1, 2))
+    assert seen[before:] == [{(0, 0): Q(1, 2)}]
+
+
 # Each takes one exact number where tau, a point or a parameter value goes.
 NUMERIC_ENTRY_POINTS = {
     "surface": lambda x: surface(2, [x]),
