@@ -66,7 +66,6 @@ from .errors import (
     NoZeroSection,
     NotTrivial,
     StepCapExceeded,
-    SupportOutsideWindow,
     TagMismatch,
     UnsupportedForDeformed,
     WindowTooSmall,

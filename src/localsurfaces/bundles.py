@@ -282,12 +282,8 @@ def moduli_dimension(j: int, k: int, deformed: bool = False) -> ModuliDimension:
 def extension_parameter_count(k: int, j: int) -> int:
     """Raw parameter count of splitting-type-j normal forms: the number of
     basis classes of H^1(Z_k, O(-2j)) with u-exponent >= 1 (those with
-    sigma vanishing on the zero section).  Exposed for comparison with the
-    moduli dimension; no relation between the two is asserted."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = 2 * j
-    if n < 2:
-        return 0
-    m = (n - 2) // k
-    return sum(n - 1 - i * k for i in range(1, m + 1))
+    sigma vanishing on the zero section), that is h1_dimension_formula(k,
+    2j) less the 2j - 1 normal-form monomials z^l, -2j < l < 0, of the
+    u = 0 row.  Exposed for comparison with the moduli dimension; no
+    relation between the two is asserted."""
+    return h1_dimension_formula(k, 2 * j) - max(0, 2 * j - 1)

@@ -24,9 +24,11 @@ no window: dividing by the monic u-degree tops of the V-images leaves a
 remainder on the finitely many normal-form monomials z^l u^i,
 ki - n < l < 0.  On tau = 0 the remainder is the normal form.  On tau != 0
 triviality_certificate solves it weight by weight with images of v-degree
-b <= n - 1 (proved in its docstring), so every normal form is 0, the
-relations of levels b <= n - 1 span those monomials, and h1_line_bundle
-counts their rank up to the closed-form number, which proves H^1 = 0.
+b <= n - 1 (proved in its docstring), the relations of levels b <= n - 1
+span those monomials, and h1_line_bundle counts their rank up to the
+closed-form number, which proves H^1 = 0.  Z_k(tau) is affine there, so
+normal_form returns 0 without dividing; the tests re-check that value by
+the weight steps.
 
 The windowed complex, the division and the weight steps run in the
 coordinates (z, u' = D*u), D the least common denominator of tau, where
@@ -41,13 +43,12 @@ drop, rescaled back to (z, u), so no certificate rewrites f_V to
 U-coordinates; the tests and the bench oracle re-check sigma = f_U +
 z^-n * (f_V in U-coords) by that rewrite.
 
-On tau != 0 certificates and normal forms run on Python ints over one
-running int denominator: sigma's negative-z part is scaled once to int
-numerators over the lcm of its denominators, so the division is on ints,
-and each weight step multiplies the pending terms and the quotient by a
-power of t = D*t_d, which keeps the inverse of w' + t integral
-(pseudo-division).  One Fraction is built per output term of f_U and
-f_V, and none before.  On tau = 0 every power of v = z^k u is one
+On tau != 0 certificates run on Python ints over one running int
+denominator: sigma's negative-z part is scaled once to int numerators over
+the lcm of its denominators, so the division is on ints, and each weight
+step multiplies the pending terms and the quotient by a power of
+t = D*t_d, which keeps the inverse of w' + t integral (pseudo-division).
+One Fraction is built per output term of f_U and f_V, and none before.  On tau = 0 every power of v = z^k u is one
 monomial, so the division only sorts sigma's terms, as they are.
 
 Window growth is fixed: H^1 enlarges its window by (3, 1) (three z steps on
@@ -75,15 +76,10 @@ from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 )
 
-from .errors import (
-    NotTrivial,
-    StepCapExceeded,
-    SupportOutsideWindow,
-    WindowTooSmall,
-)
+from .errors import NotTrivial, StepCapExceeded, WindowTooSmall
 from .laurent import BiLaurent, Coeff, Key, Q, Terms, U_CHART, V_CHART, _raw
 from .linalg import IntegerEchelon, SparseVec, nullspace
-from .surface import SurfaceSpec, to_V_coords
+from .surface import SurfaceSpec, _require_chart, to_V_coords
 
 # Window growth per enlargement (z steps on each side, u steps) and the
 # number of enlargements after which stabilization gives up.
@@ -103,23 +99,12 @@ class Window:
         if self.min_z > 0 or self.max_z < 0 or self.max_u < 0:
             raise ValueError("window must satisfy min_z <= 0 <= max_z, max_u >= 0")
 
-    @property
-    def size(self) -> int:
-        return (self.max_z - self.min_z + 1) * (self.max_u + 1)
-
     def contains(self, key: Key) -> bool:
         l, i = key
         return self.min_z <= l <= self.max_z and 0 <= i <= self.max_u
 
     def covers(self, poly: BiLaurent) -> bool:
         return all(self.contains(m) for m in poly.support)
-
-    def monomials(self) -> List[Key]:
-        return [
-            (l, i)
-            for l in range(self.min_z, self.max_z + 1)
-            for i in range(self.max_u + 1)
-        ]
 
     def local_index(self, key: Key) -> int:
         l, i = key
@@ -308,22 +293,20 @@ def stabilize_window(
         values.append(compute(windows[-1]))
 
 
-def h1(s: SurfaceSpec, n: int, window: Optional[Window] = None) -> CohomologyResult:
+def h1(s: SurfaceSpec, n: int) -> CohomologyResult:
     """Windowed H^1(Z_k(tau), O(-n)).
 
-    Starting from the given (or default) window, the window is enlarged
-    until the dimension settles; the result reports the first stable
-    window and stabilized=True.
+    Starting from default_window(s, n), the window is enlarged until the
+    dimension settles; the result reports the first stable window and
+    stabilized=True.
     """
-    if window is None:
-        window = default_window(s, n)
     cache: Dict[Window, CechComplex] = {}
 
     def compute(w: Window) -> int:
         cache[w] = CechComplex(s, n, w)
         return cache[w].dimension
 
-    stable = stabilize_window(compute, window)
+    stable = stabilize_window(compute, default_window(s, n))
     complex_ = cache[stable.window]
     return CohomologyResult(
         dimension=complex_.dimension,
@@ -378,15 +361,16 @@ def normal_form(sigma: BiLaurent, s: SurfaceSpec, n: int) -> BiLaurent:
     Algebra 25, 1997).
 
     On tau = 0 it is the remainder of the u-degree division, the one
-    triviality_certificate names in NotTrivial.  On tau != 0 it is 0, once
-    the weight steps of triviality_certificate have solved the remainder.
+    triviality_certificate names in NotTrivial.  On tau != 0 it is 0:
+    Z_k(tau) is affine, so H^1(O(-n)) = 0 (Serre, FAC, 1955; Hartshorne
+    III.3.5), and sigma is only checked to be in U-coordinates.  The
+    weight steps of triviality_certificate solve every remainder there,
+    which the tests re-check.
     """
-    _, powers, _, _, remainder = _reduce(sigma, s, n)
-    if not s.is_deformed:
-        return BiLaurent(remainder, U_CHART)
-    if remainder:
-        _weight_solve(remainder, s, n, powers)
-    return BiLaurent.zero(U_CHART)
+    if s.is_deformed:
+        _require_chart(sigma, U_CHART)
+        return BiLaurent.zero(U_CHART)
+    return BiLaurent(_reduce(sigma, s, n)[-1], U_CHART)
 
 
 def triviality_certificate(
@@ -479,8 +463,7 @@ def _reduce(
     tau = 0, D = L = 1 and the coefficients divide as they are: every
     power of v = z^k u is one monomial, so the division only sorts terms.
     """
-    if sigma.tag == V_CHART:
-        raise SupportOutsideWindow("cocycles must be given in U-coordinates")
+    _require_chart(sigma, U_CHART)
     scale, powers = _integral_glue(s)
     negative = [((l, i), c) for (l, i), c in sigma.items() if l < 0]
     den = 1

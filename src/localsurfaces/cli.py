@@ -14,11 +14,11 @@ printing, so identical invocations are byte-identical.  The window flags
 sections are U-holomorphic, so those two bound them, and the echoed min_z
 is the default window's.  h1 grows the default window by a fixed policy on
 tau = 0 and proves H^1 = 0 without one on tau != 0, echoing the window (see
-cech); normal-form and certify-trivial divide exactly with no window and
-echo the default window around sigma; charge and tangent compute h^1
-exactly from an extension sequence of line bundles and echo no window (see
-bundles.charge_report and deformation.tangent_h1); so nothing in the
-environment changes a result.
+cech); normal-form and certify-trivial use no window (normal-form is 0 on
+tau != 0, see cech) and echo the default window around sigma; charge and
+tangent compute h^1 exactly from an extension sequence of line bundles and
+echo no window (see bundles.charge_report and deformation.tangent_h1); so
+nothing in the environment changes a result.
 The parser is built on the first main call and reused by every later call
 in the process; parsing keeps no state between calls, so every call parses
 its argv as a first call would.

@@ -35,11 +35,6 @@ class WindowTooSmall(LocalSurfacesError):
     """No chart-holomorphic generator meets the requested window."""
 
 
-class SupportOutsideWindow(LocalSurfacesError):
-    """A cocycle is not an overlap function in U-coordinates: it was given
-    in the V-chart variables xi, v."""
-
-
 class NotTrivial(LocalSurfacesError):
     """The cocycle represents a nonzero cohomology class; no certificate exists."""
 

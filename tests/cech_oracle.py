@@ -49,6 +49,9 @@ h0_by_columns is cech.h0_basis as it was before it shared one V-rewrite
 per u-degree: every window column z^a u^b is twisted and rewritten to
 V-coordinates on its own.
 
+window_size and window_monomials count and list the monomials of a window,
+the coordinates of FullComplex and of coboundary_matrix.
+
 default_window_for_transition sizes a FullComplex window from a transition
 matrix, and line_transition is the 1x1 transition of a line bundle: the
 windows and transitions the rank-2 oracle comparisons assemble.
@@ -72,11 +75,25 @@ from localsurfaces.cech import (
     default_window,
     h1_dimension_formula,
 )
-from localsurfaces.errors import NotTrivial, SupportOutsideWindow
+from localsurfaces.errors import NotTrivial
 from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART
 from localsurfaces.linalg import ReducedEchelon, nullspace
 from localsurfaces.polymatrix import PolyMatrix
-from localsurfaces.surface import to_U_coords, to_V_coords
+from localsurfaces.surface import _require_chart, to_U_coords, to_V_coords
+
+
+def window_size(window):
+    """Number of monomials z^l u^i in the window."""
+    return (window.max_z - window.min_z + 1) * (window.max_u + 1)
+
+
+def window_monomials(window):
+    """The window's monomials (l, i), in CechComplex's local index order."""
+    return [
+        (l, i)
+        for l in range(window.min_z, window.max_z + 1)
+        for i in range(window.max_u + 1)
+    ]
 
 
 def line_transition(chern):
@@ -106,7 +123,7 @@ class FullComplex:
         self.coords = [
             (slot, mono)
             for slot in range(self.rank)
-            for mono in window.monomials()
+            for mono in window_monomials(window)
         ]
         index = {coord: i for i, coord in enumerate(self.coords)}
         generators = [
@@ -182,9 +199,10 @@ def coboundary_matrix(s, n, window):
     columns, which are zero on those monomials."""
     complex_ = CechComplex(s, n, window)
     neg_size = -window.min_z * (window.max_u + 1)
-    inclusions = [{local: Q(1)} for local in range(neg_size, window.size)]
+    size = window_size(window)
+    inclusions = [{local: Q(1)} for local in range(neg_size, size)]
     columns = inclusions + [vec for _, vec in complex_.columns]
-    matrix = [[Q(0)] * len(columns) for _ in range(window.size)]
+    matrix = [[Q(0)] * len(columns) for _ in range(size)]
     for col_idx, vec in enumerate(columns):
         for row_idx, coeff in vec.items():
             matrix[row_idx][col_idx] = coeff
@@ -230,8 +248,7 @@ def reduce_sigma(sigma, s, n):
     remainder of _divide on the negative-z terms of sigma in (z, u' = D*u);
     its nonnegative-z terms are U-holomorphic and drop out.  When D = 1 the
     coefficients are taken as they are, so int ones divide on ints."""
-    if sigma.tag == V_CHART:
-        raise SupportOutsideWindow("cocycles must be given in U-coordinates")
+    _require_chart(sigma, U_CHART)
     scale, powers = _integral_glue(s)
     negative = [((l, i), c if scale == 1 else Q(c, scale**i))
                 for (l, i), c in sigma.items() if l < 0]
@@ -278,7 +295,10 @@ def weight_solve(remainder, s, n, powers):
 
 
 def fraction_normal_form(sigma, s, n):
-    """cech.normal_form on reduce_sigma and weight_solve."""
+    """cech.normal_form on reduce_sigma and weight_solve: on tau != 0 the
+    remainder is solved by the weight steps, which raise AssertionError
+    where it is not, the re-check of the 0 that cech.normal_form returns
+    there without dividing."""
     _, powers, _, remainder = reduce_sigma(sigma, s, n)
     if not s.is_deformed:
         return BiLaurent(remainder, U_CHART)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cech_oracle import coboundary_matrix
+from cech_oracle import coboundary_matrix, window_size
 from dense_oracle import rref_rank
 from localsurfaces import cech
 from localsurfaces.bundles import ExtensionClass, charge_report, split_certificate
@@ -26,10 +26,10 @@ from localsurfaces.cech import (
 from localsurfaces.errors import (
     NotTrivial,
     StepCapExceeded,
-    SupportOutsideWindow,
+    TagMismatch,
     WindowTooSmall,
 )
-from localsurfaces.laurent import BiLaurent, U_CHART, parse_poly
+from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART, parse_poly
 from localsurfaces.linalg import IntegerEchelon, ReducedEchelon
 from localsurfaces.surface import (
     surface,
@@ -113,7 +113,7 @@ def test_coboundary_matrix_shape_and_rank():
     s = surface(2)
     window = default_window(s, 4)
     matrix = coboundary_matrix(s, 4, window)
-    assert matrix.rows == window.size
+    assert matrix.rows == window_size(window)
     rank, _, _ = rref_rank(matrix)
     assert matrix.rows - rank == 4
 
@@ -154,7 +154,7 @@ def test_normal_form_rejects_v_chart_cocycle():
     # sigma may reach past any window: z^-20 = z^-4 * xi^16 is a coboundary
     s = surface(2)
     assert normal_form(P("z^-20"), s, 4).is_zero
-    with pytest.raises(SupportOutsideWindow):
+    with pytest.raises(TagMismatch):
         normal_form(P("xi^2*v"), s, 4)
 
 
@@ -282,7 +282,7 @@ def test_certificates_rewrite_no_chart(monkeypatch):
 
 
 def test_certificate_rejects_v_chart_cocycle():
-    with pytest.raises(SupportOutsideWindow):
+    with pytest.raises(TagMismatch):
         triviality_certificate(P("xi^2*v"), surface(2, [1]), 2)
 
 
@@ -324,6 +324,30 @@ def test_certificate_reaches_every_normal_form_within_the_proved_cap():
             if d == 1 and not any(s.tau[1:]):
                 f_V = triviality_certificate(P("z^-1"), s, n).f_V
                 assert f_V.max_u_exp() == n - 1
+
+
+def test_deformed_normal_form_divides_and_solves_nothing(monkeypatch):
+    # Z_k(tau) is affine for tau != 0, so normal_form returns 0 from the
+    # theorem after checking the chart; fraction_normal_form re-checks that
+    # value by the weight steps in test_cech_oracle.
+    def refuse(*args):
+        raise AssertionError("normal_form divided or solved on tau != 0")
+
+    for name in ("_reduce", "_divide", "_weight_solve"):
+        monkeypatch.setattr(cech, name, refuse)
+    rng = random.Random(83)
+    for _, s in cap_surfaces(rng):
+        for n in range(-1, 13):
+            terms = {
+                (rng.randint(-n - 3, 2), rng.randint(0, 3)):
+                    Q(rng.randint(-7, 7) or 1, rng.randint(1, 4))
+                for _ in range(rng.randint(1, 6))
+            }
+            for tag in (U_CHART, None):
+                reduced = normal_form(BiLaurent(terms, tag), s, n)
+                assert reduced.is_zero and reduced.tag == U_CHART
+            with pytest.raises(TagMismatch):
+                normal_form(BiLaurent(terms, V_CHART), s, n)
 
 
 def test_h1_relation_rank_reaches_the_count_within_the_proved_cap(monkeypatch):
@@ -464,6 +488,7 @@ def test_certificates_divide_and_solve_on_ints_only(monkeypatch):
     monkeypatch.setattr(cech, "_divide", divide)
     monkeypatch.setattr(cech, "_weight_solve", solve)
     rng = random.Random(71)
+    certified = 0
     for k in range(2, 6):
         for unit in (True, False):
             tau = [Q(0)] * (k - 1)
@@ -480,8 +505,11 @@ def test_certificates_divide_and_solve_on_ints_only(monkeypatch):
                     for _ in range(rng.randint(1, 6))
                 }, U_CHART)
                 triviality_certificate(sigma, s, n)
+                certified += 1
                 assert normal_form(sigma, s, n).is_zero
-    assert calls["divide"] > 200 and calls["solve"] > 80
+    # Every call comes from a certificate: one division each, and a weight
+    # solve for each nonzero remainder.  normal_form divides nothing here.
+    assert calls["divide"] == certified and calls["solve"] > 40
 
     fractions = []
     real_new = Q.__new__

@@ -214,9 +214,8 @@ def test_rank_two_h1_builds_no_complex_and_tries_no_window(monkeypatch):
 
 
 def test_normal_form_builds_no_complex_and_tries_no_window(monkeypatch):
-    # The normal form is the division remainder, or 0 once the weight
-    # steps solve it, on zero, unit and rational tau; sigma reaches far
-    # below the default window.
+    # The normal form is the division remainder on zero tau and 0 on unit
+    # and rational tau; sigma reaches far below the default window.
     refuse_windowed_computation(monkeypatch)
     sigma = parse_poly("z^-40*u^3 - 1/2*z^-3*u + 2*z^-1 + z^2")
     for k, tau, n, want in [(2, [0], 6, "-1/2*z^-3*u + 2*z^-1"),
@@ -249,13 +248,12 @@ def test_line_bundle_h1_matches_windowed_stabilization():
         for k in range(1 if kind == "zero" else 2, 7):
             s = surface(k, draw(rng, k))
             for n in rng.sample(range(-1, 17), 1 if kind == "rational" else 3):
-                window = default_window(s, n)
-                windowed = h1(s, n, window)
+                windowed = h1(s, n)
                 proved = h1_line_bundle(s, n)
                 want = 0 if s.is_deformed else h1_dimension_formula(k, n)
                 assert windowed.dimension == proved.dimension == want, (s, n)
                 assert windowed.basis == proved.basis
-                assert windowed.window == proved.window == window
+                assert windowed.window == proved.window == default_window(s, n)
                 assert windowed.stabilized and proved.stabilized
 
 

@@ -435,10 +435,9 @@ def assert_exit_code_contract(argv, runs=1):
     """Run argv `runs` times in this process and check the exit-code
     contract; returns the payload of a success, else None.  Every run must
     give the same code, stdout and stderr, since main reuses one parser.
-    No subcommand can hit a window too small or one that misses sigma:
-    only h0 takes window flags and it assembles no complex, and the rest
-    use default windows or none.  So SupportOutsideWindow and
-    WindowTooSmall never surface, not even as exit 1."""
+    No subcommand can hit a window too small: only h0 takes window flags
+    and it assembles no complex, and the rest use default windows or none.
+    So WindowTooSmall never surfaces, not even as exit 1."""
     code, out, err = run(*argv)
     for _ in range(runs - 1):
         assert run(*argv) == (code, out, err)
@@ -451,9 +450,7 @@ def assert_exit_code_contract(argv, runs=1):
     document = json.loads(out)
     validate(argv[0].replace("-", "_") if code == 0 else "error", document)
     if code == 1:
-        assert document["error"]["type"] not in (
-            "SupportOutsideWindow", "WindowTooSmall"
-        )
+        assert document["error"]["type"] != "WindowTooSmall"
         return None
     return document
 

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private top-level function and constant is used somewhere in the package,
-and the README's Layout block names every module and oracle and no file
-that is missing from both the package and tests/.
+every error type in errors.py is raised somewhere in the package, and the
+README's Layout block names every module and oracle and no file that is
+missing from both the package and tests/.
 
 The package's __init__.py re-exports what it imports, so it is left out of
 the import guard."""
@@ -116,6 +117,60 @@ def test_every_private_helper_is_used():
         for path in PACKAGE.glob("*.py")
     }
     assert dead_helpers(sources) == []
+
+
+def error_types(source: str) -> list[str]:
+    """The classes a module derives from LocalSurfacesError, directly or
+    through another such class, in definition order."""
+    found = ["LocalSurfacesError"]
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in found
+            for base in node.bases
+        ):
+            found.append(node.name)
+    return found[1:]
+
+
+def raised_names(sources) -> set[str]:
+    """The names the sources raise, as raise X, raise X(...) or
+    raise module.X(...)."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_guard_sees_raised_and_unraised_errors():
+    errors = (
+        "class LocalSurfacesError(Exception):\n    pass\n"
+        "class Used(LocalSurfacesError):\n    pass\n"
+        "class Dead(LocalSurfacesError):\n    pass\n"
+        "class Child(Used):\n    pass\n"
+        "class Other(ValueError):\n    pass\n"
+    )
+    assert error_types(errors) == ["Used", "Dead", "Child"]
+    sources = [
+        "def f(x):\n    if x:\n        raise Used('x')\n    raise Other\n",
+        "def g():\n    raise errors.Child\n",
+    ]
+    assert raised_names(sources) == {"Used", "Other", "Child"}
+
+
+def test_every_error_type_is_raised():
+    errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
+    raised = raised_names(
+        path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")
+    )
+    assert [name for name in error_types(errors) if name not in raised] == []
 
 
 def test_readme_layout_names_every_module_and_oracle():
