@@ -121,14 +121,16 @@ _RATIONAL = re.compile(rf"{SP}([+-]?{RAT}){SP}", re.ASCII)
 
 def _rational(text: str) -> Fraction:
     """argparse type: a signed rational p or p/q of the polynomial grammar,
-    blanks around it allowed; no decimal point, exponent or underscore."""
+    blanks around it allowed; no decimal point, exponent or underscore.
+    The Fraction is built from the int digits the grammar matched."""
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}")
-    try:
-        return Fraction(match[1])
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    num, _, den = match[1].partition("/")
+    den = int(den) if den else 1
+    if not den:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
 
 
 def _rational_list(text: str) -> list[Fraction]:

@@ -27,16 +27,19 @@ p.items()`` over 30 keys took 0.32 s per 100 000 loops against 0.18 s, and
 building a key, as * and substitute do per term, 0.56 us against 0.07 us.
 
 A coefficient (Coeff) is a Python int where it is integral and a Fraction
-otherwise; as_fraction refuses a float or a bool with TypeError, here and
-for tau, evaluation points and parameter values.  int and Fraction
-compare, hash and print alike, so equality and printing do not depend on
-which one a coefficient is.  int / int is a float, so code that divides
-coefficients divides through Fraction: Fraction(a, b), or / with a
-Fraction operand.
+otherwise, for parsed values too; as_fraction refuses a float or a bool
+with TypeError, here and for tau, evaluation points and parameter values.
+int and Fraction compare, hash and print alike, so equality and printing
+do not depend on which one a coefficient is.  int / int is a float, so
+code that divides coefficients divides through Fraction: Fraction(a, b),
+or / with a Fraction operand.
 
 Text syntax (used by the CLI and golden files): terms like ``3/2*z^-4*u^2``
-joined by ``+`` / ``-``, as the grammar POLY below declares.
-Canonical printing orders terms by (z exponent asc, u exponent asc).
+joined by ``+`` / ``-``, as the grammar POLY below declares.  Parsing is a
+full match of POLY and then one token pass that keeps each coefficient as
+an int numerator over an int denominator until the terms are summed.
+Canonical printing orders terms by (z exponent asc, u exponent asc) and
+prints each coefficient from its numerator and denominator.
 V-tagged values print and parse with the variable names ``xi`` and ``v``.
 """
 
@@ -334,27 +337,34 @@ class BiLaurent:
         return sorted(self._terms.items())
 
     def __str__(self):
+        """Canonical text: terms by (z exponent, u exponent) ascending,
+        each printed from its coefficient's numerator and denominator,
+        which ints and Fractions both have, with no Fraction arithmetic."""
         if not self._terms:
             return "0"
         zname, uname = _VAR_NAMES[self.tag]
         pieces = []
         for (ze, ue), coeff in self.sorted_terms():
+            num, den = coeff.numerator, coeff.denominator
+            negative = num < 0
+            if negative:
+                num = -num
+            mag = str(num) if den == 1 else f"{num}/{den}"
             factors = []
             if ze:
                 factors.append(zname if ze == 1 else f"{zname}^{ze}")
             if ue:
                 factors.append(uname if ue == 1 else f"{uname}^{ue}")
-            mag = abs(coeff)
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([mag] + factors)
             if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
+                pieces.append(f"-{body}" if negative else body)
             else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                pieces.append(f"- {body}" if negative else f"+ {body}")
         return " ".join(pieces)
 
     def __repr__(self):
@@ -424,8 +434,10 @@ F = rf"(?:{RAT}|{VAR})"
 TERM = rf"{F}(?:{SP}\*{SP}{F}|{SP}{VAR})*"
 POLY = re.compile(rf"{SP}[+-]?{SP}{TERM}(?:{SP}[+-]{SP}{TERM})*{SP}", re.ASCII)
 
-_SIGNED_TERM = re.compile(rf"([+-]?){SP}({TERM})", re.ASCII)
-_FACTOR = re.compile(rf"({RAT})|(xi|z|u|v)(?:\^(-?\d+))?", re.ASCII)
+# After POLY has matched, one pass of _TOKEN reads the text: a sign, which
+# opens a term; a number p or p/q; or a variable with its exponent.  Blanks
+# and * are skipped.
+_TOKEN = re.compile(r"([+-])|(\d+)(?:/(\d+))?|(xi|z|u|v)(?:\^(-?\d+))?", re.ASCII)
 
 
 def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
@@ -435,44 +447,70 @@ def parse_poly(text: str, tag: Optional[str] = None) -> BiLaurent:
     (xi, v) variable names are read; mixing the two chart alphabets, a
     negative u- or v-exponent and a zero denominator are errors.  When the
     (xi, v) alphabet is used the result is tagged V-coords unless an
-    explicit tag is given.  The terms are summed into one canonical dict,
-    whose keys and coefficients the parse has checked, so it goes through
-    _raw.
+    explicit tag is given.
+
+    One _TOKEN pass reads the terms.  Each term's coefficient is an int
+    numerator over an int denominator, and terms with equal keys are
+    summed as such pairs.  Each sum becomes an int when it is integral and
+    one Fraction otherwise, so the dict is canonical and goes through _raw.
     """
     if not POLY.fullmatch(text):
         raise ValueError(f"bad polynomial syntax in {text!r}")
-    terms: Terms = {}
+    sums: dict[Key, Tuple[int, int]] = {}
     names = set()
-    # In text POLY matched, a sign only opens a term and TERM is greedy, so
-    # the matches are the terms, each with its sign.
-    for sign, term in _SIGNED_TERM.findall(text):
-        coeff = -1 if sign == "-" else 1
-        z_exp = u_exp = 0
-        for rat, name, exp in _FACTOR.findall(term):
-            if rat:
-                num, _, den = rat.partition("/")
-                if den and not int(den):
+    opened = False
+    num = den = 1
+    z_exp = u_exp = 0
+    for sign, top, bottom, name, exp in _TOKEN.findall(text):
+        if sign:
+            if opened:
+                _add_pair(sums, (z_exp, u_exp), num, den)
+            opened = True
+            num, den, z_exp, u_exp = (-1 if sign == "-" else 1), 1, 0, 0
+            continue
+        opened = True
+        if top:
+            num *= int(top)
+            if bottom:
+                q = int(bottom)
+                if not q:
                     raise ValueError(f"zero denominator in {text!r}")
-                coeff *= Q(int(num), int(den)) if den else int(num)
-                continue
-            names.add(name)
-            power = int(exp or 1)
-            if name in ("z", "xi"):
-                z_exp += power
-            elif power < 0:
-                raise ValueError(f"negative {name}-exponent in {text!r}")
-            else:
-                u_exp += power
-        if type(coeff) is not int and coeff.denominator == 1:
-            coeff = coeff.numerator
-        key = (z_exp, u_exp)
-        acc = terms.get(key, 0) + coeff
-        if acc:
-            terms[key] = acc
+                den *= q
+            continue
+        names.add(name)
+        power = int(exp) if exp else 1
+        if name == "z" or name == "xi":
+            z_exp += power
+        elif power < 0:
+            raise ValueError(f"negative {name}-exponent in {text!r}")
         else:
-            terms.pop(key, None)
+            u_exp += power
+    _add_pair(sums, (z_exp, u_exp), num, den)
     if names & {"z", "u"} and names & {"xi", "v"}:
         raise ValueError(f"mixed chart variables in {text!r}")
     if tag is None and names & {"xi", "v"}:
         tag = V_CHART
+    terms: Terms = {}
+    for key, (num, den) in sums.items():
+        if den == 1:
+            terms[key] = num
+        elif num % den:
+            terms[key] = Q(num, den)
+        else:
+            terms[key] = num // den
     return _raw(terms, tag)
+
+
+def _add_pair(sums: dict[Key, Tuple[int, int]], key: Key, num: int, den: int) -> None:
+    """Add num/den to the (numerator, denominator) pair at key.  A sum
+    that reaches 0 leaves the dict, and a later term of its key enters it
+    again at the end: the key order that BiLaurent addition gives."""
+    if key in sums:
+        n, d = sums[key]
+        num, den = n * den + num * d, d * den
+        if not num:
+            del sums[key]
+            return
+    elif not num:
+        return
+    sums[key] = (num, den)

@@ -18,12 +18,16 @@ below, so no absolute path reaches stdout.
         regenerates pinned/argv_corpus.jsonl (a declared output change);
     PYTHONPATH=src python tests/argv_corpus.py --diff PARENT_DIR
         runs the corpus against PARENT_DIR/src as well and prints both
-        outputs, in full, of the first argv whose records differ.
+        outputs, in full, of the first argv whose records differ;
+    PYTHONPATH=src python tests/argv_corpus.py --time N
+        runs the corpus N times and prints the best wall time, in total
+        and per subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -33,9 +37,10 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 PINNED = Path(__file__).resolve().parent / "pinned" / "argv_corpus.jsonl"
 SEED = 14
@@ -351,6 +356,29 @@ def _diff(parent: Path) -> int:
     return 1
 
 
+def _command(argv: List[str]) -> str:
+    return argv[0] if argv else "(no argv)"
+
+
+def best_times(rounds: int) -> Dict[str, float]:
+    """The least wall time of the corpus through cli.main over rounds runs,
+    under corpus_environment: "total" and one entry per subcommand."""
+    best: Dict[str, float] = {}
+    for _ in range(rounds):
+        times = {"total": 0.0}
+        with corpus_environment():
+            for argv in corpus():
+                start = time.perf_counter()
+                run(argv)
+                elapsed = time.perf_counter() - start
+                name = _command(argv)
+                times[name] = times.get(name, 0.0) + elapsed
+                times["total"] += elapsed
+        for name, elapsed in times.items():
+            best[name] = min(best.get(name, elapsed), elapsed)
+    return best
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -358,7 +386,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode.add_argument("--print", action="store_true")
     mode.add_argument("--diff", metavar="PARENT_DIR", type=Path)
     mode.add_argument("--run-one", metavar="INDEX", type=int)
+    mode.add_argument("--time", metavar="N", type=int)
     args = parser.parse_args(argv)
+    if args.time is not None:
+        best = best_times(args.time)
+        counts = collections.Counter(_command(words) for words in corpus())
+        print(f"best of {args.time}: {best.pop('total'):.3f} s for "
+              f"{sum(counts.values())} argvs")
+        for name, elapsed in sorted(best.items(), key=lambda item: -item[1]):
+            print(f"  {name:<17} {elapsed * 1e3:8.1f} ms  {counts[name]:5d} argvs")
+        return 0
     if args.diff is not None:
         return _diff(args.diff)
     if args.run_one is not None:

@@ -1,4 +1,4 @@
-"""Term-by-term substitution, for oracle tests.
+"""Term-by-term substitution and the Fraction printer, for oracle tests.
 
 substitute_by_term is the form BiLaurent.substitute had before it chained
 its powers: every exponent that occurs gets its own power of the image
@@ -7,12 +7,16 @@ one by one through BiLaurent arithmetic, so tags merge as the sum goes.  It
 shares no power with another exponent and builds each one by repeated
 multiplication, not BiLaurent.__pow__, which makes it the reference for the
 chained powers of BiLaurent.substitute.
+
+str_by_magnitude is the body BiLaurent.__str__ had before it printed from
+numerators and denominators: it prints abs(coeff) and compares the
+coefficient with 0 and 1, which is Fraction arithmetic on a Fraction.
 """
 
 from fractions import Fraction
 
 from localsurfaces.errors import NonInvertibleSubstitution
-from localsurfaces.laurent import BiLaurent
+from localsurfaces.laurent import V_CHART, BiLaurent
 
 
 def substitute_by_term(p, z=None, u=None, tag=None):
@@ -51,3 +55,30 @@ def _repeated_product(img, n):
     for _ in range(n):
         out = out * img
     return out
+
+
+def str_by_magnitude(p):
+    """The canonical text of p: terms by (z exponent, u exponent)
+    ascending, each its sign and then abs() of its coefficient."""
+    if p.is_zero:
+        return "0"
+    zname, uname = ("xi", "v") if p.tag == V_CHART else ("z", "u")
+    pieces = []
+    for (ze, ue), coeff in p.sorted_terms():
+        factors = []
+        if ze:
+            factors.append(zname if ze == 1 else f"{zname}^{ze}")
+        if ue:
+            factors.append(uname if ue == 1 else f"{uname}^{ue}")
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)

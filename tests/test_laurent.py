@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from laurent_oracle import substitute_by_term
+from laurent_oracle import str_by_magnitude, substitute_by_term
 from localsurfaces.deformation import (
     TangentExtensionClass,
     family_and_ks,
@@ -201,6 +201,12 @@ def test_integral_coefficients_are_ints():
     inverse = BiLaurent.term(3, 1, 0) ** -1
     assert inverse.as_unit_monomial() == (Q(1, 3), -1, 0)
     assert type(inverse.as_unit_monomial()[0]) is Q
+    # Parsed terms are summed before a coefficient is made an int, so an
+    # integral sum of fractions is an int and a parsed fraction is reduced.
+    for text, want in (("1/2*z + 1/2*z", 1), ("3/2*u - 1/2*u", 1),
+                       ("2/4*z", Q(1, 2))):
+        (coeff,) = [c for _, c in P(text).items()]
+        assert coeff == want and type(coeff) is type(want), text
 
 
 # -- chart tags ---------------------------------------------------------------
@@ -442,6 +448,80 @@ def test_parse_agrees_with_token_oracle_on_random_pieces():
     assert accepted > 2_000  # the accept side is drawn too
 
 
+def term_text(rng, coeff, key):
+    """One term of the text syntax for coeff * z^l * u^i, its sign first
+    and with or without a number and blanks where the grammar allows."""
+    l, i = key
+    sign = "-" if coeff < 0 else rng.choice(["+", "+ "])
+    mag = abs(coeff)
+    number = [] if mag == 1 and rng.random() < 0.5 else [str(mag)]
+    factors = ([f"z^{l}"] if l else []) + ([f"u^{i}"] if i else [])
+    return sign + rng.choice(["*", " * "]).join(number + factors or ["1"])
+
+
+def test_parse_agrees_with_token_oracle_on_repeated_keys():
+    # Repeated keys whose fractions sum to an integer or cancel: the sums
+    # equal the oracle's, and every coefficient is an int where integral.
+    rng = random.Random(36)
+    keys = [(-2, 0), (-1, 1), (0, 0), (1, 0), (0, 2)]
+    integral = cancelled = 0
+    for _ in range(2_000):
+        pieces = []
+        for key in rng.sample(keys, rng.randint(1, 3)):
+            den = rng.randint(2, 6)
+            first = Q(rng.randint(-9, 9), den)
+            total = rng.choice([0, rng.randint(-3, 3), Q(1, den)])
+            pieces += [(first, key), (total - first, key)]
+            integral += total != 0 and type(total) is int
+            cancelled += total == 0
+        rng.shuffle(pieces)
+        text = " ".join(term_text(rng, c, key) for c, key in pieces if c)
+        if not text:
+            continue
+        outcome = parse_outcome(parse_poly, text)
+        assert outcome == parse_outcome(parse_by_tokens, text), text
+        p, _ = outcome
+        assert all(type(c) is (int if c.denominator == 1 else Q)
+                   for _, c in p.items()), text
+    assert integral > 500 and cancelled > 500
+
+
+def test_parse_and_print_build_no_fraction_they_do_not_return(monkeypatch):
+    # parse_poly sums int numerator/denominator pairs and builds one
+    # Fraction per non-integral coefficient it returns; str prints from
+    # numerators and denominators and builds none.
+    rng = random.Random(37)
+    texts = ["3*z^-2*u + 2 - z + z", "4/2*z + 1/2*u + 1/2*u", "6/3",
+             "1/2*z + 1/2*z", "2/4*z", "1/2*3*z - 1/3*u^2 + 5/10*z"]
+    for _ in range(300):
+        texts.append(" ".join(
+            term_text(rng, Q(rng.randint(-7, 7), rng.choice([1, 1, 2, 3])),
+                      (rng.randint(-3, 2), rng.randint(0, 2)))
+            for _ in range(rng.randint(1, 6))
+        ))
+    parsed = [parse_poly(text) for text in texts]
+    fractions = [sum(type(c) is Q for _, c in p.items()) for p in parsed]
+    printed = [parsed[0] * Q(1, 2) * 2, BiLaurent.term(Q(-3, 4), 1, 2, V_CHART)]
+    printed += parsed
+    assert sum(fractions) > 100 and fractions.count(0) > 50
+    built = []
+    real_new = Q.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", counted)
+    for text, r in zip(texts, fractions):
+        before = len(built)
+        parse_poly(text)
+        assert len(built) - before <= r, (text, built[before:])
+    before = len(built)
+    for p in printed:
+        str(p)
+    assert built[before:] == []
+
+
 # POLY with each repetition bounded: "*" becomes {0,3} and \d+ becomes
 # \d{1,3}.  Strings of the unbounded grammar come out about 330 characters
 # long and take Hypothesis seconds to build; these average about 36.
@@ -495,6 +575,33 @@ def test_canonical_print_order():
     assert str(p) == "z^-1 + u + z + z*u^2"
     assert str(P("-z + 1/3") ) == "1/3 - z"
     assert str(BiLaurent.zero()) == "0"
+
+
+def test_str_matches_the_magnitude_printer():
+    # The numerator/denominator printer against the abs() printer it
+    # replaced, on int and Fraction coefficients, the integral Fractions
+    # that * and + leave in place, +-1, constant terms, the three tags
+    # and the zero polynomial.
+    doubled = BiLaurent.term(Q(1, 2), 1, 0) * 2
+    assert type(doubled.coefficient(1, 0)) is Q
+    rng = random.Random(38)
+    coeffs = [1, -1, 2, -7, Q(1, 2), Q(-3, 4), Q(5, 3)]
+    seen = set()
+    for tag in (None, U_CHART, V_CHART):
+        assert str(BiLaurent.zero(tag)) == str_by_magnitude(BiLaurent.zero(tag)) == "0"
+        for _ in range(300):
+            p = BiLaurent.zero(tag)
+            for _ in range(rng.randint(1, 6)):
+                p = p + BiLaurent.term(rng.choice(coeffs), rng.randint(-3, 3),
+                                       rng.randint(0, 2), tag)
+            if rng.random() < 0.5:
+                p = p * Q(1, 2) * 2
+            assert str(p) == str_by_magnitude(p), p.sorted_terms()
+            seen.update((type(c), c.denominator == 1, abs(c) == 1,
+                         key == (0, 0)) for key, c in p.items())
+    assert {(Q, True, True, True), (Q, True, False, False),
+            (int, True, True, True), (int, True, False, False),
+            (Q, False, False, True)} <= seen
 
 
 def test_print_parse_roundtrip_random():
