@@ -239,7 +239,8 @@ def _connecting_rank(s: SurfaceSpec, e: ExtensionClass) -> int:
     and for b > m = floor((j - 2) / k) every term has
     ki - j >= k(m + 1) - j >= -1, so no normal-form monomial.  Scaling
     sigma once by the lcm of its denominators keeps the rank and makes
-    every image an int vector, counted on an IntegerEchelon.
+    every image an int vector, counted on linalg's one echelon,
+    IntegerEchelon, which never leaves the integers.
     """
     scale = lcm(*(c.denominator for _, c in e.sigma.items()))
     j, sigma = e.j, BiLaurent({key: c * scale for key, c in e.sigma.items()})

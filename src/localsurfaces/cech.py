@@ -48,8 +48,10 @@ denominator: sigma's negative-z part is scaled once to int numerators over
 the lcm of its denominators, so the division is on ints, and each weight
 step multiplies the pending terms and the quotient by a power of
 t = D*t_d, which keeps the inverse of w' + t integral (pseudo-division).
-One Fraction is built per output term of f_U and f_V, and none before.  On tau = 0 every power of v = z^k u is one
-monomial, so the division only sorts sigma's terms, as they are.
+One Fraction is built per output term of f_U and f_V, and none before.
+
+On tau = 0 every power of v = z^k u is one monomial, so the division only
+sorts sigma's terms, as they are.
 
 Window growth is fixed: H^1 enlarges its window by (3, 1) (three z steps on
 each side, one u step) until the dimension is unchanged across two
@@ -63,8 +65,10 @@ V-coordinates once per u-degree b.
 
 The complex's columns and the relations of deformed H^1 are int vectors
 of which only a rank and its leads are read, so both are counted on
-IntegerEchelon and build no Fraction, nor does a certificate on unit tau
-with an int sigma.  Deformed H^0 reads RREF rows, through linalg.nullspace.
+IntegerEchelon, linalg's one echelon, and build no Fraction, nor does a
+certificate on unit tau with an int sigma.  Deformed H^0 is the kernel
+linalg.nullspace reads off the same echelon, which builds one Fraction
+per kernel entry and none before.
 """
 
 from __future__ import annotations

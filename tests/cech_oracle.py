@@ -42,8 +42,9 @@ re-check exactly.
 
 relation_rank_trace is the relation rank of cech.h1_line_bundle on tau != 0
 as it was counted before it moved to the fraction-free IntegerEchelon: the
-same relation remainders on a ReducedEchelon, which turns every entry into
-a Fraction and keeps the RREF.
+same relation remainders on the rational RREF of rref_oracle, which turns
+every entry into a Fraction.  _solve_in_span and h0_by_columns run on
+rref_oracle too, so no oracle here shares linalg with the library.
 
 h0_by_columns is cech.h0_basis as it was before it shared one V-rewrite
 per u-degree: every window column z^a u^b is twisted and rewritten to
@@ -77,9 +78,9 @@ from localsurfaces.cech import (
 )
 from localsurfaces.errors import NotTrivial
 from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART
-from localsurfaces.linalg import ReducedEchelon, nullspace
 from localsurfaces.polymatrix import PolyMatrix
 from localsurfaces.surface import _require_chart, to_U_coords, to_V_coords
+from rref_oracle import ReducedEchelon, nullspace
 
 
 def window_size(window):

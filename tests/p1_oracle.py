@@ -3,8 +3,9 @@
 splitting_type_by_profile finds the type a second, independent way, as a
 cross-check on the column reduction of bundles.splitting_type_p1: it counts
 h0(E(m)) for every twist m in a range wide enough that both ends are in
-the stable regime, one ReducedEchelon per twist, and fits the splitting
-tuple from h0(E(m)) = sum_i max(0, j_i + m + 1).  Its section-degree caps
+the stable regime, one rational RREF (rref_oracle.ReducedEchelon) per
+twist, and fits the splitting tuple from
+h0(E(m)) = sum_i max(0, j_i + m + 1).  Its section-degree caps
 are heuristic; ProfileInconsistent means they were too small.  Its cost
 grows fast with rank and span.
 
@@ -19,8 +20,8 @@ on ranks and spans the profile fit cannot afford.
 from typing import Dict, Tuple
 
 from localsurfaces.laurent import BiLaurent, Q
-from localsurfaces.linalg import ReducedEchelon, nullspace
 from localsurfaces.polymatrix import PolyMatrix
+from rref_oracle import ReducedEchelon, nullspace
 
 
 class ProfileInconsistent(AssertionError):

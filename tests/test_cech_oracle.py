@@ -258,15 +258,17 @@ def test_line_bundle_h1_matches_windowed_stabilization():
 
 
 def test_relation_rank_matches_the_rational_echelon_level_by_level(monkeypatch):
-    # h1_line_bundle counts the relation rank on an IntegerEchelon.  The
-    # ReducedEchelon count it replaced has the same rank and the same leads
-    # after every insert, so at the end of every level, and reaches the
+    # h1_line_bundle counts the relation rank on an IntegerEchelon, and
+    # every vector it inserts holds only ints.  The rational RREF count it
+    # replaced (rref_oracle) has the same rank and the same leads after
+    # every insert, so at the end of every level, and reaches the
     # closed-form count at the same insert, within the proved cap n - 1.
     # k <= 6 and n <= 16, on one unit coefficient and on rational tau.
     seen = []
 
     class Recorded(IntegerEchelon):
         def add(self, vec):
+            assert all(type(x) is int for x in vec.values()), vec
             grew = super().add(vec)
             seen.append((self.rank, frozenset(self.pivots)))
             return grew

@@ -1,17 +1,26 @@
-"""The incremental echelons and kernels, against the dense RREF oracle."""
+"""The fraction-free echelon and its kernels, against the sparse rational
+RREF of rref_oracle and the dense RREF oracle."""
 
+import json
 import random
+import re
 from fractions import Fraction as Q
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from cech_oracle import _solve_in_span, coboundary_matrix
 from dense_oracle import RationalMatrix, nullspace, rref_rank
+from localsurfaces import linalg
 from localsurfaces.cech import Window, h1_dimension_formula
-from localsurfaces.linalg import IntegerEchelon, ReducedEchelon
+from localsurfaces.linalg import IntegerEchelon
 from localsurfaces.linalg import nullspace as sparse_nullspace
 from localsurfaces.surface import surface
+from rref_oracle import ReducedEchelon
+from rref_oracle import nullspace as rref_nullspace
+
+TESTS = Path(__file__).resolve().parent
 
 
 def random_matrix(rng, rows, cols):
@@ -169,30 +178,6 @@ def kernel_as_dense(kernel, cols):
     return [[vec.get(c, Q(0)) for c in range(cols)] for vec in kernel]
 
 
-def test_sparse_nullspace_matches_dense_oracle():
-    rng = random.Random(31)
-    cases = [
-        ([], 4),  # no rows: every column is free
-        ([{}, {}], 3),  # zero rows
-        ([{0: Q(1)}, {1: Q(2)}, {2: Q(-1)}], 3),  # full rank
-        ([{0: Q(1), 2: Q(2)}, {0: Q(2), 2: Q(4)}], 4),  # rank deficient
-    ]
-    for _ in range(60):
-        rows, cols = rng.randint(0, 6), rng.randint(1, 7)
-        cases.append(
-            (random_sparse_rows(rng, rows, cols, rng.choice((0.2, 0.5, 0.9))), cols)
-        )
-    for rows, cols in cases:
-        got = kernel_as_dense(sparse_nullspace(rows, cols), cols)
-        if rows:
-            assert got == nullspace(dense(rows, cols))
-        else:
-            assert got == RationalMatrix.identity(cols).entries
-        for vec in got:
-            for row in rows:
-                assert sum(x * vec[c] for c, x in row.items()) == 0
-
-
 def random_echelon_inputs(rng, cols, count):
     """Sparse int or Fraction vectors: random ones with leads of +-1 or
     other values, and dependent ones combined from earlier draws."""
@@ -283,12 +268,19 @@ def random_int_vectors(rng, cols, count):
 def test_integer_echelon_matches_the_reduced_echelon():
     # Same answer, rank and leads after every insert; the rows stay ints
     # with no common factor, and the inserted vector is left as it was.
+    # reduce leaves an int residual that is empty exactly when the RREF's
+    # is, and otherwise has the RREF residual's lead, which is no row's.
     rng = random.Random(41)
     for _ in range(150):
         cols = rng.randint(1, 10)
         ints, rational = IntegerEchelon(), ReducedEchelon()
         for vec in random_int_vectors(rng, cols, rng.randint(1, 16)):
             before = dict(vec)
+            residual, want = ints.reduce(vec), rational.reduce(vec)
+            assert bool(residual) == bool(want) and vec == before
+            if residual:
+                assert min(residual) == min(want) not in ints.pivots
+                assert all(type(x) is int for x in residual.values())
             assert ints.add(vec) == rational.add(vec)
             assert vec == before
             assert ints.rank == rational.rank
@@ -308,3 +300,125 @@ def test_integer_echelon_refuses_non_int_entries():
         with pytest.raises(TypeError):
             echelon.add(vec)
         assert echelon.pivots == {0: {0: 2, 1: 1}}
+
+
+def random_kernel_inputs(rng):
+    """Sparse rows of int and Fraction entries with random key order, with
+    empty rows, duplicate rows and multiples of earlier rows among them;
+    the columns a row may use are a random part of range(ncols), so some
+    columns are zero and ncols can be wider than every row."""
+    ncols = rng.randint(1, 9)
+    used = [c for c in range(rng.randint(1, ncols)) if rng.random() < 0.85]
+    rows = []
+    for _ in range(rng.randint(0, 7)):
+        draw = rng.random()
+        if draw < 0.1:
+            row = {}
+        elif rows and draw < 0.2:
+            row = dict(rng.choice(rows))
+        elif rows and draw < 0.3:
+            x = Q(rng.choice((-2, 3, 1)), rng.choice((1, 2, 5)))
+            row = {c: x * v for c, v in rng.choice(rows).items()}
+        else:
+            density = rng.choice((0.2, 0.5, 0.9))
+            row = {
+                c: rng.choice((Q(rng.randint(-4, 4) or 1, rng.randint(1, 3)),
+                               rng.choice((-2, -1, 1, 3))))
+                for c in rng.sample(used, len(used)) if rng.random() < density
+            }
+        rows.append(row)
+    return rows, ncols
+
+
+def recorded_nullspace_calls():
+    """The 376 nullspace calls of one pass of the seed-3 p1-splitting op
+    list of bench/workloads.py (the seed-3 cli-certify list makes none),
+    as (rows, ncols), in call order."""
+    calls = []
+    with open(TESTS / "nullspace_calls.jsonl", encoding="utf-8") as handle:
+        for line in handle:
+            call = json.loads(line)
+            rows = [{c: Q(x) for c, x in row} for row in call["rows"]]
+            calls.append((rows, call["ncols"]))
+    return calls
+
+
+def as_items(kernel):
+    return [list(vec.items()) for vec in kernel]
+
+
+def assert_canonical_kernel(rows, ncols):
+    got = sparse_nullspace(rows, ncols)
+    # Same vectors, keys, values and key order as the rational RREF.
+    assert as_items(got) == as_items(rref_nullspace(rows, ncols)), (rows, ncols)
+    assert all(type(x) is Q for vec in got for x in vec.values())
+    as_dense = kernel_as_dense(got, ncols)
+    if rows:
+        assert as_dense == nullspace(dense(rows, ncols))
+    else:
+        assert as_dense == RationalMatrix.identity(ncols).entries
+    for vec in as_dense:
+        for row in rows:
+            assert sum(x * vec[c] for c, x in row.items()) == 0
+
+
+def test_sparse_nullspace_matches_dense_oracle():
+    rng = random.Random(31)
+    cases = [
+        ([], 4),  # no rows: every column is free
+        ([{}, {}], 3),  # zero rows
+        ([{0: Q(1)}, {1: Q(2)}, {2: Q(-1)}], 3),  # full rank
+        ([{0: Q(1), 2: Q(2)}, {0: Q(2), 2: Q(4)}], 4),  # rank deficient
+    ]
+    for _ in range(60):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 7)
+        cases.append(
+            (random_sparse_rows(rng, rows, cols, rng.choice((0.2, 0.5, 0.9))), cols)
+        )
+    rng = random.Random(47)
+    cases += [random_kernel_inputs(rng) for _ in range(3000)]
+    for rows, cols in cases:
+        assert_canonical_kernel(rows, cols)
+
+
+def test_nullspace_is_the_rational_rref_kernel_on_recorded_calls():
+    calls = recorded_nullspace_calls()
+    assert len(calls) == 376
+    for rows, ncols in calls:
+        assert_canonical_kernel(rows, ncols)
+
+
+def test_nullspace_builds_one_fraction_per_kernel_entry(monkeypatch):
+    # The echelon and the back-substitution run on ints; only the entries
+    # of the returned kernel are Fractions.
+    rng = random.Random(59)
+    cases = recorded_nullspace_calls()
+    cases += [random_kernel_inputs(rng) for _ in range(300)]
+    real_new = Q.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    for rows, ncols in cases:
+        built.clear()
+        monkeypatch.setattr(Q, "__new__", counted)
+        kernel = sparse_nullspace(rows, ncols)
+        monkeypatch.setattr(Q, "__new__", real_new)
+        assert len(built) <= sum(len(vec) for vec in kernel), (rows, ncols)
+
+
+def test_one_echelon_engine():
+    # The rational RREF lives in tests/rref_oracle.py; the library keeps
+    # its name only as one alias of IntegerEchelon in linalg.py.
+    assert linalg.ReducedEchelon is linalg.IntegerEchelon
+    package = TESTS.parent / "src" / "localsurfaces"
+    naming = {
+        path.name: [line for line in path.read_text(encoding="utf-8").splitlines()
+                    if re.search(r"\bReducedEchelon\b", line)]
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: lines for name, lines in naming.items() if lines} == {
+        "linalg.py": ["ReducedEchelon = IntegerEchelon"],
+    }
