@@ -3,11 +3,12 @@
 The corpus is a fixed list of argvs over all 15 subcommands, on zero, unit
 and rational tau (including rational tau whose integral coefficient
 t = D*t_d has |t| >= 2, where certificate denominators grow), with cases
-that exit 0, 1 and 2.  Each argv runs through cli.main in this process;
-its record is the argv, the exit code and the SHA-256 of stdout and of
-stderr.  pinned/argv_corpus.jsonl holds one record per line, and
-test_argv_corpus.py regenerates the records and compares them, so
-"stdout is byte-identical" is a tier-1 check.
+that exit 0, 1 and 2, and ends with --help and each subcommand's --help.
+Each argv runs through cli.main in this process; its record is the argv,
+the exit code and the SHA-256 of stdout and of stderr.
+pinned/argv_corpus.jsonl holds one record per line, and test_argv_corpus.py
+regenerates the records and compares them, so "stdout is byte-identical"
+is a tier-1 check.
 
 The run is made deterministic: argparse wraps usage lines at COLUMNS, which
 is set to 80 while the corpus runs, and golden reads and writes relative
@@ -258,6 +259,14 @@ def _usage_error_argvs(rng: random.Random, valid: List[List[str]]) -> Iterator[L
             yield argv[:i + 1] + [rng.choice(BAD_VALUES[argv[i]])] + argv[i + 2:]
 
 
+def _help_argvs() -> Iterator[List[str]]:
+    """The top-level help and each subcommand's: the parser's help strings,
+    usage lines and flag order, pinned byte for byte."""
+    yield ["--help"]
+    for command in SUBCOMMANDS:
+        yield [command, "--help"]
+
+
 def corpus(seed: int = SEED) -> List[List[str]]:
     """The argvs of the corpus, in run order; they depend only on seed."""
     rng = random.Random(seed)
@@ -266,7 +275,8 @@ def corpus(seed: int = SEED) -> List[List[str]]:
         *_cohomology_argvs(rng),
         *_deformation_argvs(rng),
     ]
-    return valid + list(_golden_argvs()) + list(_usage_error_argvs(rng, valid))
+    return (valid + list(_golden_argvs()) + list(_usage_error_argvs(rng, valid))
+            + list(_help_argvs()))
 
 
 # -- running ---------------------------------------------------------------------

@@ -31,7 +31,8 @@ def test_argv_corpus_is_seeded_and_covers_the_cli():
     assert corpus() == corpus()
     records = [json.loads(line) for line in PINNED.read_text().splitlines()]
     assert [r["argv"] for r in records] == corpus()
-    commands = {r["argv"][0] for r in records if r["argv"]} - {"--version", "nope"}
+    commands = {r["argv"][0] for r in records if r["argv"]} - {
+        "--version", "--help", "nope"}
     assert commands == set(SUBCOMMANDS)
     exits = {}
     for r in records:
