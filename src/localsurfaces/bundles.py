@@ -29,13 +29,14 @@ from .errors import CertificateNotFound, NoZeroSection, NotApplicable, NotTrivia
 from .laurent import BiLaurent, U_CHART, V_CHART
 from .linalg import IntegerEchelon, nullspace
 from .polymatrix import PolyMatrix
-from .surface import SurfaceSpec
+from .surface import SurfaceSpec, _require_chart
 
 
 @dataclass(frozen=True)
 class ExtensionClass:
     """Extension data for a splitting-type-j bundle: sigma is the class in
-    H^1 of O(-2j); the extension form is p = z^j * sigma."""
+    H^1 of O(-2j), in U-coordinates (TagMismatch otherwise); the extension
+    form is p = z^j * sigma."""
 
     j: int
     sigma: BiLaurent
@@ -43,6 +44,7 @@ class ExtensionClass:
     def __post_init__(self):
         if self.j < 0:
             raise ValueError("splitting type j must be >= 0")
+        _require_chart(self.sigma, U_CHART)
 
     @property
     def p(self) -> BiLaurent:

@@ -22,6 +22,12 @@ nothing in the environment changes a result.
 The parser is built on the first main call and reused by every later call
 in the process; parsing keeps no state between calls, so every call parses
 its argv as a first call would.
+
+Each flag is declared once, as a (name, options) spec, and each subcommand
+once, as a row (name, help, handler, flags) of the _COMMANDS table, which
+build_parser walks.  A handler returns its JSON payload and writes nothing
+to stdout; main alone writes it, through _emit on success and _fail on a
+mathematical failure.
 """
 
 from __future__ import annotations
@@ -166,8 +172,7 @@ def _fail(kind: str, message: str) -> int:
 def _surface_from_args(args) -> SurfaceSpec:
     k = args.k
     tau = [Q(0)] * (k - 1)
-    given = getattr(args, "tau", None)
-    tau_poly = getattr(args, "tau_poly", None)
+    given, tau_poly = args.tau, args.tau_poly
     if given is not None and tau_poly is not None:
         raise argparse.ArgumentTypeError("--tau and --tau-poly are exclusive")
     if given is not None:
@@ -184,14 +189,6 @@ def _surface_from_args(args) -> SurfaceSpec:
     return surface(k, tau)
 
 
-def _add_tau_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tau", type=_rational_list, default=None,
-                        help="deformation coefficients t_1,t_2,... as "
-                             "rationals (missing entries are 0)")
-    parser.add_argument("--tau-poly", type=_poly, default=None,
-                        help='deformation as a polynomial, e.g. "z + 1/2*z^3"')
-
-
 def _vector_strings(vec) -> list[str]:
     return [str(component) for component in vec]
 
@@ -202,10 +199,10 @@ def _matrix_strings(matrix: PolyMatrix) -> list[list[str]]:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def _cmd_h1(args) -> int:
+def _cmd_h1(args) -> dict:
     s = _surface_from_args(args)
     result = h1_line_bundle(s, args.n)
-    _emit({
+    return {
         "dim": result.dimension,
         "basis": [str(p) for p in result.basis],
         "k": s.k,
@@ -214,11 +211,10 @@ def _cmd_h1(args) -> int:
         "m_row": (args.n - 2) // s.k if args.n >= 2 else None,
         "window": result.window.to_json_dict(),
         "stabilized": result.stabilized,
-    })
-    return 0
+    }
 
 
-def _cmd_h0(args) -> int:
+def _cmd_h0(args) -> dict:
     s = _surface_from_args(args)
     base = default_window(s, abs(args.n))
     window = Window(
@@ -227,7 +223,7 @@ def _cmd_h0(args) -> int:
         base.max_u if args.max_u is None else args.max_u,
     )
     result = h0_basis(s, args.n, window)
-    _emit({
+    return {
         "dim": result.dimension,
         "basis": [str(p) for p in result.basis],
         "k": s.k,
@@ -235,8 +231,7 @@ def _cmd_h0(args) -> int:
         "tau": [str(t) for t in s.tau],
         "window": result.window.to_json_dict(),
         "stabilized": result.stabilized,
-    })
-    return 0
+    }
 
 
 def _sigma_window(s: SurfaceSpec, n: int, sigma: BiLaurent) -> dict:
@@ -245,25 +240,24 @@ def _sigma_window(s: SurfaceSpec, n: int, sigma: BiLaurent) -> dict:
     return default_window(s, n).hull([sigma]).to_json_dict()
 
 
-def _cmd_normal_form(args) -> int:
+def _cmd_normal_form(args) -> dict:
     s = _surface_from_args(args)
     reduced = normal_form(args.sigma, s, args.n)
-    _emit({
+    return {
         "input": str(args.sigma),
         "normal_form": str(reduced),
         "is_zero": reduced.is_zero,
         "k": s.k,
         "n": args.n,
         "window": _sigma_window(s, args.n, args.sigma),
-    })
-    return 0
+    }
 
 
-def _cmd_certify_trivial(args) -> int:
+def _cmd_certify_trivial(args) -> dict:
     s = _surface_from_args(args)
     cert = triviality_certificate(args.sigma, s, args.n)
     # The certificate is exact: sigma = f_U + z^-n * (f_V in U-coords).
-    _emit({
+    return {
         "sigma": str(args.sigma),
         "f_U": str(cert.f_U),
         "f_V": str(cert.f_V),
@@ -272,43 +266,38 @@ def _cmd_certify_trivial(args) -> int:
         "k": s.k,
         "n": args.n,
         "window": _sigma_window(s, args.n, args.sigma),
-    })
-    return 0
+    }
 
 
-def _cmd_tangent(args) -> int:
+def _cmd_tangent(args) -> dict:
     result = tangent_h1(args.k)
-    _emit({
+    return {
         "dim": result.dimension,
         "basis": [_vector_strings(vec) for vec in result.basis],
         "k": args.k,
         "stabilized": result.stabilized,
-    })
-    return 0
+    }
 
 
-def _cmd_ext_basis(args) -> int:
+def _cmd_ext_basis(args) -> dict:
     ext, h1b = ext_basis_tangent(args.k)
-    _emit({
+    return {
         "k": args.k,
         "ext_basis": [str(p) for p in ext],
         "h1_basis": [str(p) for p in h1b],
-    })
-    return 0
+    }
 
 
-def _cmd_integrate(args) -> int:
+def _cmd_integrate(args) -> dict:
     cls = TangentExtensionClass.from_poly(args.k, args.sigma)
-    report = integrability_analysis(args.k, cls)
-    payload = report.to_json_dict()
+    payload = integrability_analysis(args.k, cls).to_json_dict()
     payload.update({"k": args.k, "sigma": str(args.sigma)})
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> dict:
     fam, ks = family_and_ks(args.k)
-    _emit({
+    return {
         "k": args.k,
         "base_dim": fam.base_dim,
         "params": list(fam.params),
@@ -316,25 +305,20 @@ def _cmd_family(args) -> int:
         "ks": {
             f"t{i}": _vector_strings(vec) for i, vec in sorted(ks.items())
         },
-    })
-    return 0
+    }
 
 
-def _cmd_deform(args) -> int:
-    if getattr(args, "tau", None) is None and getattr(args, "tau_poly", None) is None:
+def _cmd_deform(args) -> dict:
+    if args.tau is None and args.tau_poly is None:
         raise argparse.ArgumentTypeError("deform needs --tau or --tau-poly")
     s = _surface_from_args(args)
     rebuilt = deform_by_cocycle(args.k, s.tau_poly())
-    _emit({
-        "surface": rebuilt.to_json_dict(),
-        "verified": rebuilt == s,
-    })
-    return 0
+    return {"surface": rebuilt.to_json_dict(), "verified": rebuilt == s}
 
 
-def _cmd_hirzebruch_check(args) -> int:
+def _cmd_hirzebruch_check(args) -> dict:
     report = hirzebruch_embed_check(args.k)
-    _emit({
+    return {
         "k": args.k,
         "x": [str(p) for p in report.x],
         "y": [str(p) for p in report.y],
@@ -342,29 +326,26 @@ def _cmd_hirzebruch_check(args) -> int:
         "residuals_v": [str(p) for p in report.residuals_v],
         "overlap_consistent": report.overlap_consistent,
         "all_zero": report.all_zero,
-    })
-    return 0
+    }
 
 
-def _cmd_split_type(args) -> int:
+def _cmd_split_type(args) -> dict:
     s = _surface_from_args(args)
     bundle = extension_to_transition(ExtensionClass(args.j, args.sigma))
     restricted = restrict_to_zero_section(bundle, s)
-    split = splitting_type_p1(restricted)
-    _emit({
-        "splitting_type": list(split),
+    return {
+        "splitting_type": list(splitting_type_p1(restricted)),
         "j": args.j,
         "k": s.k,
         "sigma": str(args.sigma),
-    })
-    return 0
+    }
 
 
-def _cmd_certify_split(args) -> int:
+def _cmd_certify_split(args) -> dict:
     s = _surface_from_args(args)
     cert = split_certificate(s, ExtensionClass(args.j, args.sigma))
     # Exact and unipotent by construction (see bundles.SplitCertificate).
-    _emit({
+    return {
         "splitting_type": [args.j, -args.j],
         "certificate": {
             "A_U": _matrix_strings(cert.a_u),
@@ -377,14 +358,13 @@ def _cmd_certify_split(args) -> int:
         "j": args.j,
         "k": s.k,
         "tau": [str(t) for t in s.tau],
-    })
-    return 0
+    }
 
 
-def _cmd_charge(args) -> int:
+def _cmd_charge(args) -> dict:
     s = _surface_from_args(args)
     report = charge_report(s, ExtensionClass(args.j, args.sigma))
-    _emit({
+    return {
         "r1_dim": report.r1_dim,
         "q_dim": report.q_dim,
         "splitting_ok": report.splitting_ok,
@@ -392,21 +372,23 @@ def _cmd_charge(args) -> int:
         "k": s.k,
         # r1_dim is exact: no window is grown.
         "stabilized": True,
-    })
-    return 0
+    }
 
 
-def _cmd_moduli_dim(args) -> int:
-    _emit({
+def _cmd_moduli_dim(args) -> dict:
+    return {
         "moduli_dim": moduli_dimension(args.j, args.k, deformed=args.deformed),
         "j": args.j,
         "k": args.k,
         "deformed": args.deformed,
-    })
-    return 0
+    }
 
 
 # -- golden table ------------------------------------------------------------
+
+class GoldenMismatch(LocalSurfacesError):
+    """A golden row whose dim the recomputation does not reproduce."""
+
 
 def _golden_tau_samples(k: int) -> list[list[Fraction]]:
     samples = [[Q(0)] * (k - 1)]
@@ -462,7 +444,7 @@ def _golden_row_inputs(row, where: str) -> tuple[SurfaceSpec, int, int]:
         raise argparse.ArgumentTypeError(f"{where}: {exc}") from None
 
 
-def _cmd_golden(args) -> int:
+def _cmd_golden(args) -> dict:
     if args.mode == "generate":
         rows = _golden_rows()
         try:
@@ -471,8 +453,7 @@ def _cmd_golden(args) -> int:
                     handle.write(_row_line(row) + "\n")
         except OSError as exc:
             raise argparse.ArgumentTypeError(f"cannot write {args.path}: {exc}")
-        _emit({"written": len(rows), "path": args.path})
-        return 0
+        return {"written": len(rows), "path": args.path}
     # verify
     try:
         with open(args.path, encoding="utf-8") as handle:
@@ -495,18 +476,77 @@ def _cmd_golden(args) -> int:
                 f"table says {row['dim']}, recomputed {result.dimension}",
                 file=sys.stderr,
             )
-            return _fail(
-                "GoldenMismatch",
+            raise GoldenMismatch(
                 f"row (k={row['k']}, n={row['n']}, tau={row['tau']}) "
                 f"expected dim {row['dim']} but recomputation gives "
-                f"{result.dimension}",
+                f"{result.dimension}"
             )
         checked += 1
-    _emit({"verified": checked, "path": args.path})
-    return 0
+    return {"verified": checked, "path": args.path}
 
 
 # -- parser ------------------------------------------------------------------
+
+# One (name, add_argument options) spec per flag.
+_K = ("--k", {"type": _positive_int, "required": True})
+_FAMILY_K = ("--k", {"type": _family_k, "required": True})
+_N = ("--n", {"type": _int, "required": True})
+_J = ("--j", {"type": _nonnegative_int, "required": True})
+_SIGMA = ("--sigma", {"type": _poly, "required": True})
+_TAU = (
+    ("--tau", {"type": _rational_list, "help": "deformation coefficients "
+               "t_1,t_2,... as rationals (missing entries are 0)"}),
+    ("--tau-poly", {"type": _poly, "help": "deformation as a polynomial, "
+                    'e.g. "z + 1/2*z^3"'}),
+)
+
+
+def _helped(spec: tuple, text: str) -> tuple:
+    """spec with a subcommand's own help text."""
+    name, options = spec
+    return name, {**options, "help": text}
+
+
+# One row (name, help, handler, flags) per subcommand, in help order.
+_COMMANDS = (
+    ("h1", "dim/basis of H^1(Z_k(tau), O(-n))", _cmd_h1,
+     (_K, _helped(_N, "twist: n=4 computes H^1 of O(-4)"), *_TAU)),
+    ("h0", "window basis of H^0(Z_k(tau), O(n))", _cmd_h0,
+     (_K, _helped(_N, "first Chern class of the bundle"), *_TAU,
+      ("--max-z", {"type": _nonnegative_int,
+                   "help": "window ceiling for z exponents (>= 0)"}),
+      ("--max-u", {"type": _nonnegative_int,
+                   "help": "window ceiling for u exponents (>= 0)"}))),
+    ("normal-form", "normal form of a 1-cocycle in O(-n)", _cmd_normal_form,
+     (_K, _N, _SIGMA, *_TAU)),
+    ("certify-trivial", "explicit coboundary certificate for a cocycle",
+     _cmd_certify_trivial, (_K, _N, _SIGMA, *_TAU)),
+    ("tangent", "H^1 of the tangent bundle of Z_k", _cmd_tangent, (_K,)),
+    ("ext-basis", "bases of Ext^1(O(2), O(-k)) and H^1(O(-k-2))",
+     _cmd_ext_basis, (_K,)),
+    ("integrate", "integrability classification of a tangent extension class",
+     _cmd_integrate, (_K, _helped(
+         _SIGMA, "class s1*z^{k-1}*u + sum s0_l z^l, -1 <= l <= k-1"))),
+    ("family", "semiuniversal family and Kodaira-Spencer map", _cmd_family,
+     (_FAMILY_K,)),
+    ("deform", "rebuild Z_k(tau) from a tangent cocycle", _cmd_deform,
+     (_K, *_TAU)),
+    ("hirzebruch-check",
+     "symbolic residuals of the Hirzebruch-family embedding",
+     _cmd_hirzebruch_check, (_FAMILY_K,)),
+    ("split-type", "splitting type on the zero section", _cmd_split_type,
+     (_K, _J, _SIGMA, *_TAU)),
+    ("certify-split", "explicit splitting certificate on a deformed surface",
+     _cmd_certify_split, (_K, _J, _SIGMA, *_TAU)),
+    ("charge", "charge bookkeeping for an extension bundle", _cmd_charge,
+     (_K, _J, _SIGMA, *_TAU)),
+    ("moduli-dim", "documented moduli dimension 2j-k-2 / marker",
+     _cmd_moduli_dim, (_K, _J, ("--deformed", {"action": "store_true"}))),
+    ("golden", "generate/verify the regression table", _cmd_golden,
+     (("mode", {"choices": ["generate", "verify"]}),
+      ("--path", {"required": True}))),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -516,112 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("h1", help="dim/basis of H^1(Z_k(tau), O(-n))")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--n", type=_int, required=True,
-                   help="twist: n=4 computes H^1 of O(-4)")
-    _add_tau_flags(p)
-    p.set_defaults(handler=_cmd_h1)
-
-    p = sub.add_parser("h0", help="window basis of H^0(Z_k(tau), O(n))")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--n", type=_int, required=True,
-                   help="first Chern class of the bundle")
-    _add_tau_flags(p)
-    p.add_argument("--max-z", type=_nonnegative_int, default=None,
-                   help="window ceiling for z exponents (>= 0)")
-    p.add_argument("--max-u", type=_nonnegative_int, default=None,
-                   help="window ceiling for u exponents (>= 0)")
-    p.set_defaults(handler=_cmd_h0)
-
-    p = sub.add_parser("normal-form",
-                       help="normal form of a 1-cocycle in O(-n)")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--sigma", type=_poly, required=True)
-    _add_tau_flags(p)
-    p.set_defaults(handler=_cmd_normal_form)
-
-    p = sub.add_parser("certify-trivial",
-                       help="explicit coboundary certificate for a cocycle")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--sigma", type=_poly, required=True)
-    _add_tau_flags(p)
-    p.set_defaults(handler=_cmd_certify_trivial)
-
-    p = sub.add_parser("tangent", help="H^1 of the tangent bundle of Z_k")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.set_defaults(handler=_cmd_tangent)
-
-    p = sub.add_parser("ext-basis",
-                       help="bases of Ext^1(O(2), O(-k)) and H^1(O(-k-2))")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.set_defaults(handler=_cmd_ext_basis)
-
-    p = sub.add_parser("integrate",
-                       help="integrability classification of a tangent "
-                            "extension class")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--sigma", type=_poly, required=True,
-                   help="class s1*z^{k-1}*u + sum s0_l z^l, -1 <= l <= k-1")
-    p.set_defaults(handler=_cmd_integrate)
-
-    p = sub.add_parser("family",
-                       help="semiuniversal family and Kodaira-Spencer map")
-    p.add_argument("--k", type=_family_k, required=True)
-    p.set_defaults(handler=_cmd_family)
-
-    p = sub.add_parser("deform",
-                       help="rebuild Z_k(tau) from a tangent cocycle")
-    p.add_argument("--k", type=_positive_int, required=True)
-    _add_tau_flags(p)
-    p.set_defaults(handler=_cmd_deform)
-
-    p = sub.add_parser("hirzebruch-check",
-                       help="symbolic residuals of the Hirzebruch-family "
-                            "embedding")
-    p.add_argument("--k", type=_family_k, required=True)
-    p.set_defaults(handler=_cmd_hirzebruch_check)
-
-    p = sub.add_parser("split-type",
-                       help="splitting type on the zero section")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--j", type=_nonnegative_int, required=True)
-    p.add_argument("--sigma", type=_poly, required=True)
-    _add_tau_flags(p)
-    p.set_defaults(handler=_cmd_split_type)
-
-    p = sub.add_parser("certify-split",
-                       help="explicit splitting certificate on a deformed "
-                            "surface")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--j", type=_nonnegative_int, required=True)
-    p.add_argument("--sigma", type=_poly, required=True)
-    _add_tau_flags(p)
-    p.set_defaults(handler=_cmd_certify_split)
-
-    p = sub.add_parser("charge",
-                       help="charge bookkeeping for an extension bundle")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--j", type=_nonnegative_int, required=True)
-    p.add_argument("--sigma", type=_poly, required=True)
-    _add_tau_flags(p)
-    p.set_defaults(handler=_cmd_charge)
-
-    p = sub.add_parser("moduli-dim",
-                       help="documented moduli dimension 2j-k-2 / marker")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--j", type=_nonnegative_int, required=True)
-    p.add_argument("--deformed", action="store_true")
-    p.set_defaults(handler=_cmd_moduli_dim)
-
-    p = sub.add_parser("golden", help="generate/verify the regression table")
-    p.add_argument("mode", choices=["generate", "verify"])
-    p.add_argument("--path", required=True)
-    p.set_defaults(handler=_cmd_golden)
-
+    for name, text, handler, flags in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -635,16 +574,14 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-    except argparse.ArgumentTypeError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.handler(args)
+        payload = args.handler(args)
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except LocalSurfacesError as exc:
         return _fail(type(exc).__name__, str(exc))
+    _emit(payload)
+    return 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,9 @@ from .errors import BadCocycleSupport
 from .laurent import BiLaurent, Q, Terms, U_CHART, V_CHART, as_fraction
 from .params import ParamPoly
 from .polymatrix import PolyMatrix
-from .surface import SurfaceSpec, glue_matrix, surface, tangent_transition
+from .surface import (
+    SurfaceSpec, _require_chart, glue_matrix, surface, tangent_transition,
+)
 
 # A tangent cocycle: the two components of a vector field in the U-frame.
 VectorCocycle = Tuple[BiLaurent, ...]
@@ -94,6 +96,7 @@ class TangentExtensionClass:
 
     @classmethod
     def from_poly(cls, k: int, sigma: BiLaurent) -> "TangentExtensionClass":
+        _require_chart(sigma, U_CHART)
         s1 = Q(0)
         s0: Dict[int, Q] = {}
         for (l, i), coeff in sigma.items():
@@ -221,9 +224,10 @@ def deform_by_cocycle(k: int, tau: BiLaurent) -> SurfaceSpec:
     """Rebuild Z_k(tau) by adding the tangent cocycle (0, z^-k tau)^t to the
     overlap coordinates and then applying the Z_k glue: the result is
     v = z^k (u + z^-k tau) = z^k u + tau, and the surface is read off it,
-    so tau must lie in degrees 1..k-1 (BadCocycleSupport otherwise).  The
-    glue reproduces tau exactly, which the tests re-check against the
-    fibres of family_and_ks."""
+    so tau must be in U-coordinates (TagMismatch otherwise) and lie in
+    degrees 1..k-1 (BadCocycleSupport otherwise).  The glue reproduces tau
+    exactly, which the tests re-check against the fibres of family_and_ks."""
+    _require_chart(tau, U_CHART)
     shifted_u = BiLaurent.term(1, 0, 1) + BiLaurent.term(1, -k, 0) * tau.with_tag(None)
     z_var = BiLaurent.term(1, 1, 0)
     _, v_comp = glue_matrix(surface(k)).map_entries(

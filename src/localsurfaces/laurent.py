@@ -331,6 +331,9 @@ class BiLaurent:
         return self._terms == rhs._terms
 
     def __hash__(self):
+        # A constant equals its int or Fraction coefficient, so hashes as it.
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def sorted_terms(self) -> list[Tuple[Key, Coeff]]:

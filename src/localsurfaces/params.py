@@ -206,6 +206,10 @@ class ParamPoly:
         return self._terms == rhs._terms
 
     def __hash__(self):
+        # A parameter-free ParamPoly equals its BiLaurent, so hashes as it.
+        free = (0,) * len(self.params)
+        if self._terms.keys() <= {free}:
+            return hash(self._terms.get(free, 0))
         return hash((self.params, frozenset(
             (e, frozenset(c.items())) for e, c in self._terms.items()
         )))

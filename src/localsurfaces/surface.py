@@ -76,12 +76,14 @@ class SurfaceSpec:
 
 
 def surface(k: int, tau: Union[None, Iterable, BiLaurent] = None) -> SurfaceSpec:
-    """Convenience constructor; tau lists t_1..t_{k-1} or is a polynomial
-    in z with terms in degrees 1..k-1 only (BadCocycleSupport otherwise),
-    and defaults to the zero deformation."""
+    """Convenience constructor; tau lists t_1..t_{k-1} or is a U-chart
+    polynomial in z (TagMismatch otherwise) with terms in degrees 1..k-1
+    only (BadCocycleSupport otherwise), and defaults to the zero
+    deformation."""
     if tau is None:
         tau = [Q(0)] * (k - 1)
     elif isinstance(tau, BiLaurent):
+        _require_chart(tau, U_CHART)
         for l, i in tau.support:
             if i or not 1 <= l <= k - 1:
                 raise BadCocycleSupport(

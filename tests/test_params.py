@@ -170,6 +170,28 @@ def test_other_parameter_names_are_unequal_but_do_not_mix():
             op()
 
 
+def test_equal_values_hash_equal():
+    # A constant BiLaurent equals its int or Fraction coefficient, and a
+    # parameter-free ParamPoly equals its BiLaurent, so sets and dict keys
+    # must see each pair as one value.
+    rng = random.Random(38)
+    numbers = [0, 1, -1, 2, *COEFFS]
+    laurents = [BiLaurent.const(c, rng.choice((None, U_CHART, V_CHART)))
+                for c in numbers]
+    laurents += [random_laurent(rng) for _ in range(20)]
+    params = [ParamPoly.from_poly(p, PARAMS) for p in laurents]
+    params += [ParamPoly.const(c, ("t1",)) for c in numbers]
+    params += [random_param_poly(rng) for _ in range(20)]
+    values = numbers + laurents + params
+    equal = 0
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                equal += type(a) is not type(b)
+    assert equal > 100
+
+
 def test_non_int_exponent_rejected():
     # hash(1.0) == hash(1), so a float exponent would merge with an int key:
     # t^0.5 squared would print t.

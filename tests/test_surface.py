@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from cech_oracle import line_transition
 from laurent_oracle import substitute_by_term
+from localsurfaces.bundles import ExtensionClass
+from localsurfaces.deformation import TangentExtensionClass, deform_by_cocycle
 from localsurfaces.errors import TagMismatch, UnsupportedForDeformed
 from localsurfaces.laurent import BiLaurent, U_CHART, V_CHART, parse_poly
 from localsurfaces.surface import (
@@ -65,6 +67,22 @@ def test_chart_tags_enforced():
         to_V_coords(P("xi*v"), surface(2))
     assert to_U_coords(P("xi*v"), surface(2)).tag == U_CHART
     assert to_V_coords(P("z^3*u"), surface(2)).tag == V_CHART
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: surface(2, p),
+    lambda p: deform_by_cocycle(2, p),
+    lambda p: TangentExtensionClass.from_poly(2, p),
+    lambda p: ExtensionClass(1, p),
+])
+def test_u_chart_entry_points_refuse_v_chart_polynomials(build):
+    # Each reads its polynomial in (z, u); xi and v would be read as z and
+    # u (surface(2, xi) as Z_2(z), ExtensionClass(1, xi^-1).p as 1).
+    for text in ("xi", "xi^-1", "v"):
+        with pytest.raises(TagMismatch):
+            build(P(text))
+    build(P("z"))
+    build(P("z", U_CHART))
 
 
 def test_round_trip_is_identity():
