@@ -48,14 +48,14 @@ class ExtensionClass:
 
     @property
     def p(self) -> BiLaurent:
-        return BiLaurent.term(1, self.j, 0) * self.sigma.with_tag(None)
+        return BiLaurent.term(1, self.j, 0, U_CHART) * self.sigma
 
 
 def extension_to_transition(e: ExtensionClass) -> PolyMatrix:
     """Transition [[z^j, z^j sigma], [0, z^-j]]; determinant 1."""
     j = e.j
     return PolyMatrix([
-        [BiLaurent.term(1, j, 0, U_CHART), e.p.with_tag(U_CHART)],
+        [BiLaurent.term(1, j, 0, U_CHART), e.p],
         [BiLaurent.zero(U_CHART), BiLaurent.term(1, -j, 0, U_CHART)],
     ])
 
@@ -179,9 +179,9 @@ def split_certificate(s: SurfaceSpec, e: ExtensionClass) -> SplitCertificate:
         raise CertificateNotFound(
             f"class {e.sigma} is not a coboundary on {s}"
         ) from exc
-    a_u = PolyMatrix([[one, cert.f_U.with_tag(U_CHART)], [nil, one]])
+    a_u = PolyMatrix([[one, cert.f_U], [nil, one]])
     a_v = PolyMatrix([
-        [BiLaurent.const(1, V_CHART), (-cert.f_V).with_tag(V_CHART)],
+        [BiLaurent.const(1, V_CHART), -cert.f_V],
         [BiLaurent.zero(V_CHART), BiLaurent.const(1, V_CHART)],
     ])
     return SplitCertificate(a_u, a_v, target)

@@ -168,9 +168,8 @@ def integrability_analysis(k: int, cls: TangentExtensionClass) -> IntegrabilityR
     """
     if cls.k != k:
         raise ValueError("class was built for a different k")
-    sigma = cls.poly().with_tag(None)
     s11 = BiLaurent.term(1, k, 0)
-    s12 = BiLaurent.term(k, k - 1, 1) + sigma
+    s12 = BiLaurent.term(k, k - 1, 1) + cls.poly()
 
     # Row 2: the antiderivatives of (0, -z^-2) are z^-1 + C'.
     c_prime = Q(0)  # det z^{k-1}(z^-1 + C') must be invertible for z != 0
@@ -207,7 +206,7 @@ def normalization_residual(k: int, tau: Union[BiLaurent, Sequence]) -> ParamPoly
     params = ("tK", "C")
     t_k = ParamPoly.var("tK", params)
     c = ParamPoly.var("C", params)
-    tau_poly = ParamPoly.from_poly(surface(k, tau).tau_poly().with_tag(None), params)
+    tau_poly = ParamPoly.from_poly(surface(k, tau).tau_poly(), params)
     u_var = ParamPoly.from_poly(BiLaurent.term(1, 0, 1), params)
     z_k = ParamPoly.from_poly(BiLaurent.term(1, k, 0), params)
 
@@ -228,11 +227,8 @@ def deform_by_cocycle(k: int, tau: BiLaurent) -> SurfaceSpec:
     degrees 1..k-1 (BadCocycleSupport otherwise).  The glue reproduces tau
     exactly, which the tests re-check against the fibres of family_and_ks."""
     _require_chart(tau, U_CHART)
-    shifted_u = BiLaurent.term(1, 0, 1) + BiLaurent.term(1, -k, 0) * tau.with_tag(None)
-    z_var = BiLaurent.term(1, 1, 0)
-    _, v_comp = glue_matrix(surface(k)).map_entries(
-        lambda p: p.with_tag(None)
-    ).apply((z_var, shifted_u))
+    shifted_u = BiLaurent.term(1, 0, 1) + BiLaurent.term(1, -k, 0) * tau
+    _, v_comp = glue_matrix(surface(k)).apply((BiLaurent.term(1, 1, 0), shifted_u))
     return surface(k, v_comp - BiLaurent.term(1, k, 1))
 
 
@@ -269,6 +265,18 @@ class FamilySpec:
         return surface(self.k, tuple(values.values())), PolyMatrix(corner)
 
 
+def _family_params(k: int) -> Tuple[Tuple[str, ...], Tuple[ParamPoly, ...], ParamPoly]:
+    """The parameter names t1..t(k-1), the parameters t_i as ParamPolys
+    and tau = sum t_i z^i, a U-chart function, over those names."""
+    params = tuple(f"t{i}" for i in range(1, k))
+    t = tuple(ParamPoly.var(name, params) for name in params)
+    tau = sum(
+        (t_i * BiLaurent.term(1, i, 0, U_CHART) for i, t_i in enumerate(t, start=1)),
+        ParamPoly.zero(params),
+    )
+    return params, t, tau
+
+
 def family_and_ks(k: int) -> Tuple[FamilySpec, Dict[int, VectorCocycle]]:
     """The semiuniversal family of Z_k together with its Kodaira-Spencer map
     on basis vectors: d/dt_i maps to the tangent cocycle (0, z^{-k+i})^t.
@@ -282,46 +290,24 @@ def family_and_ks(k: int) -> Tuple[FamilySpec, Dict[int, VectorCocycle]]:
     """
     if k < 2:
         raise ValueError("the family needs k >= 2")
-    params = tuple(f"t{i}" for i in range(1, k))
-    tau_sym = sum(
-        (
-            ParamPoly.var(f"t{i}", params)
-            * ParamPoly.from_poly(BiLaurent.term(1, i, 0), params)
-            for i in range(1, k)
-        ),
-        ParamPoly.zero(params),
-    )
-    z_inv = ParamPoly.from_poly(BiLaurent.term(1, -1, 0), params)
-    nil = ParamPoly.zero(params)
-    one = ParamPoly.const(1, params)
+    params, _, tau = _family_params(k)
     size = k + 1
-    rows = []
-    top = [ParamPoly.from_poly(BiLaurent.term(1, -2, 0), params)] + [nil] * (size - 1)
-    rows.append(tuple(top))
-    second = [z_inv * tau_sym, ParamPoly.from_poly(BiLaurent.term(1, k, 0), params)]
-    second += [nil] * (size - 2)
-    rows.append(tuple(second))
+    rows = [[ParamPoly.zero(params)] * size for _ in range(size)]
+    rows[0][0] = ParamPoly.from_poly(BiLaurent.term(1, -2, 0), params)
+    rows[1][0] = tau * BiLaurent.term(1, -1, 0)
+    rows[1][1] = ParamPoly.from_poly(BiLaurent.term(1, k, 0), params)
     for i in range(2, size):
-        row = [nil] * size
-        row[i] = one
-        rows.append(tuple(row))
-    fam = FamilySpec(k, params, tuple(rows))
+        rows[i][i] = ParamPoly.const(1, params)
+    fam = FamilySpec(k, params, tuple(map(tuple, rows)))
 
     # Kodaira-Spencer: derivative of the family v-glue, converted to U-frame.
-    v_glue_sym = (
-        ParamPoly.from_poly(BiLaurent.term(1, k, 1), params) + tau_sym
-    )
+    v_glue_sym = tau + BiLaurent.term(1, k, 1)
     conv = tangent_transition(surface(k)).inverse()
     zero_t = {name: Q(0) for name in params}
     ks: Dict[int, VectorCocycle] = {}
-    for i in range(1, k):
-        wiggle = v_glue_sym.derivative(f"t{i}").substitute_params(zero_t)
-        field_v = (BiLaurent.zero(), wiggle)
-        ks[i] = tuple(
-            p.with_tag(U_CHART) for p in conv.map_entries(
-                lambda p: p.with_tag(None)
-            ).apply(field_v)
-        )
+    for i, name in enumerate(params, start=1):
+        wiggle = v_glue_sym.derivative(name).substitute_params(zero_t)
+        ks[i] = conv.apply((BiLaurent.zero(), wiggle))
     return fam, ks
 
 
@@ -363,57 +349,46 @@ def hirzebruch_embed_check(k: int) -> HirzebruchReport:
     plus consistency of the two charts under the glue."""
     if k < 2:
         raise ValueError("the Hirzebruch family needs k >= 2")
-    params = tuple(f"t{i}" for i in range(1, k))
+    params, t, tau = _family_params(k)
 
-    def t_par(i: int) -> ParamPoly:
-        return ParamPoly.var(f"t{i}", params)
+    def upoly(z_exp, u_exp) -> ParamPoly:
+        return ParamPoly.from_poly(BiLaurent.term(1, z_exp, u_exp, U_CHART), params)
 
-    def upoly(coeff, z_exp, u_exp) -> ParamPoly:
-        return ParamPoly.from_poly(
-            BiLaurent.term(coeff, z_exp, u_exp, U_CHART), params
-        )
+    def vpoly(xi_exp, v_exp) -> ParamPoly:
+        return ParamPoly.from_poly(BiLaurent.term(1, xi_exp, v_exp, V_CHART), params)
 
-    def vpoly(coeff, xi_exp, v_exp) -> ParamPoly:
-        return ParamPoly.from_poly(
-            BiLaurent.term(coeff, xi_exp, v_exp, V_CHART), params
-        )
-
-    one_u = upoly(1, 0, 0)
+    one_u = upoly(0, 0)
     x = [one_u]
     for n in range(0, k + 1):
-        entry = upoly(1, k - n, 1)
+        entry = upoly(k - n, 1)
         for i in range(n + 1, k):
-            entry = entry + t_par(i) * upoly(1, i - n, 0)
+            entry = entry + t[i - 1] * upoly(i - n, 0)
         x.append(entry)
 
-    one_v = vpoly(1, 0, 0)
+    one_v = vpoly(0, 0)
     y = [one_v]
     for n in range(0, k + 1):
-        entry = vpoly(1, n, 1)
+        entry = vpoly(n, 1)
         for i in range(1, min(n, k - 1) + 1):
-            entry = entry - t_par(i) * vpoly(1, n - i, 0)
+            entry = entry - t[i - 1] * vpoly(n - i, 0)
         y.append(entry)
 
-    z_u = upoly(1, 1, 0)  # z_1 on the U chart (z_0 = 1)
+    z_u = upoly(1, 0)  # z_1 on the U chart (z_0 = 1)
     residuals_u = [
-        x[n] - z_u * (x[n + 1] + t_par(n) * x[0]) for n in range(1, k)
+        x[n] - z_u * (x[n + 1] + t[n - 1] * x[0]) for n in range(1, k)
     ]
     residuals_u.append(x[k] - z_u * x[k + 1])
 
-    xi_v = vpoly(1, 1, 0)  # z_0 on the V chart (z_1 = 1)
+    xi_v = vpoly(1, 0)  # z_0 on the V chart (z_1 = 1)
     residuals_v = [
-        xi_v * y[n] - (y[n + 1] + t_par(n) * y[0]) for n in range(1, k)
+        xi_v * y[n] - (y[n + 1] + t[n - 1] * y[0]) for n in range(1, k)
     ]
     residuals_v.append(xi_v * y[k] - y[k + 1])
 
     # Overlap: rewriting the V-chart data to U-coordinates must reproduce
     # the U-chart data (the projective rescaling by z is the first factor).
-    tau_sym = sum(
-        (t_par(i) * upoly(1, i, 0) for i in range(1, k)),
-        ParamPoly.zero(params),
-    )
     z_img = ParamPoly.from_poly(BiLaurent.term(1, -1, 0), params)
-    v_img = upoly(1, k, 1) + tau_sym
+    v_img = upoly(k, 1) + tau
     overlap = all(
         y[j].substitute_vars(z=z_img, u=v_img, tag=U_CHART) == x[j]
         for j in range(k + 2)

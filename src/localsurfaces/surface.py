@@ -103,22 +103,14 @@ def to_U_coords(p: BiLaurent, s: SurfaceSpec) -> BiLaurent:
     v -> z^k u + tau.  Always yields a Laurent polynomial in z, polynomial
     in u."""
     _require_chart(p, V_CHART)
-    return p.with_tag(None).substitute(
-        z=BiLaurent.term(1, -1, 0),
-        u=s.v_glue().with_tag(None),
-        tag=U_CHART,
-    )
+    return p.substitute(z=BiLaurent.term(1, -1, 0), u=s.v_glue(), tag=U_CHART)
 
 
 def to_V_coords(p: BiLaurent, s: SurfaceSpec) -> BiLaurent:
     """Rewrite a U-chart function to V-coordinates via z -> xi^-1,
     u -> xi^k v - sum t_i xi^{k-i}."""
     _require_chart(p, U_CHART)
-    return p.with_tag(None).substitute(
-        z=BiLaurent.term(1, -1, 0),
-        u=s.u_glue().with_tag(None),
-        tag=V_CHART,
-    )
+    return p.substitute(z=BiLaurent.term(1, -1, 0), u=s.u_glue(), tag=V_CHART)
 
 
 def is_V_holomorphic(p: BiLaurent, s: SurfaceSpec) -> bool:

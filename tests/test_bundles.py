@@ -134,6 +134,7 @@ def test_extension_p_round_trip():
     e = ExtensionClass(2, sigma)
     assert e.p == P("z^2") * sigma
     assert e.p * P("z^-2") == sigma
+    assert e.p.tag == laurent.U_CHART
 
 
 def test_extension_determinant_always_one():
