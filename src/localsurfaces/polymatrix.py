@@ -23,6 +23,8 @@ class PolyMatrix:
 
     def __init__(self, rows: Sequence[Sequence[BiLaurent]]):
         size = len(rows)
+        if not size:
+            raise ValueError("matrix must not be empty")
         norm = []
         for row in rows:
             if len(row) != size:

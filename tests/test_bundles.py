@@ -256,6 +256,14 @@ def test_splitting_type_checks_determinant_before_reducing(monkeypatch):
             splitting_type_p1(T)
 
 
+def test_polymatrix_refuses_empty_and_ragged_rows():
+    # det, unit_det, inverse and splitting_type_p1 of an empty matrix
+    # raised a bare IndexError.
+    for rows in ([], [[P("z")], [P("1")]], [[P("1"), P("z")], [P("1")]]):
+        with pytest.raises(ValueError, match="empty|square"):
+            PolyMatrix(rows)
+
+
 def unimodular_frame(rng, r, reach):
     """A u-free transition with unit determinant: L @ D @ U with D a
     diagonal of monomials c z^a, L and U unipotent lower and upper with
