@@ -1,6 +1,7 @@
 """The CLI's polynomial text read by sympy, which shares no code with
 localsurfaces: the certify-trivial identity of every corpus argv that exits
-0, checked in Q[z, u], and every echoed sigma or input."""
+0, checked in Q[z, u], every echoed sigma or input, and the Hirzebruch
+charts of hirzebruch-check, checked in Q[z, u, t] and Q[xi, v, t]."""
 
 import json
 
@@ -104,3 +105,51 @@ def test_cli_text_rechecks_in_sympy():
                 assert certifies(argv, doc, sigma), (argv, doc)
                 certified += 1
     assert certified > 250 and echoed > 600
+
+
+def test_hirzebruch_text_rechecks_in_sympy():
+    # hirzebruch_embed_check builds and checks its charts on ParamPoly and
+    # BiLaurent alone.  Here the printed x and y are read into
+    # Q[z, u, t] and Q[xi, v, t] and checked against the formulas of its
+    # docstring, the k defining equations on each chart, and the overlap:
+    # y_j(1/z, z^k u + tau) = x_j, both sides times z^M.
+    with corpus_environment():
+        for k in range(2, 9):
+            code, out, _ = run(["hirzebruch-check", "--k", str(k)])
+            assert code == 0
+            doc = json.loads(out)
+            names = ",".join(f"t{i}" for i in range(1, k))
+            ru, z, u, *tu = ring(f"z,u,{names}", sympy.QQ)
+            rv, xi, v, *tv = ring(f"xi,v,{names}", sympy.QQ)
+            x = [read_in(ru, text) for text in doc["x"]]
+            y = [read_in(rv, text) for text in doc["y"]]
+            t_u = [ru.zero, *tu] + [ru.zero] * (k + 1)  # t_i = 0 for i >= k
+            t_v = [rv.zero, *tv] + [rv.zero] * (k + 1)
+            assert x == [ru.one] + [
+                z ** (k - n) * u
+                + sum((t_u[i] * z ** (i - n) for i in range(n + 1, k)), ru.zero)
+                for n in range(k + 1)
+            ]
+            assert y == [rv.one] + [
+                xi ** n * v
+                - sum((t_v[i] * xi ** (n - i) for i in range(1, n + 1)), rv.zero)
+                for n in range(k + 1)
+            ]
+            # z_0 x_n = z_1 (x_{n+1} + t_n x_0), n < k, and z_0 x_k = z_1 x_{k+1},
+            # with (z_0, z_1) = (1, z) on U and (xi, 1) on V
+            for n in range(1, k):
+                assert x[n] == z * (x[n + 1] + t_u[n] * x[0])
+                assert xi * y[n] == y[n + 1] + t_v[n] * y[0]
+            assert x[k] == z * x[k + 1] and xi * y[k] == y[k + 1]
+            glue = z ** k * u + sum((t_u[i] * z ** i for i in range(1, k)), ru.zero)
+            m = k + 1
+            for xj, yj in zip(x, y):
+                rewritten = ru.zero
+                for (a, b, *exps), c in yj.terms():
+                    term = c * z ** (m - a) * glue ** b
+                    for t_i, e in zip(tu, exps):
+                        term *= t_i ** e
+                    rewritten += term
+                assert rewritten == z ** m * xj
+            assert doc["overlap_consistent"] and doc["all_zero"]
+            assert {*doc["residuals_u"], *doc["residuals_v"]} == {"0"}
