@@ -303,6 +303,16 @@ def h1(s: SurfaceSpec, n: int) -> CohomologyResult:
     Starting from default_window(s, n), the window is enlarged until the
     dimension settles; the result reports the first stable window and
     stabilized=True.
+
+    On tau = 0 the default window is already exact.  Every column is one
+    monomial -z^(kb-n-a) u^b, so in any window the pivots are exactly the
+    negative-z window monomials z^l u^i with l <= ki - n, and the basis is
+    the rest: the normal-form monomials ki - n < l < 0 (i <= m =
+    floor((n-2)/k)), h1_dimension_formula(k, n) of them, whenever the
+    window contains them, that is min_z <= 1 - n and max_u >= m.
+    default_window has min_z = -(|n| + k + 3) and max_u >= m + 3, and the
+    enlargements only widen it, so the three windows give one value and
+    stabilize_window stops at the default window after 2 enlargements.
     """
     cache: Dict[Window, CechComplex] = {}
 

@@ -600,6 +600,33 @@ def test_stabilize_h1_dimensions():
     assert stable.value == 0
 
 
+def test_undeformed_complex_is_exact_at_the_default_window():
+    # On tau = 0 each column is one monomial -z^(kb-n-a) u^b, so in any
+    # window the pivots are its negative-z monomials with l <= ki - n and
+    # the basis is the normal-form monomials ki - n < l < 0 once the window
+    # holds them, as default_window and its enlargements do (see cech.h1).
+    rng = random.Random(39)
+    for k in range(1, 7):
+        s = surface(k)
+        for n in range(-2, 13):
+            want = sorted((1, l, i) for i in range(max(n, 0))
+                          for l in range(k * i - n + 1, 0))
+            assert len(want) == h1_dimension_formula(k, n)
+            w0 = default_window(s, n)
+            seeded = [Window(w0.min_z - rng.randint(0, 4), w0.max_z + rng.randint(0, 4),
+                             w0.max_u + rng.randint(0, 2)) for _ in range(2)]
+
+            def compute(w):
+                complex_ = CechComplex(s, n, w)
+                assert [p.as_unit_monomial() for p in complex_.basis()] == want
+                return complex_.dimension
+
+            for w in seeded:
+                assert compute(w) == len(want)
+            stable = stabilize_window(compute, w0)
+            assert (stable.value, stable.window, stable.enlargements) == (len(want), w0, 2)
+
+
 def test_stabilize_cap_exceeded():
     calls = []
 
