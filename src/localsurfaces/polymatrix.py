@@ -10,10 +10,10 @@ exactly invertible over the Laurent ring.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import NonUnitDeterminant
-from .laurent import BiLaurent, Q
+from .laurent import BiLaurent, Q, Terms, _merge_tags, _raw
 
 
 class PolyMatrix:
@@ -95,9 +95,10 @@ class PolyMatrix:
         return PolyMatrix([[fn(p) for p in row] for row in self.entries])
 
     def det(self) -> BiLaurent:
-        """Determinant by cofactor expansion along the first row (_det).
-        The minors are tuples of row slices, not PolyMatrix values: their
-        entries are this matrix's, checked when it was built."""
+        """Determinant by cofactor expansion along the first row (_det),
+        summed on term dicts.  The minors are tuples of row slices, not
+        PolyMatrix values: their entries are this matrix's, checked when
+        it was built."""
         return _det(self.entries)
 
     def unit_det(self) -> Tuple[Q, int]:
@@ -135,13 +136,42 @@ class PolyMatrix:
 
 def _det(rows: Sequence[Tuple[BiLaurent, ...]]) -> BiLaurent:
     """Determinant of the square matrix with the given row tuples, expanded
-    along the first row; a zero entry there adds no cofactor."""
+    along the first row; a zero entry there adds no cofactor.  The sum runs
+    on the entries' term dicts (_det_terms), so the result is the only
+    BiLaurent it builds."""
     if len(rows) == 1:
         return rows[0][0]
-    total = BiLaurent.zero()
+    terms, tag = _det_terms(rows)
+    return _raw(terms, tag)
+
+
+def _det_terms(rows: Sequence[Tuple[BiLaurent, ...]]) -> Tuple[Terms, Optional[str]]:
+    """Terms and tag of the determinant of two or more rows.  Each cofactor
+    entry * minor is added term by term into one dict; a one-row minor is
+    its entry, whose items() serve as a dict's.  The tags merge as a
+    BiLaurent product and sum merge them, the entry's with the minor's and
+    then with the sum so far, so the tag and any TagMismatch are theirs."""
+    total: Terms = {}
+    tag = None
+    rest = rows[1:]
     for j, entry in enumerate(rows[0]):
         if entry.is_zero:
             continue
-        cofactor = entry * _det([row[:j] + row[j + 1:] for row in rows[1:]])
-        total = total + (cofactor if j % 2 == 0 else -cofactor)
-    return total
+        if len(rest) == 1:
+            minor = rest[0][1 - j]
+            minor_tag = minor.tag
+        else:
+            minor, minor_tag = _det_terms([row[:j] + row[j + 1:] for row in rest])
+        tag = _merge_tags(tag, _merge_tags(entry.tag, minor_tag))
+        minor_items = minor.items()
+        for (za, ua), ca in entry.items():
+            if j % 2:
+                ca = -ca
+            for (zb, ub), cb in minor_items:
+                key = (za + zb, ua + ub)
+                acc = total.get(key, 0) + ca * cb
+                if acc:
+                    total[key] = acc
+                else:
+                    total.pop(key, None)
+    return total, tag

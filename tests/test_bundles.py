@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from dense_oracle import RationalMatrix, nullspace
-from localsurfaces import bundles, laurent
+from localsurfaces import bundles, laurent, polymatrix
 from localsurfaces.bundles import (
     DISCRETE_ZERO_DIMENSIONAL,
     ExtensionClass,
@@ -317,7 +317,8 @@ def test_splitting_type_matches_the_bilaurent_column_reduction():
 
 def test_column_reduction_builds_no_bilaurent(monkeypatch):
     # After its two checks, splitting_type_p1 reduces univariate dicts: it
-    # multiplies and builds exactly what T.unit_det() does and nothing else.
+    # multiplies and builds exactly what T.unit_det() does and nothing else,
+    # and the determinant sums term dicts into one BiLaurent, its result.
     counts = {}
 
     def counting(name, fn):
@@ -329,6 +330,7 @@ def test_column_reduction_builds_no_bilaurent(monkeypatch):
     monkeypatch.setattr(BiLaurent, "__mul__", counting("mul", BiLaurent.__mul__))
     monkeypatch.setattr(BiLaurent, "__init__", counting("init", BiLaurent.__init__))
     monkeypatch.setattr(laurent, "_raw", counting("raw", laurent._raw))
+    monkeypatch.setattr(polymatrix, "_raw", counting("raw", polymatrix._raw))
     rng = random.Random(3)
     frames = [unimodular_frame(rng, rng.randint(2, 4), 2) for _ in range(20)]
     for a, b, e in itertools.product(range(-3, 4), repeat=3):
@@ -338,6 +340,7 @@ def test_column_reduction_builds_no_bilaurent(monkeypatch):
         counts.clear()
         T.unit_det()
         det_counts = dict(counts)
+        assert det_counts == {"raw": 1}, T
         counts.clear()
         split = splitting_type_p1(T)
         assert counts == det_counts, T
