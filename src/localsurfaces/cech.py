@@ -68,7 +68,7 @@ of which only a rank and its leads are read, so both are counted on
 IntegerEchelon, linalg's one echelon, and build no Fraction, nor does a
 certificate on unit tau with an int sigma.  Deformed H^0 is the kernel
 linalg.nullspace reads off the same echelon, which builds one Fraction
-per kernel entry and none before.
+per non-integral kernel entry and none before.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ lead or a new row, so it never gives a wrong rank (floats never become
 coefficients: laurent.as_fraction refuses them).
 
 nullspace reads the canonical kernel basis of a sparse rational matrix off
-that echelon: each row is scaled to ints, the rows are inserted, and a
-fraction-free back-substitution clears every other lead from each row, so
-each row is its RREF row times an int.  Only the kernel entries are
-Fractions.
+that echelon: each row with a Fraction entry is scaled to ints (an all-int
+row is inserted as it is), and a fraction-free back-substitution clears
+every other lead from each row, so each row is its RREF row times an int.
+Only the kernel entries can be Fractions: each follows the Coeff
+convention, an int where integral and a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -98,14 +99,19 @@ def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
     echelon once back-substitution has cleared every other lead from
     them.  Each row is then its RREF row times an int, so these are the
     vectors a dense RREF gives.  Scaling a row by the lcm of its
-    denominators keeps the kernel.
+    denominators keeps the kernel.  Full column rank returns [] before
+    any back-substitution.
     """
     echelon = IntegerEchelon()
     for row in rows:
-        scale = lcm(*(x.denominator for x in row.values()))
-        echelon.add({c: x.numerator * (scale // x.denominator)
-                     for c, x in row.items()})
+        if not all(type(x) is int for x in row.values()):
+            scale = lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (scale // x.denominator)
+                   for c, x in row.items()}
+        echelon.add(row)
     pivots = echelon.pivots
+    if len(pivots) == ncols:
+        return []
     leads = sorted(pivots)
     # Decreasing lead order: the rows a row is cleared by are reduced.
     for p in reversed(leads):
@@ -128,11 +134,12 @@ def nullspace(rows: Iterable[SparseVec], ncols: int) -> List[SparseVec]:
     for f in range(ncols):
         if f in pivots:
             continue
-        vec = {f: Q(1)}
+        vec: SparseVec = {f: 1}
         for p in leads:
             row = pivots[p]
             x = row.get(f)
             if x:
-                vec[p] = Q(-x, row[p])
+                lead = row[p]
+                vec[p] = -x // lead if x % lead == 0 else Q(-x, lead)
         basis.append(vec)
     return basis

@@ -351,7 +351,9 @@ def assert_canonical_kernel(rows, ncols):
     got = sparse_nullspace(rows, ncols)
     # Same vectors, keys, values and key order as the rational RREF.
     assert as_items(got) == as_items(rref_nullspace(rows, ncols)), (rows, ncols)
-    assert all(type(x) is Q for vec in got for x in vec.values())
+    # Coeff convention: an integral entry is an int, any other a Fraction.
+    assert all(type(x) is (int if x.denominator == 1 else Q)
+               for vec in got for x in vec.values())
     as_dense = kernel_as_dense(got, ncols)
     if rows:
         assert as_dense == nullspace(dense(rows, ncols))
@@ -386,11 +388,16 @@ def test_nullspace_is_the_rational_rref_kernel_on_recorded_calls():
     assert len(calls) == 376
     for rows, ncols in calls:
         assert_canonical_kernel(rows, ncols)
+        # As the library passes them: integral entries as ints, so an
+        # all-int row takes the path without the lcm scaling.
+        as_coeffs = [{c: x.numerator if x.denominator == 1 else x
+                      for c, x in row.items()} for row in rows]
+        assert_canonical_kernel(as_coeffs, ncols)
 
 
 def test_nullspace_builds_one_fraction_per_kernel_entry(monkeypatch):
-    # The echelon and the back-substitution run on ints; only the entries
-    # of the returned kernel are Fractions.
+    # The echelon and the back-substitution run on ints; only the
+    # non-integral entries of the returned kernel are Fractions.
     rng = random.Random(59)
     cases = recorded_nullspace_calls()
     cases += [random_kernel_inputs(rng) for _ in range(300)]
@@ -406,7 +413,8 @@ def test_nullspace_builds_one_fraction_per_kernel_entry(monkeypatch):
         monkeypatch.setattr(Q, "__new__", counted)
         kernel = sparse_nullspace(rows, ncols)
         monkeypatch.setattr(Q, "__new__", real_new)
-        assert len(built) <= sum(len(vec) for vec in kernel), (rows, ncols)
+        fractions = sum(type(x) is Q for vec in kernel for x in vec.values())
+        assert len(built) <= fractions, (rows, ncols)
 
 
 def test_one_echelon_engine():
