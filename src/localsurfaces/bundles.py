@@ -88,27 +88,38 @@ def splitting_type_p1(T: PolyMatrix) -> Tuple[int, ...]:
     T * diag(z^-d_j) is invertible over Q[z^-1], so T is the transition of
     O(-d_1) + ... + O(-d_r).
 
-    The entries are u-free, so after the two checks (u-free entries, unit
-    determinant) each entry is held as a univariate dict
-    {z_exponent: coefficient} and a column operation is dict arithmetic;
-    the reduction builds no BiLaurent."""
+    The entries are u-free, so each is held as a univariate dict
+    {z_exponent: coefficient}, built in the same pass that refuses a u-term
+    with ValueError; then the unit determinant is checked
+    (NonUnitDeterminant), before any reduction.  A column operation is dict
+    arithmetic, and only the changed column's degree and leading
+    coefficients are read again, so the reduction builds no BiLaurent."""
     r = T.size
-    for row in T.entries:
-        for p in row:
-            if not p.is_zero and p.max_u_exp() > 0:
-                raise ValueError("splitting_type_p1 needs u-free entries")
-    T.unit_det()
     # cols[j][i] = T[i][j]; a unit determinant leaves no column zero
-    cols = [[{l: c for (l, _), c in row[j].items()} for row in T.entries]
-            for j in range(r)]
+    cols = [[] for _ in range(r)]
+    for row in T.entries:
+        for col, p in zip(cols, row):
+            entry = {}
+            for (l, i), c in p.items():
+                if i:
+                    raise ValueError("splitting_type_p1 needs u-free entries")
+                entry[l] = c
+            col.append(entry)
+    T.unit_det()
+    deg = [0] * r
+    # lead[i][j]: the coefficient of z^deg[j] in cols[j][i], where nonzero
+    lead = [{} for _ in range(r)]
+    changed = range(r)
     while True:
-        deg = [max(max(entry) for entry in col if entry) for col in cols]
-        lead = [{} for _ in range(r)]
-        for j, col in enumerate(cols):
-            for i, entry in enumerate(col):
-                x = entry.get(deg[j])
+        for j in changed:
+            col = cols[j]
+            d = deg[j] = max([max(entry) for entry in col if entry])
+            for row, entry in zip(lead, col):
+                x = entry.get(d)
                 if x:
-                    lead[i][j] = x
+                    row[j] = x
+                else:
+                    row.pop(j, None)
         kernel = nullspace(lead, r)
         if not kernel:
             return tuple(sorted((-d for d in deg), reverse=True))
@@ -120,8 +131,6 @@ def splitting_type_p1(T: PolyMatrix) -> Tuple[int, ...]:
         new = [{} for _ in range(r)]
         for s, factor in c.items():
             shift = deg[h] - deg[s]
-            if factor.denominator == 1:
-                factor = factor.numerator
             for out, entry in zip(new, cols[s]):
                 for l, x in entry.items():
                     key = l + shift
@@ -131,6 +140,7 @@ def splitting_type_p1(T: PolyMatrix) -> Tuple[int, ...]:
                     else:
                         out.pop(key, None)
         cols[h] = new
+        changed = (h,)
 
 
 @dataclass(frozen=True)
